@@ -11,9 +11,12 @@ The solver turns those product conditions into an F_p-linear system.
 Over F_q the condition for a pair is that a polynomial function in two
 variables vanishes identically; writing the trace as a sum of Frobenius
 twists and reducing exponents modulo q - 1 splits it into one F_q-linear
-equation per reduced monomial, hence m rows over F_p each.  A brute
-oracle that filters all q^N parameter vectors through the validator
-cross-checks the solver on small contexts.
+equation per reduced monomial, hence m rows over F_p each.  The F_p
+variables are ordered by the depth of their root, so one RREF of those
+rows gives the whole depth filtration: each free column carries one
+basis vector that vanishes past it, and dim V_r counts the free columns
+of depth at most r.  A brute oracle that filters all q^N parameter
+vectors through the validator cross-checks the solver on small contexts.
 """
 
 from __future__ import annotations
@@ -164,7 +167,14 @@ def _rref(rows: List[List[int]], p: int) -> Tuple[List[List[int]], List[int]]:
     return mat[:r], pivots
 
 
-def _nullspace(rows: List[List[int]], ncols: int, p: int) -> List[Tuple[int, ...]]:
+def _nullspace(
+    rows: List[List[int]], ncols: int, p: int
+) -> Tuple[List[Tuple[int, ...]], List[int]]:
+    """RREF nullspace basis, one vector per free column, and those columns.
+
+    The vector of free column c has a 1 at c, a 0 at every other free
+    column, and a 0 at every column after c.
+    """
     reduced, pivots = _rref(rows, p)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -174,13 +184,7 @@ def _nullspace(rows: List[List[int]], ncols: int, p: int) -> List[Tuple[int, ...
         for row, pc in zip(reduced, pivots):
             vec[pc] = (-row[fc]) % p
         basis.append(tuple(vec))
-    return basis
-
-
-def _in_span(rows: List[List[int]], vec: Sequence[int], p: int) -> bool:
-    before, _ = _rref(rows, p)
-    after, _ = _rref(rows + [list(vec)], p)
-    return len(after) == len(before)
+    return basis, free
 
 
 # ----------------------------------------------------------------------
@@ -284,56 +288,45 @@ def enumerate_valid(ctx: Context) -> Iterator[ShallowCharacter]:
 def solve_space(ctx: Context, cross_check: Optional[bool] = None) -> CharacterSpace:
     """Solve the relation system; return a filtration-adapted basis.
 
-    The basis is ordered so that its first dim V_r vectors span the
-    subspace of characters of depth at most r, for each depth r in the
-    enumeration.  cross_check=None enumerates all q^N vectors when that
-    is at most 2**12; True forces the oracle (error above 2**20); False
-    skips it.
+    The variables are ordered by ascending depth, so the RREF nullspace
+    of the relation rows is already adapted to the depth filtration: the
+    vector of free column c vanishes past c, and the vectors whose free
+    columns have depth at most r span V_r.  Hence dim V_r is the number
+    of free columns of depth at most r, and the first dim V_r basis
+    vectors span V_r.  cross_check=None enumerates all q^N vectors when
+    that is at most 2**12; True forces the oracle (error above 2**20);
+    False skips it.
     """
     f = ctx.field
-    p, m = f.p, f.m
+    m = f.m
     total = ctx.q**ctx.n_roots
     if cross_check is None:
         cross_check = total <= 2**12
     elif cross_check and total > 2**20:
         raise ValueError("context too large for the exhaustive oracle")
-    nvars = ctx.n_roots * m
-    rows = relation_rows(ctx)
-
-    levels = sorted(set(ctx.depths))
-    adapted: List[Tuple[int, ...]] = []
-    filtration: List[Tuple[Fraction, int]] = []
-    for level in levels:
-        forced = list(rows)
-        for t, d in enumerate(ctx.depths):
-            if d > level:
-                for e in range(m):
-                    extra = [0] * nvars
-                    extra[t * m + e] = 1
-                    forced.append(extra)
-        space = _nullspace(forced, nvars, p)
-        for vec in space:
-            if not _in_span([list(v) for v in adapted], vec, p):
-                adapted.append(vec)
-        filtration.append((level, len(space)))
-    assert not filtration or len(adapted) == filtration[-1][1]
+    null, free = _nullspace(relation_rows(ctx), ctx.n_roots * m, f.p)
+    free_depths = [ctx.depths[c // m] for c in free]
+    filtration = tuple(
+        (level, sum(d <= level for d in free_depths))
+        for level in sorted(set(ctx.depths))
+    )
 
     basis = tuple(
         ShallowCharacter.from_vector(ctx, _vector_from_coords(ctx, coords))
-        for coords in adapted
+        for coords in null
     )
     for chi in basis:
         assert validate(chi).ok, "solver produced an invalid character"
 
     checked = False
     if cross_check:
-        space = CharacterSpace(ctx, basis, len(basis), tuple(filtration), False)
+        space = CharacterSpace(ctx, basis, len(basis), filtration, False)
         spanned = sorted(chi.vector for chi in space.elements())
         brute = sorted(chi.vector for chi in enumerate_valid(ctx))
         assert spanned == brute, "linear solver disagrees with the oracle"
         checked = True
 
-    return CharacterSpace(ctx, basis, len(basis), tuple(filtration), checked)
+    return CharacterSpace(ctx, basis, len(basis), filtration, checked)
 
 
 def scalar_act(z: int, chi: ShallowCharacter) -> ShallowCharacter:

@@ -320,15 +320,12 @@ def _adjoint_matrices(
     out = {}
     for r in roots:
         rows = [[0] * dim for _ in range(dim)]
-        dr = rs.length_sq(r) // 2
         for s in roots:
             col = idx[s]
             if s == negate(r):
                 # [e_r, e_-r] = h_r, expanded over the simple coroots
-                for i in range(rs.rank):
-                    num = r[i] * rs.lengths[i]
-                    assert num % dr == 0
-                    rows[R + i][col] = num // dr
+                for i, c in enumerate(rs.coroot(r)):
+                    rows[R + i][col] = c
             else:
                 t = add(r, s)
                 if rs.is_root(t):

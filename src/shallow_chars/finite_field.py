@@ -64,7 +64,11 @@ def _from_coeffs(coeffs: Sequence[int], p: int) -> int:
 
 
 class FiniteField:
-    """F_q with table-based exact arithmetic, q a prime power <= bound."""
+    """F_q with table-based exact arithmetic, q a prime power <= bound.
+
+    Addition, negation, multiplication and the trace are looked up in
+    tables filled once at construction.
+    """
 
     def __init__(self, q: int, *, bound: int = 16):
         if q > bound:
@@ -75,6 +79,13 @@ class FiniteField:
         self._mul_table = [
             [self._poly_mul(a, b) for b in range(q)] for a in range(q)
         ]
+        digits = [_to_coeffs(x, self.p, self.m) for x in range(q)]
+        self._add_table = [
+            [_from_coeffs([x + y for x, y in zip(da, db)], self.p) for db in digits]
+            for da in digits
+        ]
+        self._neg_table = [_from_coeffs([-c for c in d], self.p) for d in digits]
+        self._trace_table = [self._sum_of_conjugates(a) for a in range(q)]
 
     # ------------------------------------------------------------------
     # construction internals
@@ -112,6 +123,15 @@ class FiniteField:
         rem = _poly_mod(prod, f, p)
         return _from_coeffs(rem, p)
 
+    def _sum_of_conjugates(self, a: int) -> int:
+        total = 0
+        x = a
+        for _ in range(self.m):
+            total = self.add(total, x)
+            x = self.frobenius(x)
+        assert total < self.p, "trace must land in the prime field"
+        return total
+
     # ------------------------------------------------------------------
     # arithmetic
 
@@ -122,13 +142,10 @@ class FiniteField:
         return range(1, self.q)
 
     def add(self, a: Element, b: Element) -> Element:
-        p, m = self.p, self.m
-        ca, cb = _to_coeffs(a, p, m), _to_coeffs(b, p, m)
-        return _from_coeffs([x + y for x, y in zip(ca, cb)], p)
+        return self._add_table[a][b]
 
     def neg(self, a: Element) -> Element:
-        p, m = self.p, self.m
-        return _from_coeffs([-c for c in _to_coeffs(a, p, m)], p)
+        return self._neg_table[a]
 
     def sub(self, a: Element, b: Element) -> Element:
         return self.add(a, self.neg(b))
@@ -161,13 +178,7 @@ class FiniteField:
 
     def trace(self, a: Element) -> int:
         """Trace to F_p, returned as an int in range(p)."""
-        total = 0
-        x = a
-        for _ in range(self.m):
-            total = self.add(total, x)
-            x = self.frobenius(x)
-        assert total < self.p, "trace must land in the prime field"
-        return total
+        return self._trace_table[a]
 
     def coeffs(self, a: Element) -> Tuple[int, ...]:
         return tuple(_to_coeffs(a, self.p, self.m))

@@ -166,6 +166,8 @@ def verify_homomorphism(
     count = ctx.coset_count()
     if mode == "auto":
         mode = "generators" if count <= 2**20 else "sample"
+    if mode == "sample" and samples < 1:
+        raise ValueError(f"sample mode needs at least one sample, got {samples}")
 
     if mode in ("generators", "pairs"):
         tables = cayley_tables(ctx)

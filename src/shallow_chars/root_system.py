@@ -167,6 +167,12 @@ class RootSystem:
         assert num % den == 0
         return num // den
 
+    def coroot(self, a: Root) -> Root:
+        """Coordinates of a^vee = 2a / (a, a) over the simple coroots."""
+        d = self.length_sq(a) // 2
+        assert all(c * w % d == 0 for c, w in zip(a, self.lengths))
+        return tuple(c * w // d for c, w in zip(a, self.lengths))
+
     def is_long(self, a: Root) -> bool:
         return self.length_sq(a) == max(self.length_sq(s) for s in self.simple_roots)
 

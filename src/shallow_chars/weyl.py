@@ -25,41 +25,18 @@ from .affine_roots import (
     Point,
     barycenter,
     depth,
+    is_positive_affine,
     simple_affine_roots,
 )
 from .characters import ShallowCharacter, char_depth, validate
+from .chevalley import Matrix, _identity, _mat_mul
 from .context import Context
 from .root_system import RootSystem, Root
-
-Matrix = Tuple[Tuple[int, ...], ...]
-
-
-def _eye(n: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def _mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
 
 
 def _apply(m: Matrix, v: Sequence[int]) -> Tuple[int, ...]:
     n = len(m)
     return tuple(sum(m[i][j] * v[j] for j in range(n)) for i in range(n))
-
-
-def _coroot_coords(rs: RootSystem, b: Root) -> Tuple[int, ...]:
-    """Coordinates of b-dual over the simple coroots."""
-    db = rs.length_sq(b) // 2
-    out = []
-    for i, c in enumerate(b):
-        x = Fraction(c * rs.lengths[i], db)
-        assert x.denominator == 1
-        out.append(int(x))
-    return tuple(out)
 
 
 class AffineWeylElement:
@@ -89,7 +66,7 @@ class AffineWeylElement:
 
     @classmethod
     def identity(cls, rs: RootSystem) -> "AffineWeylElement":
-        eye = _eye(rs.rank)
+        eye = _identity(rs.rank)
         zero = (0,) * rs.rank
         return cls(rs, eye, eye, eye, eye, zero, (), zero)
 
@@ -101,7 +78,7 @@ class AffineWeylElement:
         zero = (0,) * l
         if i == 0:
             theta = rs.highest_root
-            theta_co = _coroot_coords(rs, theta)
+            theta_co = rs.coroot(theta)
             rmap = tuple(
                 tuple(
                     int(p == j) - rs.pairing(_unit(l, j), theta) * theta[p]
@@ -137,7 +114,7 @@ class AffineWeylElement:
 
     @classmethod
     def translation_by(cls, rs: RootSystem, k: Sequence[int]) -> "AffineWeylElement":
-        eye = _eye(rs.rank)
+        eye = _identity(rs.rank)
         k = tuple(int(x) for x in k)
         return cls(rs, eye, eye, eye, eye, k, (), k)
 
@@ -150,10 +127,10 @@ class AffineWeylElement:
         )
         return AffineWeylElement(
             self.rs,
-            _mul(self.root_map, other.root_map),
-            _mul(other.root_map_inv, self.root_map_inv),
-            _mul(self.coroot_map, other.coroot_map),
-            _mul(other.coroot_map_inv, self.coroot_map_inv),
+            _mat_mul(self.root_map, other.root_map),
+            _mat_mul(other.root_map_inv, self.root_map_inv),
+            _mat_mul(self.coroot_map, other.coroot_map),
+            _mat_mul(other.coroot_map_inv, self.coroot_map_inv),
             k,
             self.word + other.word,
             tuple(
@@ -219,13 +196,10 @@ class AffineWeylElement:
         for letter in reversed(self.word):
             if letter == 0:
                 r = tuple(-c for c in self.rs.highest_root)
-                f = AffineWeylElement.simple(self.rs, 0)
-                eta *= pinning.reflection_sign(r, gradient)
-                gradient = _apply(f.root_map, gradient)
             else:
                 r = _unit(self.rs.rank, letter - 1)
-                eta *= pinning.reflection_sign(r, gradient)
-                gradient = self.rs.simple_reflect(letter - 1, gradient)
+            eta *= pinning.reflection_sign(r, gradient)
+            gradient = self.rs.reflect(gradient, r)
         return eta
 
     def to_json(self) -> Dict:
@@ -251,43 +225,46 @@ def act_on_point(w: AffineWeylElement, mu) -> Point:
 
 
 # ----------------------------------------------------------------------
-# finite enumeration helpers
+# enumeration: one breadth-first walk over words in chosen letters
 
-def _finite_elements(rs: RootSystem, cap: int = 100_000) -> List[AffineWeylElement]:
-    """The finite Weyl group, breadth first, words in letters 1..l."""
+def _bfs(
+    rs: RootSystem, letters: Sequence[int], radius: Optional[int] = None
+) -> List[AffineWeylElement]:
+    """Elements spelled by words in `letters`, breadth first.
+
+    Each element keeps the first word that reached it, so words are
+    reduced and nondecreasing in length.  With a radius the walk stops
+    at that word length; without one it runs until the generated group
+    is exhausted, which must be finite.
+    """
+    gens = [AffineWeylElement.simple(rs, i) for i in letters]
     out = [AffineWeylElement.identity(rs)]
     seen = {out[0].key()}
     frontier = list(out)
-    while frontier:
+    length = 0
+    while frontier and (radius is None or length < radius):
         nxt = []
         for w in frontier:
-            for i in range(1, rs.rank + 1):
-                child = w.compose(AffineWeylElement.simple(rs, i))
+            for g in gens:
+                child = w.compose(g)
                 if child.key() not in seen:
                     seen.add(child.key())
                     nxt.append(child)
         out.extend(nxt)
         frontier = nxt
-        assert len(out) <= cap, "finite Weyl group enumeration too large"
+        length += 1
+        assert radius is not None or len(out) <= 100_000, "Weyl group enumeration too large"
     return out
+
+
+def _finite_elements(rs: RootSystem) -> List[AffineWeylElement]:
+    """The finite Weyl group: words in the letters 1..l."""
+    return _bfs(rs, range(1, rs.rank + 1))
 
 
 def _ball(rs: RootSystem, radius: int) -> List[AffineWeylElement]:
-    """All affine Weyl elements of word length at most radius, BFS order."""
-    out = [AffineWeylElement.identity(rs)]
-    seen = {out[0].key()}
-    frontier = list(out)
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for i in range(rs.rank + 1):
-                child = w.compose(AffineWeylElement.simple(rs, i))
-                if child.key() not in seen:
-                    seen.add(child.key())
-                    nxt.append(child)
-        out.extend(nxt)
-        frontier = nxt
-    return out
+    """Affine Weyl elements of word length at most radius."""
+    return _bfs(rs, range(rs.rank + 1), radius)
 
 
 def long_element(rs: RootSystem, subset) -> AffineWeylElement:
@@ -302,27 +279,12 @@ def long_element(rs: RootSystem, subset) -> AffineWeylElement:
         raise ValueError("subset of simple reflections must be nonempty")
     if len(letters) > rs.rank or any(i < 0 or i > rs.rank for i in letters):
         raise ValueError("subset must be a proper part of the affine diagram")
-    elements = [AffineWeylElement.identity(rs)]
-    seen = {elements[0].key()}
-    frontier = list(elements)
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in letters:
-                child = w.compose(AffineWeylElement.simple(rs, i))
-                if child.key() not in seen:
-                    seen.add(child.key())
-                    nxt.append(child)
-        elements.extend(nxt)
-        frontier = nxt
-        assert len(elements) <= 100_000, "parabolic subgroup enumeration too large"
+    elements = _bfs(rs, letters)
     last_level = len(elements[-1].word)
     longest = [w for w in elements if len(w.word) == last_level]
     assert len(longest) == 1, "longest element must be unique"
     w = longest[0]
     simples = simple_affine_roots(rs)
-    from .affine_roots import is_positive_affine
-
     for i in letters:
         image = w.act_on_root(simples[i])
         assert not is_positive_affine(rs, image), "long element postcondition"
@@ -468,6 +430,8 @@ def condition_star(chi: ShallowCharacter, radius: int = 4) -> StarVerdict:
     inside it is enumerated and the verdict is exact; otherwise only
     translations up to the radius are swept.
     """
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
     ctx = chi.context
     rs = ctx.rs
     supp = [r for r, c in zip(ctx.roots, chi.vector) if c]
@@ -597,6 +561,8 @@ def intertwining_scan(chi: ShallowCharacter, radius: int = 8) -> ScanResult:
     of the answer).  Elements fixing lambda and chi form the reported
     stabilizer shadow.
     """
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
     ctx = chi.context
     if not validate(chi).ok:
         raise ValueError("scan requires a character satisfying the relations")

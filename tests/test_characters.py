@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from shallow_chars.affine_roots import AffineRoot, barycenter
+from shallow_chars.affine_roots import AffineRoot, barycenter, facet_point
 from shallow_chars.characters import (
     ShallowCharacter,
     char_depth,
@@ -14,6 +14,7 @@ from shallow_chars.characters import (
     solve_space,
     validate,
 )
+from shallow_chars.chevalley import Pinning
 from shallow_chars.context import Context
 from shallow_chars.root_system import build_root_system
 
@@ -99,6 +100,38 @@ def test_c2_q3_solution_space(c2):
     )
     for chi in space.basis:
         assert all(v == 0 for v in chi.vector[3:])
+
+
+def test_solver_basis_is_rref_adapted():
+    """The basis in F_p coordinates is the RREF nullspace basis.
+
+    The free column of a vector is its last nonzero coordinate.  It holds
+    a 1, every other vector vanishes there, the free columns increase,
+    and dim V_r counts the free columns of depth at most r.  Barycenter
+    and every 1-node facet, 75 contexts in all.
+    """
+    for cartan_type in ("A1", "A2", "A3", "C2", "C3", "G2"):
+        rs = build_root_system(cartan_type)
+        pinning = Pinning(rs)
+        points = [barycenter(rs)] + [facet_point(rs, {j}) for j in range(rs.rank + 1)]
+        for point, q in itertools.product(points, (2, 3, 4)):
+            ctx = Context(rs, point, q=q, pinning=pinning)
+            f = ctx.field
+            space = solve_space(ctx, cross_check=False)
+            coords = [
+                [c for v in chi.vector for c in f.coeffs(v)] for chi in space.basis
+            ]
+            free = [max(k for k, c in enumerate(vec) if c) for vec in coords]
+            assert all(a < b for a, b in zip(free, free[1:]))
+            for vec, col in zip(coords, free):
+                assert [vec[c] for c in free] == [int(c == col) for c in free]
+            free_depths = [ctx.depths[c // f.m] for c in free]
+            assert [d for d, _ in space.filtration] == sorted(set(ctx.depths))
+            for level, n in space.filtration:
+                assert n == sum(d <= level for d in free_depths)
+            assert space.dimension == len(free)
+            if space.filtration:
+                assert space.filtration[-1][1] == space.dimension
 
 
 def test_cross_check_flag(c2_ctx):

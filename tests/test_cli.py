@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -177,4 +178,51 @@ def test_bad_usage(capsys):
     assert main(["classify", "--type", "C2", "--char", "missing.json"]) == 64
     assert main(["shallow", "--type", "C2", "--point", "x,y"]) == 64
     assert main(["shallow", "--type", "H8"]) == 64
+    ones = "1,1,1,1,1,1,1,1"
+    for samples in ("-5", "0"):
+        argv = ["verify-hom", "--type", "C2", "--params", ones, "--mode", "sample"]
+        assert main(argv + ["--samples", samples]) == 64
+    assert main(["intertwine", "--type", "C2", "--params", EXAMPLE, "--radius", "-3"]) == 64
+    assert main(["check-star", "--type", "C2", "--params", EXAMPLE, "--radius", "-2"]) == 64
+    assert main(["reproduce-sp4", "--radius", "-1"]) == 64
     capsys.readouterr()
+
+
+# Exit code and sha256 of stdout for fixed --json invocations.  The JSON
+# output is meant to stay byte-identical across refactors; a deliberate
+# change of output updates these.  To regenerate, print
+# (rc, hashlib.sha256(out.encode()).hexdigest()) from _run for each argv.
+PINNED_OUTPUTS = [
+    (["solve", "--type", "C2", "--q", "2"], 0,
+     "c5c299ecc2654ded4f4fe7f9deb3758d2b588c556881616faeed227821f7a6ca"),
+    (["solve", "--type", "C2", "--q", "3"], 0,
+     "dce42885b12bcdc268d69568a9b0a26541a9cfbee6c8c7f17a6dcc6f92d00caf"),
+    (["solve", "--type", "A2", "--q", "4"], 0,
+     "44a4fee2fe12e7c949a8d792dbaab41ddac3c0acfd4162890c5c580268d9693e"),
+    (["solve", "--type", "G2", "--q", "2", "--facet", "1,2"], 0,
+     "b6c225a71701cfb8a6e2eb9e4390a92900fe9885d767e3dd2367a8baa39c0398"),
+    (["solve", "--type", "A3", "--q", "2", "--facet", "0,2"], 0,
+     "1548975decb5482af90e4bbb6e22ab0a878b7481a06ad8cc551dd80426c35612"),
+    (["classify", "--type", "C2", "--params", EXAMPLE], 0,
+     "9597c7f39c0c88e511b9fe554cea0b146a43f3392d14c9aac7d34d98b01e4081"),
+    (["check-star", "--type", "C2", "--params", EXAMPLE], 1,
+     "852e036d6b624147992265083c7accadfed076c3bc58adfc97fd2ddb6182c28a"),
+    (["check-star", "--type", "C2", "--params", SIMPLES], 0,
+     "80999ae12142d0a4d3d0ca6c6945b5d90240522d52131690a20623d419f702bb"),
+    (["intertwine", "--type", "C2", "--params", EXAMPLE, "--radius", "12"], 0,
+     "16a919cc8ded89760a3faec3ea4fa34ba15441b206e0b591d6ea2d8e9ff9c667"),
+    (["verify-hom", "--type", "C2", "--params", EXAMPLE, "--mode", "generators"], 0,
+     "36119a9e4dc9c3ddb2e0a44a388ef991863c9ac8e09def031c2d795339cbd2f9"),
+    (["reproduce-sp4", "--q", "2"], 0,
+     "23d57c9fd347342a68be1e820eb11543d8559d3b6fa5f9bd1cd3a2e1637d95d4"),
+    (["reproduce-sp4", "--q", "3"], 1,
+     "add8b8a5a33a9d24ba7393d96a42b9d599dde0f4da37886085ac3114ccca483e"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, rc, digest", PINNED_OUTPUTS, ids=[" ".join(a) for a, _, _ in PINNED_OUTPUTS]
+)
+def test_json_output_is_pinned(capsys, argv, rc, digest):
+    got_rc, out = _run(capsys, argv + ["--json"])
+    assert (got_rc, hashlib.sha256(out.encode()).hexdigest()) == (rc, digest)
