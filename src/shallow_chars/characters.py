@@ -333,9 +333,12 @@ def scalar_act(z: int, chi: ShallowCharacter) -> ShallowCharacter:
     """Precompose with scaling of all generator parameters by z.
 
     Scaling u_alpha(x) to u_alpha(zx) pulls the character back to the
-    parameters z^{-1} c_alpha.  The output is revalidated: over prime
-    fields the relation system is F_p-linear so this never fires, but
-    the check is kept in the contract.
+    parameters z^{-1} c_alpha.  Over prime fields this is an F_p-multiple,
+    so validity is kept by linearity.  For non-prime q the valid set is
+    F_q-stable on every context tested (A2, C2, G2 at q = 4, C2 at
+    q = 9, A2 at q = 8; barycenter and every 1- and 2-node facet), but
+    no general argument is given here, so the output is still
+    revalidated.
     """
     ctx = chi.context
     f = ctx.field

@@ -13,15 +13,25 @@ All matrices are integral, including the exponentials: the divided
 powers M_r^k / k! preserve the basis lattice, which the exponential
 routines assert by exact division.
 
-Commutator expansions are not looked up in tables: the product
+Commutator constants come from Chevalley's commutator formula (Carter,
+*Simple Groups of Lie Type*, Thm 5.2.2).  For non-parallel a, b and
+i, j > 0 with i*a + j*b a root, let
 
-    u_b(y)^-1 u_a(x)^-1 u_b(y) u_a(x)
+    M(r, s, i) = (1/i!) * prod_{k=0}^{i-1} N(r, s + k*r),
 
-is computed as a matrix with polynomial entries in (x, y) and peeled
-factor by factor in increasing (i+j, i) order.  Each peeling step
-extracts the constant C as an exact proportionality ratio against
-M_{ia+jb} and divides the factor off; the residue must collapse to the
-identity, which makes every expansion self-validating.
+with N read from the pinning's own brackets (`structure_constant`).
+Carter's constants are C_{i1} = M(a, b, i), C_{1j} = (-1)^j M(b, a, j),
+C_{32} = M(a+b, a, 2)/3 and C_{23} = -2 M(a+b, b, 2)/3, and his factor
+at (i, j) is u_{ia+jb}(C_{ij} (-x)^i y^j).  The constant stored here is
+therefore (-1)^i C_{ij}, the coefficient of x^i y^j in
+
+    [u_b(y), u_a(x)] = u_b(y)^-1 u_a(x)^-1 u_b(y) u_a(x),
+
+with the factors in increasing (i+j, i) order (factors of equal i+j
+commute).  Every constant is asserted integral.  Expanding the product
+as a polynomial matrix and peeling it factor by factor gives the same
+terms; that construction is kept in tests/peeling_oracle.py as the
+reference the formula is checked against.
 
 Constants depend only on gradients; affine levels just add, so the
 affine expansion of [u_beta(y), u_alpha(x)] places the term (i, j) at
@@ -40,7 +50,6 @@ from .affine_roots import AffineRoot, Point, affine_combination, is_shallow
 from .root_system import Root, RootSystem, add, negate
 
 Matrix = Tuple[Tuple[int, ...], ...]
-PolyMat = Dict[Tuple[int, int], Matrix]
 
 
 class CommutatorTerm(NamedTuple):
@@ -120,40 +129,6 @@ def _exp_numeric(M: Matrix, scalar: int) -> Matrix:
         out = _mat_add(out, _mat_scale(scalar ** k, _mat_exact_div(power, factorial(k))))
         k += 1
         assert k <= n, "matrix is not nilpotent"
-
-
-# ----------------------------------------------------------------------
-# polynomial matrices in two variables: {(deg_x, deg_y): Matrix}
-
-def _pm_mul(A: PolyMat, B: PolyMat) -> PolyMat:
-    out: Dict[Tuple[int, int], Matrix] = {}
-    for (da, ea), MA in A.items():
-        for (db, eb), MB in B.items():
-            key = (da + db, ea + eb)
-            prod = _mat_mul(MA, MB)
-            out[key] = _mat_add(out[key], prod) if key in out else prod
-    return {k: m for k, m in out.items() if not _mat_is_zero(m)}
-
-
-def _pm_exp(M: Matrix, mono: Tuple[int, int], scalar: int) -> PolyMat:
-    """exp(scalar * t * M) as a PolyMat, t the monomial x^di y^dj."""
-    n = len(M)
-    out = {(0, 0): _identity(n)}
-    power = _identity(n)
-    k = 1
-    while True:
-        power = _mat_mul(power, M)
-        if _mat_is_zero(power):
-            return out
-        out[(k * mono[0], k * mono[1])] = _mat_scale(
-            scalar ** k, _mat_exact_div(power, factorial(k))
-        )
-        k += 1
-        assert k <= n, "matrix is not nilpotent"
-
-
-def _pm_is_identity(A: PolyMat, n: int) -> bool:
-    return A == {(0, 0): _identity(n)}
 
 
 # ----------------------------------------------------------------------
@@ -372,6 +347,7 @@ class Pinning:
         self.dim = len(next(iter(self._matrices.values())))
         self._expansions: Dict[Tuple[Root, Root], Tuple] = {}
         self._lift_cache: Dict[Root, Tuple[Matrix, Matrix]] = {}
+        self._signs: Dict[Tuple[Root, Root], int] = {}
 
     def matrix(self, r: Root) -> Matrix:
         return self._matrices[r]
@@ -390,7 +366,14 @@ class Pinning:
         return int(ratio)
 
     # ------------------------------------------------------------------
-    # commutator expansion by peeling
+    # commutator expansion by Chevalley's formula
+
+    def _divided(self, r: Root, s: Root, i: int) -> Fraction:
+        """M(r, s, i) = (1/i!) * prod_{k<i} N(r, s + k*r)."""
+        prod = 1
+        for k in range(i):
+            prod *= self.structure_constant(r, tuple(y + k * x for x, y in zip(r, s)))
+        return Fraction(prod, factorial(i))
 
     def gradient_expansion(
         self, a: Root, b: Root
@@ -403,24 +386,23 @@ class Pinning:
             raise ValueError(
                 "parallel gradients: commutator is trivial or torus-valued"
             )
-        Ma, Mb = self.matrix(a), self.matrix(b)
-        P = _pm_mul(
-            _pm_mul(_pm_exp(Mb, (0, 1), -1), _pm_exp(Ma, (1, 0), -1)),
-            _pm_mul(_pm_exp(Mb, (0, 1), 1), _pm_exp(Ma, (1, 0), 1)),
-        )
+        ab = add(a, b)
         terms = []
         for i, j in self.rs.root_string(a, b):
-            target = tuple(i * x + j * y for x, y in zip(a, b))
-            K = P.get((i, j))
-            if K is None:
-                continue
-            ratio = _proportionality(K, self.matrix(target))
+            if j == 1:
+                carter = self._divided(a, b, i)
+            elif i == 1:
+                carter = (-1) ** j * self._divided(b, a, j)
+            elif (i, j) == (3, 2):
+                carter = self._divided(ab, a, 2) / 3
+            else:  # (2, 3), the only other string position in a reduced system
+                carter = -2 * self._divided(ab, b, 2) / 3
+            ratio = (-1) ** i * carter
             assert ratio.denominator == 1, "non-integer commutator constant"
             C = int(ratio)
             if C:
+                target = tuple(i * x + j * y for x, y in zip(a, b))
                 terms.append((target, i, j, C))
-                P = _pm_mul(_pm_exp(self.matrix(target), (i, j), -C), P)
-        assert _pm_is_identity(P, self.dim), "commutator residue is not the identity"
         out = tuple(terms)
         self._expansions[key] = out
         return out
@@ -447,11 +429,14 @@ class Pinning:
 
     def reflection_sign(self, r: Root, s: Root) -> int:
         """Sign h in w_r(1) u_s(x) w_r(1)^-1 = u_{s_r(s)}(h x)."""
-        W, Wi = self._lift(r)
-        T = _mat_mul(_mat_mul(W, self.matrix(s)), Wi)
-        ratio = _proportionality(T, self.matrix(self.rs.reflect(s, r)))
-        assert ratio in (1, -1)
-        return int(ratio)
+        key = (r, s)
+        if key not in self._signs:
+            W, Wi = self._lift(r)
+            T = _mat_mul(_mat_mul(W, self.matrix(s)), Wi)
+            ratio = _proportionality(T, self.matrix(self.rs.reflect(s, r)))
+            assert ratio in (1, -1)
+            self._signs[key] = int(ratio)
+        return self._signs[key]
 
     # ------------------------------------------------------------------
     # reporting

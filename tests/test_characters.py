@@ -134,6 +134,16 @@ def test_solver_basis_is_rref_adapted():
                 assert space.filtration[-1][1] == space.dimension
 
 
+@pytest.mark.parametrize("cartan_type,first_step", [("F4", 5), ("E6", 7)])
+def test_big_type_solve(cartan_type, first_step):
+    """Reeder-Yu first step (1/h, l+1) at the barycenter, h = 12 for both."""
+    rs = build_root_system(cartan_type)
+    ctx = Context(rs, barycenter(rs), q=2)
+    space = solve_space(ctx, cross_check=False)
+    assert space.filtration[0] == (Fraction(1, 12), first_step)
+    assert all(validate(chi).ok for chi in space.basis)
+
+
 def test_cross_check_flag(c2_ctx):
     assert not solve_space(c2_ctx, cross_check=False).cross_checked
     g2 = build_root_system("G2")
@@ -164,6 +174,34 @@ def test_scalar_action(c2, c2_ctx, sp4_example):
     # z = 2 is its own inverse mod 3, so parameters double
     assert acted.vector == (2, 1, 2, 0, 0, 0, 0, 0)
     assert scalar_act(2, acted) == chi
+
+
+def test_scalar_action_preserves_validity_over_prime_powers():
+    """F_q^x scaling keeps every character valid for non-prime q.
+
+    Validity is F_p-linear and scaling is additive, so scaling the F_p
+    basis of each valid space by every unit covers the whole space.
+    Barycenter and every 1- and 2-node facet; the points without shallow
+    roots drop out, leaving 24 contexts and 1015 actions.
+    """
+    contexts = actions = 0
+    for cartan_type, q in (("A2", 4), ("C2", 4), ("G2", 4), ("C2", 9), ("A2", 8)):
+        rs = build_root_system(cartan_type)
+        pinning = Pinning(rs)
+        nodes = range(rs.rank + 1)
+        points = [barycenter(rs)] + [
+            facet_point(rs, J) for k in (1, 2) for J in itertools.combinations(nodes, k)
+        ]
+        for point in points:
+            ctx = Context(rs, point, q=q, pinning=pinning)
+            if not ctx.n_roots:
+                continue
+            contexts += 1
+            for chi in solve_space(ctx, cross_check=False).basis:
+                for z in ctx.field.units():
+                    assert validate(scalar_act(z, chi)).ok
+                    actions += 1
+    assert (contexts, actions) == (24, 1015)
 
 
 def test_trivial_character(c2_ctx):

@@ -1,5 +1,6 @@
 import pytest
 
+from peeling_oracle import peel
 from shallow_chars.root_system import add, build_root_system, negate
 from shallow_chars.affine_roots import (
     AffineRoot,
@@ -173,6 +174,35 @@ def test_g2_expansions():
         ((3, 1), 1, 2, -3),
         ((3, 2), 2, 1, -3),
     )
+
+
+@pytest.mark.parametrize(
+    "cartan_type,kind,signs",
+    [
+        ("A2", "matrix", None),
+        ("A3", "matrix", None),
+        ("C2", "matrix", None),
+        ("C3", "matrix", None),
+        ("C2", "adjoint", None),
+        ("G2", "adjoint", None),
+        pytest.param("G2", "adjoint", {(1, 1): -1, (3, 1): -1}, id="G2-adjoint-flipped"),
+    ],
+)
+def test_formula_matches_peeling(cartan_type, kind, signs):
+    """Chevalley's formula against the polynomial-matrix peeling, every pair."""
+    rs = build_root_system(cartan_type)
+    pin = Pinning(rs, kind=kind, extraspecial_signs=signs)
+    pairs = [
+        (a, b)
+        for a in rs.roots
+        for b in rs.roots
+        if rs.rank2_subsystem_type(a, b) != "collinear"
+    ]
+    assert pairs
+    mismatches = [
+        (a, b) for a, b in pairs if pin.gradient_expansion(a, b) != peel(pin, a, b)
+    ]
+    assert mismatches == []
 
 
 def test_parallel_gradients_rejected(c2_pin):
