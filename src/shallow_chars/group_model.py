@@ -149,6 +149,10 @@ def _word_values(chi, ctx: Context) -> List[int]:
     return values
 
 
+# most cosets (generators mode) or coset pairs (pairs mode) swept exactly
+_SWEEP_LIMIT = 2**20
+
+
 def verify_homomorphism(
     chi,
     mode: str = "auto",
@@ -160,16 +164,23 @@ def verify_homomorphism(
     Modes: "generators" sweeps every coset against every generator,
     which is exact; "pairs" sweeps every pair of cosets; "sample" draws
     seeded random pairs; "auto" picks generators when the coset count
-    is at most 2**20 and falls back to sampling.
+    is at most 2**20 and falls back to sampling.  The two sweeps refuse
+    more than 2**20 cosets or pairs up front, before building any table.
     """
     ctx = chi.context
     count = ctx.coset_count()
     if mode == "auto":
-        mode = "generators" if count <= 2**20 else "sample"
+        mode = "generators" if count <= _SWEEP_LIMIT else "sample"
     if mode == "sample" and samples < 1:
         raise ValueError(f"sample mode needs at least one sample, got {samples}")
 
     if mode in ("generators", "pairs"):
+        size, unit = (count, "cosets") if mode == "generators" else (count**2, "coset pairs")
+        if size > _SWEEP_LIMIT:
+            raise ValueError(
+                f"{mode} mode would sweep {size} {unit}, above the limit of"
+                f" {_SWEEP_LIMIT}; use --mode sample"
+            )
         tables = cayley_tables(ctx)
         values = _word_values(chi, ctx)
         p = ctx.field.p

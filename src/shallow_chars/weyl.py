@@ -1,16 +1,20 @@
 """Affine Weyl group action and the intertwining checks built on it.
 
-Elements are stored as a linear part (exact integer matrices on root and
-coroot coordinates) plus a coroot-lattice translation, together with the
-generating word they were built from.  Words use affine labels: letter 0
-is the reflection through the level-one hyperplane of the highest root,
-letters 1..l are the finite simple reflections.
+An element is its linear part, an exact integer matrix on root
+coordinates kept with its inverse, plus a coroot-lattice translation,
+together with the generating word it was built from.  The linear part
+acts on coroots through w(a^vee) = (w a)^vee, so no second matrix is
+kept.  Words use affine labels: letter 0 is the reflection through the
+level-one hyperplane of the highest root, letters 1..l are the finite
+simple reflections.
 
 The condition-star search is exact whenever its witness polytope is
 bounded: boundedness is decided by Fourier-Motzkin elimination over
 rationals, and in the bounded case every orbit point inside the polytope
-is enumerated.  Otherwise the search is a bounded translation sweep and
-a negative outcome is reported as inconclusive, never extrapolated.
+is enumerated.  The translation ranges come from one projection per
+character, with the finite orbit point kept symbolic.  Otherwise the
+search is a bounded translation sweep and a negative outcome is
+reported as inconclusive, never extrapolated.
 """
 
 from __future__ import annotations
@@ -31,12 +35,38 @@ from .affine_roots import (
 from .characters import ShallowCharacter, char_depth, validate
 from .chevalley import Matrix, _identity, _mat_mul
 from .context import Context
-from .root_system import RootSystem, Root
+from .root_system import RootSystem, Root, negate
 
 
 def _apply(m: Matrix, v: Sequence[int]) -> Tuple[int, ...]:
     n = len(m)
     return tuple(sum(m[i][j] * v[j] for j in range(n)) for i in range(n))
+
+
+def _on_coroots(rs: RootSystem, m: Matrix, k: Sequence[int]) -> Tuple[int, ...]:
+    """The root map m applied to sum k_j a_j^vee, in simple coroots.
+
+    a_j^vee = a_j / d_j with d = rs.lengths, so the coroot matrix is
+    D m D^-1; its entries m[i][j] * d_i / d_j are integers.
+    """
+    if not any(k):
+        return tuple(k)
+    d = rs.lengths
+    return tuple(
+        sum(row[j] * d[i] * k[j] // d[j] for j in range(len(k)))
+        for i, row in enumerate(m)
+    )
+
+
+def _unit(l: int, j: int) -> Tuple[int, ...]:
+    return tuple(int(p == j) for p in range(l))
+
+
+def _letter_root(rs: RootSystem, letter: int) -> Root:
+    """The root whose reflection is the linear part of a letter."""
+    if letter == 0:
+        return negate(rs.highest_root)
+    return _unit(rs.rank, letter - 1)
 
 
 class AffineWeylElement:
@@ -47,8 +77,6 @@ class AffineWeylElement:
         rs: RootSystem,
         root_map: Matrix,
         root_map_inv: Matrix,
-        coroot_map: Matrix,
-        coroot_map_inv: Matrix,
         translation: Tuple[int, ...],
         word: Tuple[int, ...],
         word_translation: Tuple[int, ...],
@@ -56,8 +84,6 @@ class AffineWeylElement:
         self.rs = rs
         self.root_map = root_map
         self.root_map_inv = root_map_inv
-        self.coroot_map = coroot_map
-        self.coroot_map_inv = coroot_map_inv
         self.translation = translation
         self.word = word
         self.word_translation = word_translation
@@ -68,42 +94,19 @@ class AffineWeylElement:
     def identity(cls, rs: RootSystem) -> "AffineWeylElement":
         eye = _identity(rs.rank)
         zero = (0,) * rs.rank
-        return cls(rs, eye, eye, eye, eye, zero, (), zero)
+        return cls(rs, eye, eye, zero, (), zero)
 
     @classmethod
     def simple(cls, rs: RootSystem, i: int) -> "AffineWeylElement":
         l = rs.rank
         if not 0 <= i <= l:
             raise ValueError(f"no simple reflection {i} in rank {l}")
+        r = _letter_root(rs, i)
+        # columns are the images of the simple roots
+        rmap = tuple(zip(*(rs.reflect(_unit(l, j), r) for j in range(l))))
         zero = (0,) * l
-        if i == 0:
-            theta = rs.highest_root
-            theta_co = rs.coroot(theta)
-            rmap = tuple(
-                tuple(
-                    int(p == j) - rs.pairing(_unit(l, j), theta) * theta[p]
-                    for j in range(l)
-                )
-                for p in range(l)
-            )
-            cmap = tuple(
-                tuple(
-                    int(p == j) - rs.pairing(theta, _unit(l, j)) * theta_co[p]
-                    for j in range(l)
-                )
-                for p in range(l)
-            )
-            return cls(rs, rmap, rmap, cmap, cmap, theta_co, (0,), zero)
-        f = i - 1
-        rmap = tuple(
-            tuple(int(p == j) - (rs.cartan[f][j] if p == f else 0) for j in range(l))
-            for p in range(l)
-        )
-        cmap = tuple(
-            tuple(int(p == j) - (rs.cartan[j][f] if p == f else 0) for j in range(l))
-            for p in range(l)
-        )
-        return cls(rs, rmap, rmap, cmap, cmap, zero, (i,), zero)
+        shift = rs.coroot(rs.highest_root) if i == 0 else zero
+        return cls(rs, rmap, rmap, shift, (i,), zero)
 
     @classmethod
     def from_word(cls, rs: RootSystem, word: Sequence[int]) -> "AffineWeylElement":
@@ -116,44 +119,35 @@ class AffineWeylElement:
     def translation_by(cls, rs: RootSystem, k: Sequence[int]) -> "AffineWeylElement":
         eye = _identity(rs.rank)
         k = tuple(int(x) for x in k)
-        return cls(rs, eye, eye, eye, eye, k, (), k)
+        return cls(rs, eye, eye, k, (), k)
 
     # -- group structure -----------------------------------------------
 
     def compose(self, other: "AffineWeylElement") -> "AffineWeylElement":
-        k = tuple(
-            a + b
-            for a, b in zip(self.translation, _apply(self.coroot_map, other.translation))
-        )
+        def shift(mine, theirs):
+            moved = _on_coroots(self.rs, self.root_map, theirs)
+            return tuple(a + b for a, b in zip(mine, moved))
+
         return AffineWeylElement(
             self.rs,
             _mat_mul(self.root_map, other.root_map),
             _mat_mul(other.root_map_inv, self.root_map_inv),
-            _mat_mul(self.coroot_map, other.coroot_map),
-            _mat_mul(other.coroot_map_inv, self.coroot_map_inv),
-            k,
+            shift(self.translation, other.translation),
             self.word + other.word,
-            tuple(
-                a + b
-                for a, b in zip(
-                    self.word_translation,
-                    _apply(self.coroot_map, other.word_translation),
-                )
-            ),
+            shift(self.word_translation, other.word_translation),
         )
 
     def inverse(self) -> "AffineWeylElement":
-        k = tuple(-x for x in _apply(self.coroot_map_inv, self.translation))
-        wt = tuple(-x for x in _apply(self.coroot_map_inv, self.word_translation))
+        def back(k):
+            return tuple(-x for x in _on_coroots(self.rs, self.root_map_inv, k))
+
         return AffineWeylElement(
             self.rs,
             self.root_map_inv,
             self.root_map,
-            self.coroot_map_inv,
-            self.coroot_map,
-            k,
+            back(self.translation),
             tuple(reversed(self.word)),
-            wt,
+            back(self.word_translation),
         )
 
     def key(self) -> Tuple:
@@ -194,10 +188,7 @@ class AffineWeylElement:
         gradient = alpha.gradient
         eta = 1
         for letter in reversed(self.word):
-            if letter == 0:
-                r = tuple(-c for c in self.rs.highest_root)
-            else:
-                r = _unit(self.rs.rank, letter - 1)
+            r = _letter_root(self.rs, letter)
             eta *= pinning.reflection_sign(r, gradient)
             gradient = self.rs.reflect(gradient, r)
         return eta
@@ -210,10 +201,6 @@ class AffineWeylElement:
 
     def __repr__(self) -> str:
         return f"AffineWeylElement(word={self.word}, t={self.word_translation})"
-
-
-def _unit(l: int, j: int) -> Tuple[int, ...]:
-    return tuple(int(p == j) for p in range(l))
 
 
 def act_on_root(w: AffineWeylElement, alpha: AffineRoot) -> AffineRoot:
@@ -305,6 +292,13 @@ InequalityRows = List[Tuple[Tuple[Fraction, ...], Fraction]]
 
 
 def _fm_eliminate(rows: InequalityRows, var: int) -> InequalityRows:
+    """Project out one variable, keeping the tightest row per direction.
+
+    Each row is scaled so that its first nonzero coefficient is +-1, and
+    of rows with equal scaled coefficients only the least right-hand
+    side is kept.  The others are implied, so the projection is
+    unchanged, but the row count no longer compounds.
+    """
     zero, pos, neg = [], [], []
     for coeffs, rhs in rows:
         c = coeffs[var]
@@ -320,37 +314,20 @@ def _fm_eliminate(rows: InequalityRows, var: int) -> InequalityRows:
             a, c = cp[var], cn[var]
             coeffs = tuple(-c * x + a * y for x, y in zip(cp, cn))
             out.append((coeffs, -c * bp + a * bn))
-    return out
+    tightest: Dict[Tuple[Fraction, ...], Fraction] = {}
+    for coeffs, rhs in out:
+        lead = next((abs(c) for c in coeffs if c), 1)
+        coeffs = tuple(c / lead for c in coeffs)
+        rhs = rhs / lead
+        if coeffs not in tightest or rhs < tightest[coeffs]:
+            tightest[coeffs] = rhs
+    return list(tightest.items())
 
 
 def _fm_feasible(rows: InequalityRows, nvars: int) -> bool:
     for var in range(nvars):
         rows = _fm_eliminate(rows, var)
     return all(rhs >= 0 for _, rhs in rows)
-
-
-class _Infeasible(Exception):
-    pass
-
-
-def _fm_interval(
-    rows: InequalityRows, nvars: int, keep: int
-) -> Tuple[Optional[Fraction], Optional[Fraction]]:
-    for var in range(nvars):
-        if var != keep:
-            rows = _fm_eliminate(rows, var)
-    lo, hi = None, None
-    for coeffs, rhs in rows:
-        c = coeffs[keep]
-        if c > 0:
-            bound = rhs / c
-            hi = bound if hi is None else min(hi, bound)
-        elif c < 0:
-            bound = rhs / c
-            lo = bound if lo is None else max(lo, bound)
-        elif rhs < 0:
-            raise _Infeasible
-    return lo, hi
 
 
 def _polytope_bounded(gradients: List[Root], rank: int) -> bool:
@@ -387,37 +364,61 @@ class StarVerdict(NamedTuple):
         }
 
 
-def _orbit_witness_ranges(
-    ctx: Context,
-    w_fin: AffineWeylElement,
-    rows_mu: InequalityRows,
-    radius: Optional[int],
-) -> Optional[List[range]]:
-    """Integer k-ranges with w_fin(lambda) + k of possible interest."""
-    rs = ctx.rs
+# (coefficient of k_j, coefficients of nu, right-hand side)
+ProjectedRows = List[Tuple[Fraction, Tuple[Fraction, ...], Fraction]]
+
+
+def _coroot_projections(rs: RootSystem, rows_mu: InequalityRows) -> List[ProjectedRows]:
+    """Bounds on each k_j for the points nu + sum_i k_i a_i^vee.
+
+    Fourier-Motzkin runs once per character: the coordinates of nu are
+    extra variables that are never eliminated, so a finite Weyl element
+    only substitutes its own nu = w(lambda).  Entry j holds the rows
+    c * k_j + b . nu <= rhs left after eliminating every other k_i.
+    """
     l = rs.rank
-    nu = w_fin.act_on_point(ctx.point)
-    rows_k: InequalityRows = []
+    rows: InequalityRows = []
     for coeffs, rhs in rows_mu:
-        # coefficients in k_j of a(nu + sum k_j a_j-dual)
+        # a(nu + sum k_j a_j^vee): a_j^vee has coordinates cartan[j]
         kc = tuple(
             sum(coeffs[i] * rs.cartan[j][i] for i in range(l)) for j in range(l)
         )
-        rows_k.append((kc, rhs - sum(c * x for c, x in zip(coeffs, nu))))
+        rows.append((kc + coeffs, rhs))
+    out = []
+    for keep in range(l):
+        proj = rows
+        for var in range(l):
+            if var != keep:
+                proj = _fm_eliminate(proj, var)
+        out.append([(c[keep], c[l:], rhs) for c, rhs in proj])
+    return out
+
+
+def _orbit_witness_ranges(
+    ctx: Context,
+    w_fin: AffineWeylElement,
+    projections: List[ProjectedRows],
+    radius: Optional[int],
+) -> Optional[List[range]]:
+    """Integer k-ranges with w_fin(lambda) + k of possible interest."""
+    nu = w_fin.act_on_point(ctx.point)
     ranges = []
-    for j in range(l):
-        try:
-            lo, hi = _fm_interval(rows_k, l, j)
-        except _Infeasible:
-            return [range(0)] * l
-        if radius is None:
-            if lo is None or hi is None:
-                return None
-            ranges.append(range(math.ceil(lo), math.floor(hi) + 1))
-        else:
-            lo = -radius if lo is None else max(-radius, math.ceil(lo))
-            hi = radius if hi is None else min(radius, math.floor(hi))
-            ranges.append(range(lo, hi + 1))
+    for rows in projections:
+        lo, hi = None, None
+        for c, b, rhs in rows:
+            rhs -= sum(x * y for x, y in zip(b, nu))
+            if c > 0:
+                hi = rhs / c if hi is None else min(hi, rhs / c)
+            elif c < 0:
+                lo = rhs / c if lo is None else max(lo, rhs / c)
+            elif rhs < 0:
+                return [range(0)] * len(projections)
+        if radius is not None:
+            lo = -radius if lo is None else max(-radius, lo)
+            hi = radius if hi is None else min(radius, hi)
+        elif lo is None or hi is None:
+            return None
+        ranges.append(range(math.ceil(lo), math.floor(hi) + 1))
     return ranges
 
 
@@ -443,20 +444,14 @@ def condition_star(chi: ShallowCharacter, radius: int = 4) -> StarVerdict:
     ]
     bounded = _polytope_bounded([a.gradient for a in supp], rs.rank)
     sweep = None if bounded else radius
+    projections = _coroot_projections(rs, rows_mu)
 
     for w_fin in _finite_elements(rs):
-        ranges = _orbit_witness_ranges(ctx, w_fin, rows_mu, sweep)
+        ranges = _orbit_witness_ranges(ctx, w_fin, projections, sweep)
         assert ranges is not None
         for k in itertools.product(*ranges):
             w = AffineWeylElement(
-                rs,
-                w_fin.root_map,
-                w_fin.root_map_inv,
-                w_fin.coroot_map,
-                w_fin.coroot_map_inv,
-                tuple(k),
-                w_fin.word,
-                tuple(k),
+                rs, w_fin.root_map, w_fin.root_map_inv, k, w_fin.word, k
             )
             mu = w.act_on_point(ctx.point)
             if mu == ctx.point:

@@ -185,6 +185,10 @@ def test_bad_usage(capsys):
     assert main(["intertwine", "--type", "C2", "--params", EXAMPLE, "--radius", "-3"]) == 64
     assert main(["check-star", "--type", "C2", "--params", EXAMPLE, "--radius", "-2"]) == 64
     assert main(["reproduce-sp4", "--radius", "-1"]) == 64
+    # exact sweeps over more than 2**20 cosets or pairs (C2 at q=7: 7**8 cosets)
+    for q, mode in (("7", "generators"), ("3", "pairs")):
+        argv = ["verify-hom", "--type", "C2", "--q", q, "--params", ones, "--mode", mode]
+        assert main(argv) == 64
     capsys.readouterr()
 
 
@@ -211,6 +215,14 @@ PINNED_OUTPUTS = [
      "80999ae12142d0a4d3d0ca6c6945b5d90240522d52131690a20623d419f702bb"),
     (["intertwine", "--type", "C2", "--params", EXAMPLE, "--radius", "12"], 0,
      "16a919cc8ded89760a3faec3ea4fa34ba15441b206e0b591d6ea2d8e9ff9c667"),
+    # non-C2 Weyl outputs: a bounded G2 witness with a translation, an
+    # unbounded B3 sweep, and a G2 intertwiner whose word holds letter 0
+    (["check-star", "--type", "G2", "--params", "0,1,0,1,0,0,0,1,1,1,1,0"], 1,
+     "d3207d8752e372d1ddefeaa93b36efda237489544c1ce518097c90a18f5b3102"),
+    (["check-star", "--type", "B3", "--params", "1,0,0,0,0,0,0,0,0,0,0,1,1,0,0,1,1,0"], 1,
+     "7c926fb0b3a90e2d2776e8d8bc64f02ad1544778766c391f8222cc081c0d569e"),
+    (["intertwine", "--type", "G2", "--params", "1,1,0,0,0,0,0,0,0,0,0,0"], 1,
+     "8991d82b30403977fe3e567392f24b7e70313a8bbf21a5bff5dec7baab5e5535"),
     (["verify-hom", "--type", "C2", "--params", EXAMPLE, "--mode", "generators"], 0,
      "36119a9e4dc9c3ddb2e0a44a388ef991863c9ac8e09def031c2d795339cbd2f9"),
     (["reproduce-sp4", "--q", "2"], 0,

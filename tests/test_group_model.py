@@ -3,7 +3,9 @@ import random
 import pytest
 
 import sp4_oracle
+from shallow_chars.affine_roots import barycenter
 from shallow_chars.characters import ShallowCharacter
+from shallow_chars.context import Context
 from shallow_chars.group_model import (
     cayley_tables,
     decode,
@@ -143,3 +145,13 @@ def test_evaluate_reads_the_table(sp4_example, c2_ctx):
     word = generator_word(c2_ctx, 0, 1)
     assert evaluate(sp4_example, word) == 1  # c = 1 on a0 at q = 2
     assert evaluate(sp4_example, identity_word(c2_ctx)) == 0
+
+
+def test_oversized_sweeps_refused_before_tables(c2):
+    ctx = Context(c2, barycenter(c2), q=7)
+    chi = ShallowCharacter.from_vector(ctx, (1,) * ctx.n_roots)
+    for mode, size in (("generators", 7**8), ("pairs", 7**16)):
+        with pytest.raises(ValueError, match=f"sweep {size} "):
+            verify_homomorphism(chi, mode=mode)
+    assert ctx._cayley is None
+    assert verify_homomorphism(chi, mode="auto", samples=5).mode == "sample"

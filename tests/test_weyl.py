@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,11 +12,15 @@ from shallow_chars.affine_roots import (
     negate_affine,
     simple_affine_roots,
 )
-from shallow_chars.characters import ShallowCharacter
+from shallow_chars.characters import ShallowCharacter, char_depth
 from shallow_chars.context import Context
 from shallow_chars.root_system import build_root_system
 from shallow_chars.weyl import (
     AffineWeylElement,
+    _coroot_projections,
+    _finite_elements,
+    _on_coroots,
+    _orbit_witness_ranges,
     barycenter_criterion,
     condition_star,
     intertwining_reduction,
@@ -58,27 +64,47 @@ def test_translations(c2):
     assert back.is_identity()
 
 
-def test_words_compose(c2):
-    rng = random.Random(2)
-    for _ in range(20):
-        u = tuple(rng.randrange(3) for _ in range(rng.randrange(6)))
-        v = tuple(rng.randrange(3) for _ in range(rng.randrange(6)))
-        wu = AffineWeylElement.from_word(c2, u)
-        wv = AffineWeylElement.from_word(c2, v)
-        assert AffineWeylElement.from_word(c2, u + v).key() == wu.compose(wv).key()
-        assert wu.compose(wu.inverse()).is_identity()
-        assert wu.inverse().word == tuple(reversed(u))
+# In simply-laced types every root has the same length, so only the B, C
+# and G types exercise the rescaling of the root map on coroots.
+PROPERTY_TYPES = ("C2", "G2", "B3", "C3", "A3", "D4")
 
 
-def test_action_compatibility(c2):
-    rng = random.Random(5)
-    roots = list(c2.roots)
-    for _ in range(50):
-        word = tuple(rng.randrange(3) for _ in range(rng.randrange(8)))
-        w = AffineWeylElement.from_word(c2, word)
-        alpha = AffineRoot(rng.choice(roots), rng.randrange(-2, 3))
-        mu = (Fraction(rng.randrange(-8, 9), 4), Fraction(rng.randrange(-8, 9), 4))
-        assert depth(w.act_on_root(alpha), w.act_on_point(mu)) == depth(alpha, mu)
+def test_words_compose():
+    for cartan_type in PROPERTY_TYPES:
+        rs = build_root_system(cartan_type)
+        letters = rs.rank + 1
+        rng = random.Random(2)
+        for _ in range(20):
+            u = tuple(rng.randrange(letters) for _ in range(rng.randrange(6)))
+            v = tuple(rng.randrange(letters) for _ in range(rng.randrange(6)))
+            wu = AffineWeylElement.from_word(rs, u)
+            wv = AffineWeylElement.from_word(rs, v)
+            assert AffineWeylElement.from_word(rs, u + v).key() == wu.compose(wv).key()
+            assert wu.compose(wu.inverse()).is_identity()
+            assert wu.inverse().word == tuple(reversed(u))
+
+
+def test_action_compatibility():
+    for cartan_type in PROPERTY_TYPES:
+        rs = build_root_system(cartan_type)
+        rng = random.Random(5)
+        roots = list(rs.roots)
+        for _ in range(50):
+            word = tuple(rng.randrange(rs.rank + 1) for _ in range(rng.randrange(8)))
+            w = AffineWeylElement.from_word(rs, word)
+            alpha = AffineRoot(rng.choice(roots), rng.randrange(-2, 3))
+            mu = tuple(Fraction(rng.randrange(-8, 9), 4) for _ in range(rs.rank))
+            assert depth(w.act_on_root(alpha), w.act_on_point(mu)) == depth(alpha, mu)
+
+
+def test_coroot_action_follows_root_map():
+    # w(a^vee) = (w a)^vee for every root, read off the root map alone
+    for cartan_type in PROPERTY_TYPES:
+        rs = build_root_system(cartan_type)
+        for w in _finite_elements(rs)[:200]:
+            for a in rs.roots:
+                image = _on_coroots(rs, w.root_map, rs.coroot(a))
+                assert image == rs.coroot(w.act_on_root(AffineRoot(a, 0)).gradient)
 
 
 def test_element_json(c2):
@@ -165,6 +191,79 @@ def test_condition_star_matches_long_element_construction(c2_ctx, c2):
     assert mu != c2_ctx.point
     supp = [r for r, c in zip(c2_ctx.roots, chi.vector) if c]
     assert all(depth(a, mu) <= Fraction(1, 4) for a in supp)
+
+
+def test_condition_star_broad_support_finishes():
+    # every shallow parameter nonzero: Fourier-Motzkin once kept every
+    # combined row here and did not finish in minutes
+    d4 = build_root_system("D4")
+    ctx = Context(d4, barycenter(d4), q=3)
+    assert condition_star(_chi(ctx, (1,) * ctx.n_roots)).status == "holds"
+
+
+STAR_ORACLE_BOX = range(-3, 4)
+
+
+def _star_by_orbit_sweep(chi):
+    """First (word, k) with w(lambda) + k a witness, sweeping a fixed box.
+
+    Every finite Weyl element is tried with every k in the box, without
+    Fourier-Motzkin and in integers: points are scaled by a common
+    denominator n.  Each witness found is checked to lie inside the
+    k-ranges condition (*) searches, and those ranges inside the box, so
+    the sweep misses nothing the search could find.
+    """
+    ctx = chi.context
+    rs = ctx.rs
+    supp = [a for a, c in zip(ctx.roots, chi.vector) if c]
+    r = char_depth(chi)
+    n = math.lcm(r.denominator, *(x.denominator for x in ctx.point))
+    # a(mu) <= r, times n
+    bounds = [(a.gradient, int((r - a.level) * n)) for a in supp]
+    rows = [(tuple(Fraction(c) for c in a.gradient), r - a.level) for a in supp]
+    projections = _coroot_projections(rs, rows)
+    # n * sum k_j a_j^vee in the point's coordinates: a_j^vee is cartan[j]
+    shifts = [
+        (k, [n * sum(kj * rs.cartan[j][i] for j, kj in enumerate(k)) for i in range(rs.rank)])
+        for k in itertools.product(STAR_ORACLE_BOX, repeat=rs.rank)
+    ]
+    point = [int(x * n) for x in ctx.point]
+    first = None
+    for w_fin in _finite_elements(rs):
+        ranges = _orbit_witness_ranges(ctx, w_fin, projections, None)
+        assert all(set(rg) <= set(STAR_ORACLE_BOX) for rg in ranges)
+        nu = [int(x * n) for x in w_fin.act_on_point(ctx.point)]
+        for k, shift in shifts:
+            mu = [x + y for x, y in zip(nu, shift)]
+            if mu == point or any(
+                sum(g * m for g, m in zip(grad, mu)) > b for grad, b in bounds
+            ):
+                continue
+            assert all(kj in rg for kj, rg in zip(k, ranges))
+            first = first or (w_fin.word, k)
+    return first
+
+
+@pytest.mark.parametrize("cartan_type", ["A2", "C2", "G2", "A3", "B3", "C3"])
+def test_condition_star_matches_orbit_sweep(cartan_type):
+    rs = build_root_system(cartan_type)
+    ctx = Context(rs, barycenter(rs), q=2)
+    simple = [int(a in simple_affine_roots(rs)) for a in ctx.roots]
+    rng = random.Random(cartan_type)
+    chars = [simple]
+    while len(chars) < 4:
+        vec = [int(rng.random() < 0.4) for _ in ctx.roots]
+        if any(vec) and condition_star(_chi(ctx, vec)).bounded:
+            chars.append(vec)
+    for vec in chars:
+        chi = _chi(ctx, vec)
+        star = condition_star(chi)
+        assert star.bounded
+        first = _star_by_orbit_sweep(chi)
+        assert (star.status == "fails") == (first is not None)
+        if first is not None:
+            assert (star.witness.word, star.witness.word_translation) == first
+    assert condition_star(_chi(ctx, simple)).status == "holds"
 
 
 def test_barycenter_criterion_all_cases(c2_ctx, sp4_example):
