@@ -1,25 +1,30 @@
-"""Commutator structure constants from pinned matrix representations.
+"""Pinnings and their commutator structure constants.
 
 A pinning fixes, for every root r, a nilpotent matrix M_r in a faithful
 representation, so that u_r(x) = exp(x M_r) is the root group morphism.
 Types A and C use the defining representations (elementary matrices;
 antidiagonal symplectic form, matching u_r(x) = 1 + x M_r since every
 M_r squares to zero); all other types use the adjoint representation
-built from a Chevalley basis whose structure constants are produced by
-the extraspecial-pair recursion below, with all signs on extraspecial
-pairs +1 unless overridden.
+of a Chevalley basis.  Each M_r is stored as its (row, col, value)
+entries and made dense only on request.
 
-All matrices are integral, including the exponentials: the divided
-powers M_r^k / k! preserve the basis lattice, which the exponential
-routines assert by exact division.
+Every pinning reads its structure constants N(a, b), defined by
+[M_a, M_b] = N(a, b) M_{a+b}, from one `StructureConstants`: the
+extraspecial-pair recursion (Carter, *Simple Groups of Lie Type*,
+§4.2) fixes them all once the sign on each extraspecial pair is chosen.
+The adjoint kind takes those signs as given (+1 unless overridden) and
+builds its matrices from the constants.  The matrix kind reads each sign
+from one entry of the bracket of its defining matrices, one per
+positive non-simple root.  The reflection signs of the Weyl lifts
+w_r(1) = u_r(1) u_{-r}(-1) u_r(1) follow from the same constants
+(Carter, §6.4), so no matrix product is formed at run time.
 
 Commutator constants come from Chevalley's commutator formula (Carter,
-*Simple Groups of Lie Type*, Thm 5.2.2).  For non-parallel a, b and
-i, j > 0 with i*a + j*b a root, let
+Thm 5.2.2).  For non-parallel a, b and i, j > 0 with i*a + j*b a root,
+let
 
-    M(r, s, i) = (1/i!) * prod_{k=0}^{i-1} N(r, s + k*r),
+    M(r, s, i) = (1/i!) * prod_{k=0}^{i-1} N(r, s + k*r).
 
-with N read from the pinning's own brackets (`structure_constant`).
 Carter's constants are C_{i1} = M(a, b, i), C_{1j} = (-1)^j M(b, a, j),
 C_{32} = M(a+b, a, 2)/3 and C_{23} = -2 M(a+b, b, 2)/3, and his factor
 at (i, j) is u_{ia+jb}(C_{ij} (-x)^i y^j).  The constant stored here is
@@ -28,10 +33,10 @@ therefore (-1)^i C_{ij}, the coefficient of x^i y^j in
     [u_b(y), u_a(x)] = u_b(y)^-1 u_a(x)^-1 u_b(y) u_a(x),
 
 with the factors in increasing (i+j, i) order (factors of equal i+j
-commute).  Every constant is asserted integral.  Expanding the product
-as a polynomial matrix and peeling it factor by factor gives the same
-terms; that construction is kept in tests/peeling_oracle.py as the
-reference the formula is checked against.
+commute).  Every constant is asserted integral.  The dense checks live
+in tests/peeling_oracle.py: peeling the commutator as a polynomial
+matrix, the bracket [M_a, M_b] and the conjugation by the lifted
+reflection, each against the constants used here.
 
 Constants depend only on gradients; affine levels just add, so the
 affine expansion of [u_beta(y), u_alpha(x)] places the term (i, j) at
@@ -44,12 +49,13 @@ import hashlib
 import json
 from fractions import Fraction
 from math import factorial
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .affine_roots import AffineRoot, Point, affine_combination, is_shallow
-from .root_system import Root, RootSystem, add, negate
+from .root_system import Root, RootSystem, _parallel, add, negate
 
 Matrix = Tuple[Tuple[int, ...], ...]
+Entries = Tuple[Tuple[int, int, int], ...]  # (row, col, value), 0-based
 
 
 class CommutatorTerm(NamedTuple):
@@ -59,80 +65,21 @@ class CommutatorTerm(NamedTuple):
 
 
 # ----------------------------------------------------------------------
-# dense integer matrices, written for sparse contents
-
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def _freeze(rows: Sequence[Sequence[int]]) -> Matrix:
-    return tuple(tuple(row) for row in rows)
-
-
-def _mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    n = len(A)
-    out = [[0] * n for _ in range(n)]
-    for i, row in enumerate(A):
-        oi = out[i]
-        for k, a in enumerate(row):
-            if a:
-                bk = B[k]
-                for j, b in enumerate(bk):
-                    if b:
-                        oi[j] += a * b
-    return _freeze(out)
-
-
-def _mat_add(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def _mat_scale(c: int, A: Matrix) -> Matrix:
-    return tuple(tuple(c * a for a in row) for row in A)
-
-
-def _mat_exact_div(A: Matrix, d: int) -> Matrix:
-    assert all(a % d == 0 for row in A for a in row), "non-integral divided power"
-    return tuple(tuple(a // d for a in row) for row in A)
-
-
-def _mat_is_zero(A: Matrix) -> bool:
-    return all(all(a == 0 for a in row) for row in A)
-
-
-def _proportionality(K: Matrix, M: Matrix) -> Fraction:
-    """The scalar c with K == c*M; requires M != 0 and exact proportionality."""
-    for i, row in enumerate(M):
-        for j, m in enumerate(row):
-            if m:
-                c = Fraction(K[i][j], m)
-                if all(
-                    K[a][b] * m == K[i][j] * M[a][b]
-                    for a in range(len(M))
-                    for b in range(len(M))
-                ):
-                    return c
-                raise ArithmeticError("matrix is not proportional to the target")
-    raise ArithmeticError("proportionality target is zero")
-
-
-def _exp_numeric(M: Matrix, scalar: int) -> Matrix:
-    """exp(scalar*M) for nilpotent M with integral divided powers."""
-    n = len(M)
-    out = _identity(n)
-    power = _identity(n)
-    k = 1
-    while True:
-        power = _mat_mul(power, M)
-        if _mat_is_zero(power):
-            return out
-        out = _mat_add(out, _mat_scale(scalar ** k, _mat_exact_div(power, factorial(k))))
-        k += 1
-        assert k <= n, "matrix is not nilpotent"
-
-
-# ----------------------------------------------------------------------
 # structure constants by the extraspecial-pair recursion
+
+def extraspecial_pairs(rs: RootSystem) -> Dict[Root, Tuple[Root, Root]]:
+    """(r, c-r) with r minimal, for every positive non-simple root c."""
+    out: Dict[Root, Tuple[Root, Root]] = {}
+    for c in rs.positive_roots:
+        if sum(c) < 2:
+            continue
+        for r in rs.positive_roots:
+            rest = tuple(x - y for x, y in zip(c, r))
+            if sum(rest) > 0 and rs.is_root(rest):
+                out[c] = (r, rest)
+                break
+    return out
+
 
 class StructureConstants:
     """Chevalley constants N(a, b) with [e_a, e_b] = N(a, b) e_{a+b}.
@@ -150,15 +97,7 @@ class StructureConstants:
         self.rs = rs
         self._order = {r: k for k, r in enumerate(rs.positive_roots)}
         self._signs = dict(signs or {})
-        self._extraspecial: Dict[Root, Tuple[Root, Root]] = {}
-        for c in rs.positive_roots:
-            if sum(c) < 2:
-                continue
-            for r in rs.positive_roots:
-                rest = tuple(x - y for x, y in zip(c, r))
-                if sum(rest) > 0 and rs.is_root(rest):
-                    self._extraspecial[c] = (r, rest)
-                    break
+        self._extraspecial = extraspecial_pairs(rs)
         self._memo: Dict[Tuple[Root, Root], Fraction] = {}
 
     def extraspecial_pair(self, c: Root) -> Tuple[Root, Root]:
@@ -225,17 +164,9 @@ class StructureConstants:
 
 
 # ----------------------------------------------------------------------
-# pinned representations
+# pinned representations, as sparse root matrices
 
-def _basis_matrix(n: int, entries: Sequence[Tuple[int, int, int]]) -> Matrix:
-    """Matrix with the given (row, col, value) entries, 0-based."""
-    rows = [[0] * n for _ in range(n)]
-    for i, j, v in entries:
-        rows[i][j] = v
-    return _freeze(rows)
-
-
-def _type_a_matrices(rs: RootSystem) -> Dict[Root, Matrix]:
+def _type_a_entries(rs: RootSystem) -> Tuple[int, Dict[Root, Entries]]:
     n = rs.rank + 1
     out = {}
     for r in rs.roots:
@@ -244,17 +175,15 @@ def _type_a_matrices(rs: RootSystem) -> Dict[Root, Matrix]:
         for k, c in enumerate(r):
             v[k] += c
             v[k + 1] -= c
-        i = v.index(1)
-        j = v.index(-1)
-        out[r] = _basis_matrix(n, [(i, j, 1)])
-    return out
+        out[r] = ((v.index(1), v.index(-1), 1),)
+    return n, out
 
 
-def _type_c_matrices(rs: RootSystem) -> Dict[Root, Matrix]:
+def _type_c_entries(rs: RootSystem) -> Tuple[int, Dict[Root, Entries]]:
     """Symplectic pinning, antidiagonal form; i' = 2n+1-i, 1-based."""
     n = rs.rank
     dim = 2 * n
-    out: Dict[Root, Matrix] = {}
+    out: Dict[Root, Entries] = {}
 
     def conj(i: int) -> int:  # 0-based index of i'
         return dim - 1 - i
@@ -273,42 +202,58 @@ def _type_c_matrices(rs: RootSystem) -> Dict[Root, Matrix]:
         neg = [k for k, x in enumerate(v) if x < 0]
         if neg:  # e_i - e_j
             i, j = pos[0], neg[0]
-            M = _basis_matrix(dim, [(i, j, 1), (conj(j), conj(i), -1)])
+            M = ((i, j, 1), (conj(j), conj(i), -1))
         elif len(pos) == 2:  # e_i + e_j
             i, j = pos
-            M = _basis_matrix(dim, [(i, conj(j), 1), (j, conj(i), 1)])
+            M = ((i, conj(j), 1), (j, conj(i), 1))
         else:  # 2 e_i
             i = pos[0]
-            M = _basis_matrix(dim, [(i, conj(i), 1)])
+            M = ((i, conj(i), 1),)
         out[r] = M
-        out[negate(r)] = tuple(zip(*M))  # transpose
-    return out
+        out[negate(r)] = tuple((j, i, v) for i, j, v in M)  # transpose
+    return dim, out
 
 
-def _adjoint_matrices(
+def _adjoint_entries(
     rs: RootSystem, sc: StructureConstants
-) -> Dict[Root, Matrix]:
+) -> Tuple[int, Dict[Root, Entries]]:
     roots = rs.roots
     idx = {r: k for k, r in enumerate(roots)}
     R = len(roots)
-    dim = R + rs.rank
     out = {}
     for r in roots:
-        rows = [[0] * dim for _ in range(dim)]
+        entries = []
         for s in roots:
             col = idx[s]
             if s == negate(r):
                 # [e_r, e_-r] = h_r, expanded over the simple coroots
-                for i, c in enumerate(rs.coroot(r)):
-                    rows[R + i][col] = c
+                entries += [(R + i, col, c) for i, c in enumerate(rs.coroot(r)) if c]
             else:
                 t = add(r, s)
                 if rs.is_root(t):
-                    rows[idx[t]][col] = sc.N(r, s)
-        for i in range(rs.rank):
-            rows[idx[r]][R + i] = -rs.pairing(r, rs.simple_roots[i])
-        out[r] = _freeze(rows)
-    return out
+                    entries.append((idx[t], col, sc.N(r, s)))
+        for i, a in enumerate(rs.simple_roots):
+            c = rs.pairing(r, a)
+            if c:
+                entries.append((idx[r], R + i, -c))
+        out[r] = tuple(entries)
+    return R + rs.rank, out
+
+
+def _bracket_sign(entries: Dict[Root, Entries], r: Root, s: Root) -> int:
+    """Sign of N(r, s), read from one entry of [M_r, M_s] = N(r, s) M_{r+s}."""
+    i, j, v = entries[add(r, s)][0]
+
+    def product_entry(a: Root, b: Root) -> int:
+        return sum(
+            x * y
+            for ai, ak, x in entries[a]
+            if ai == i
+            for bk, bj, y in entries[b]
+            if bk == ak and bj == j
+        )
+
+    return 1 if (product_entry(r, s) - product_entry(s, r)) * v > 0 else -1
 
 
 class Pinning:
@@ -329,41 +274,38 @@ class Pinning:
             kind = "matrix" if rs.letter in ("A", "C") else "adjoint"
         if kind == "matrix":
             if rs.letter == "A":
-                self._matrices = _type_a_matrices(rs)
+                self.dim, self._entries = _type_a_entries(rs)
             elif rs.letter == "C":
-                self._matrices = _type_c_matrices(rs)
+                self.dim, self._entries = _type_c_entries(rs)
             else:
                 raise ValueError(f"no matrix pinning shipped for type {rs.letter}")
             if extraspecial_signs:
                 raise ValueError("extraspecial signs apply to adjoint pinnings only")
-            self.constants = None
+            signs = {
+                c: _bracket_sign(self._entries, r, s)
+                for c, (r, s) in extraspecial_pairs(rs).items()
+            }
+            self.constants = StructureConstants(rs, signs)
         elif kind == "adjoint":
             self.constants = StructureConstants(rs, extraspecial_signs)
-            self._matrices = _adjoint_matrices(rs, self.constants)
+            self.dim, self._entries = _adjoint_entries(rs, self.constants)
         else:
             raise ValueError(f"unknown pinning kind {kind!r}")
         self.rs = rs
         self.kind = kind
-        self.dim = len(next(iter(self._matrices.values())))
         self._expansions: Dict[Tuple[Root, Root], Tuple] = {}
-        self._lift_cache: Dict[Root, Tuple[Matrix, Matrix]] = {}
         self._signs: Dict[Tuple[Root, Root], int] = {}
 
     def matrix(self, r: Root) -> Matrix:
-        return self._matrices[r]
+        """M_r as a dense matrix, built from its stored entries."""
+        rows = [[0] * self.dim for _ in range(self.dim)]
+        for i, j, v in self._entries[r]:
+            rows[i][j] = v
+        return tuple(tuple(row) for row in rows)
 
     def structure_constant(self, a: Root, b: Root) -> int:
         """N(a, b) with [M_a, M_b] = N(a, b) M_{a+b}; 0 when a+b is not a root."""
-        c = add(a, b)
-        if not self.rs.is_root(c):
-            return 0
-        bracket = _mat_add(
-            _mat_mul(self.matrix(a), self.matrix(b)),
-            _mat_scale(-1, _mat_mul(self.matrix(b), self.matrix(a))),
-        )
-        ratio = _proportionality(bracket, self.matrix(c))
-        assert ratio.denominator == 1
-        return int(ratio)
+        return self.constants.N(a, b)
 
     # ------------------------------------------------------------------
     # commutator expansion by Chevalley's formula
@@ -382,7 +324,7 @@ class Pinning:
         key = (a, b)
         if key in self._expansions:
             return self._expansions[key]
-        if self.rs.rank2_subsystem_type(a, b) == "collinear":
+        if _parallel(a, b):
             raise ValueError(
                 "parallel gradients: commutator is trivial or torus-valued"
             )
@@ -410,48 +352,57 @@ class Pinning:
     # ------------------------------------------------------------------
     # Weyl reflection lifts w_r(1) = u_r(1) u_{-r}(-1) u_r(1)
 
-    def _lift(self, r: Root) -> Tuple[Matrix, Matrix]:
-        if r not in self._lift_cache:
-            Mr, Mn = self.matrix(r), self.matrix(negate(r))
-            W = _mat_mul(
-                _mat_mul(_exp_numeric(Mr, 1), _exp_numeric(Mn, -1)),
-                _exp_numeric(Mr, 1),
-            )
-            Wi = _mat_mul(
-                _mat_mul(_exp_numeric(Mr, -1), _exp_numeric(Mn, 1)),
-                _exp_numeric(Mr, -1),
-            )
-            self._lift_cache[r] = (W, Wi)
-        return self._lift_cache[r]
-
-    def weyl_lift_matrix(self, r: Root) -> Matrix:
-        return self._lift(r)[0]
-
     def reflection_sign(self, r: Root, s: Root) -> int:
-        """Sign h in w_r(1) u_s(x) w_r(1)^-1 = u_{s_r(s)}(h x)."""
+        """Sign h in w_r(1) u_s(x) w_r(1)^-1 = u_{s_r(s)}(h x).
+
+        h = -1 for s = +-r.  Otherwise let the r-string through s run
+        from b = s - p*r to s + q*r.  The vectors v_k = ad(e_r)^k e_b / k!
+        span an sl2-module on which w_r(1) sends v_k to (-1)^k v_{p+q-k},
+        and e_{b+k*r} is v_k times the signs of N(r, b + i*r), i < k.
+        So h = (-1)^p times the signs of N(r, b + i*r) for i between p
+        and q (Carter, §6.4).
+        """
         key = (r, s)
         if key not in self._signs:
-            W, Wi = self._lift(r)
-            T = _mat_mul(_mat_mul(W, self.matrix(s)), Wi)
-            ratio = _proportionality(T, self.matrix(self.rs.reflect(s, r)))
-            assert ratio in (1, -1)
-            self._signs[key] = int(ratio)
+            if s == r or s == negate(r):
+                h = -1
+            else:
+                p = self.constants.p_down(r, s)
+                q = p - self.rs.pairing(s, r)
+                h = (-1) ** p
+                for i in range(min(p, q), max(p, q)):
+                    link = tuple(y + (i - p) * x for x, y in zip(r, s))
+                    if self.structure_constant(r, link) < 0:
+                        h = -h
+            self._signs[key] = h
         return self._signs[key]
 
     # ------------------------------------------------------------------
     # reporting
 
     def pinning_hash(self) -> str:
-        payload = {
-            "cartan_type": self.rs.cartan_type,
-            "kind": self.kind,
-            "matrices": [
-                [list(r), [list(row) for row in self.matrix(r)]]
-                for r in self.rs.roots
-            ],
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        """First 16 hex of the sha256 of the dense matrices as sorted JSON.
+
+        The JSON is fed to the hash one root at a time, from the stored
+        entries; an all-zero row is formatted once.
+        """
+
+        def dump(obj) -> str:
+            return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+        n = self.dim
+        zero_row = dump([0] * n)
+        digest = hashlib.sha256()
+        head = dump({"cartan_type": self.rs.cartan_type, "kind": self.kind})
+        digest.update((head[:-1] + ',"matrices":[').encode())
+        for k, r in enumerate(self.rs.roots):
+            rows: Dict[int, List[int]] = {}
+            for i, j, v in self._entries[r]:
+                rows.setdefault(i, [0] * n)[j] = v
+            body = ",".join(dump(rows[i]) if i in rows else zero_row for i in range(n))
+            digest.update(f"{',' if k else ''}[{dump(list(r))},[{body}]]".encode())
+        digest.update(b"]}")
+        return digest.hexdigest()[:16]
 
     def constants_table(self) -> Dict:
         pairs = []

@@ -24,7 +24,7 @@ from .affine_roots import (
 )
 from .chevalley import Pinning, commutator_expansion
 from .finite_field import FiniteField
-from .root_system import RootSystem
+from .root_system import RootSystem, _parallel
 
 
 class Context:
@@ -74,7 +74,7 @@ class Context:
         key = (early, late)
         if key not in self._terms:
             alpha, beta = self.roots[early], self.roots[late]
-            if self.rs.rank2_subsystem_type(alpha.gradient, beta.gradient) == "collinear":
+            if _parallel(alpha.gradient, beta.gradient):
                 out: Tuple[Tuple[int, int, int, int], ...] = ()
             else:
                 found = []

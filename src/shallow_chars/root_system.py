@@ -272,11 +272,16 @@ def _pairs(a: Root, b: Root):
 
 def build_root_system(cartan_type: str, rank: Optional[int] = None) -> RootSystem:
     """Build a root system from a type letter and rank ("C", 2 or "C2")."""
+    letter, digits = cartan_type[:1], cartan_type[1:]
     if rank is None:
-        letter, digits = cartan_type[:1], cartan_type[1:]
         if not digits.isdigit():
             raise ValueError(f"cannot parse Cartan type {cartan_type!r}")
         return RootSystem(letter, int(digits))
+    if digits:
+        raise ValueError(
+            f"rank given twice: {cartan_type!r} already names a rank, "
+            f"and rank {rank} was also given"
+        )
     return RootSystem(cartan_type, rank)
 
 

@@ -33,9 +33,27 @@ from .affine_roots import (
     simple_affine_roots,
 )
 from .characters import ShallowCharacter, char_depth, validate
-from .chevalley import Matrix, _identity, _mat_mul
+from .chevalley import Matrix
 from .context import Context
 from .root_system import RootSystem, Root, negate
+
+
+def _identity(n: int) -> Matrix:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _mat_mul(A: Matrix, B: Matrix) -> Matrix:
+    n = len(A)
+    out = [[0] * n for _ in range(n)]
+    for i, row in enumerate(A):
+        oi = out[i]
+        for k, a in enumerate(row):
+            if a:
+                bk = B[k]
+                for j, b in enumerate(bk):
+                    if b:
+                        oi[j] += a * b
+    return tuple(tuple(row) for row in out)
 
 
 def _apply(m: Matrix, v: Sequence[int]) -> Tuple[int, ...]:

@@ -134,13 +134,16 @@ def test_solver_basis_is_rref_adapted():
                 assert space.filtration[-1][1] == space.dimension
 
 
-@pytest.mark.parametrize("cartan_type,first_step", [("F4", 5), ("E6", 7)])
+@pytest.mark.parametrize(
+    "cartan_type,first_step", [("F4", 5), ("E6", 7), ("E7", 8), ("E8", 9)]
+)
 def test_big_type_solve(cartan_type, first_step):
-    """Reeder-Yu first step (1/h, l+1) at the barycenter, h = 12 for both."""
+    """Reeder-Yu first step (1/h, l+1) at the barycenter."""
+    h = {"F4": 12, "E6": 12, "E7": 18, "E8": 30}[cartan_type]
     rs = build_root_system(cartan_type)
     ctx = Context(rs, barycenter(rs), q=2)
     space = solve_space(ctx, cross_check=False)
-    assert space.filtration[0] == (Fraction(1, 12), first_step)
+    assert space.filtration[0] == (Fraction(1, h), first_step)
     assert all(validate(chi).ok for chi in space.basis)
 
 

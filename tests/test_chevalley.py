@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from peeling_oracle import peel
+from peeling_oracle import bracket_constant, lift, lift_sign, peel
 from shallow_chars.root_system import add, build_root_system, negate
 from shallow_chars.affine_roots import (
     AffineRoot,
@@ -105,12 +107,14 @@ def test_sp4_xy_sign_forced_by_matrix_identity():
 
 
 def test_weyl_lift_matrix(c2_pin):
-    assert c2_pin.weyl_lift_matrix((1, 0)) == (
+    W, Wi = lift(c2_pin, (1, 0))
+    assert W == (
         (0, 1, 0, 0),
         (-1, 0, 0, 0),
         (0, 0, 0, -1),
         (0, 0, 1, 0),
     )
+    assert Wi == tuple(tuple(-x for x in row) for row in W)
 
 
 @pytest.mark.parametrize(
@@ -205,6 +209,73 @@ def test_formula_matches_peeling(cartan_type, kind, signs):
     assert mismatches == []
 
 
+@pytest.mark.parametrize(
+    "cartan_type,kind",
+    [(t, "matrix") for t in ("A2", "A3", "A4", "C2", "C3", "C4")]
+    + [(t, "adjoint") for t in ("C2", "G2", "B3", "C3", "D4", "F4")],
+)
+def test_bracket_matches_structure_constant(cartan_type, kind):
+    """[M_a, M_b] = N(a, b) M_{a+b} on every pair of roots.
+
+    The matrix kind reads only its extraspecial signs from its matrices;
+    the adjoint kind builds its matrices from N, so this is the Jacobi
+    identity for the extraspecial recursion.
+    """
+    rs = build_root_system(cartan_type)
+    pin = Pinning(rs, kind=kind)
+    mismatches = [
+        (a, b)
+        for a in rs.roots
+        for b in rs.roots
+        if bracket_constant(pin, a, b) != pin.structure_constant(a, b)
+    ]
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("cartan_type", ["E6", "E7", "E8"])
+def test_bracket_matches_structure_constant_sampled(cartan_type):
+    rs = build_root_system(cartan_type)
+    pin = Pinning(rs)
+    rng = random.Random(cartan_type)
+    summing = [(a, b) for a in rs.roots for b in rs.roots if rs.is_root(add(a, b))]
+    pairs = rng.sample(summing, 12) + [
+        (rng.choice(rs.roots), rng.choice(rs.roots)) for _ in range(4)
+    ]
+    assert [bracket_constant(pin, a, b) for a, b in pairs] == [
+        pin.structure_constant(a, b) for a, b in pairs
+    ]
+
+
+@pytest.mark.parametrize(
+    "cartan_type,kind,signs",
+    [
+        ("A3", "matrix", None),
+        ("C3", "matrix", None),
+        ("G2", "adjoint", None),
+        ("B3", "adjoint", None),
+        ("D4", "adjoint", None),
+        pytest.param("G2", "adjoint", {(1, 1): -1, (3, 1): -1}, id="G2-adjoint-flipped"),
+        pytest.param(
+            "B3",
+            "adjoint",
+            {(1, 1, 0): -1, (0, 1, 1): -1, (1, 1, 1): -1},
+            id="B3-adjoint-flipped",
+        ),
+    ],
+)
+def test_reflection_sign_matches_lift(cartan_type, kind, signs):
+    """The closed form on r-strings against conjugation by the dense lift."""
+    rs = build_root_system(cartan_type)
+    pin = Pinning(rs, kind=kind, extraspecial_signs=signs)
+    mismatches = [
+        (r, s)
+        for r in rs.roots
+        for s in rs.roots
+        if pin.reflection_sign(r, s) != lift_sign(pin, r, s)
+    ]
+    assert mismatches == []
+
+
 def test_parallel_gradients_rejected(c2_pin):
     with pytest.raises(ValueError):
         c2_pin.gradient_expansion((1, 0), (-1, 0))
@@ -224,10 +295,28 @@ def test_shallow_expansion_filters_deep_targets(c2_pin):
         shallow_commutator_expansion(c2_pin, AffineRoot((1, 0), 1), A2, mu)
 
 
+PINNING_HASHES = [
+    ("A3", "matrix", "8d36f79f21268bd7"),
+    ("C3", "matrix", "a488e901370c4fa5"),
+    ("A3", "adjoint", "279506fd05418875"),
+    ("C3", "adjoint", "6e70c3599d53b600"),
+    ("G2", "auto", "0bdadc29aaeb409b"),
+    ("B3", "auto", "96787151d4a29135"),
+    ("D4", "auto", "9a219bfa15f37d89"),
+    ("F4", "auto", "aa0d7efe62db5630"),
+    ("E6", "auto", "1fcbd779fd25f8c5"),
+    ("E7", "auto", "5f3b1aeef3c41f05"),
+    ("E8", "auto", "0364861f7eb999d8"),
+]
+
+
 def test_pinning_hash_is_stable(c2_pin):
     assert c2_pin.pinning_hash() == "9fd51649579e662a"
     pa = Pinning(build_root_system("C2"), kind="adjoint")
     assert pa.pinning_hash() == "d5bba55913bce023"
+    for cartan_type, kind, digest in PINNING_HASHES:
+        pin = Pinning(build_root_system(cartan_type), kind=kind)
+        assert pin.pinning_hash() == digest, (cartan_type, kind)
     table = pa.constants_table()
     assert table["pinning_hash"] == pa.pinning_hash()
     assert all(row["n"] != 0 for row in table["constants"])

@@ -178,6 +178,13 @@ def test_bad_usage(capsys):
     assert main(["classify", "--type", "C2", "--char", "missing.json"]) == 64
     assert main(["shallow", "--type", "C2", "--point", "x,y"]) == 64
     assert main(["shallow", "--type", "H8"]) == 64
+    capsys.readouterr()
+    for rank in ("2", "3"):
+        assert main(["shallow", "--type", "C2", "--rank", rank]) == 64
+        err = capsys.readouterr()
+        assert err.out == ""
+        assert f"rank given twice: 'C2' already names a rank, and rank {rank}" in err.err
+        assert "not a valid irreducible type" not in err.err
     ones = "1,1,1,1,1,1,1,1"
     for samples in ("-5", "0"):
         argv = ["verify-hom", "--type", "C2", "--params", ones, "--mode", "sample"]

@@ -54,6 +54,8 @@ def test_bad_types_rejected():
         build_root_system("E9")
     with pytest.raises(ValueError):
         build_root_system("C")  # rank missing
+    with pytest.raises(ValueError, match="rank given twice"):
+        build_root_system("C2", 3)
 
 
 def test_c2_basics():
@@ -114,3 +116,29 @@ def test_inner_product_symmetry():
             assert rs.inner(a, b) == rs.inner(b, a)
     lengths = {rs.length_sq(a) for a in rs.roots}
     assert len(lengths) == 2  # two root lengths in F4
+
+
+SYMPY_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(3, 9)]  # sympy has no C2
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("cartan_type", SYMPY_TYPES)
+def test_matches_sympy(cartan_type):
+    """Cartan matrix and root count against sympy.liealgebras (test-only)."""
+    cartan_matrix = pytest.importorskip("sympy.liealgebras.cartan_matrix")
+    cartan_types = pytest.importorskip("sympy.liealgebras.cartan_type")
+    rs = build_root_system(cartan_type)
+    n_positive = len(cartan_types.CartanType(cartan_type).positive_roots())
+    assert len(rs.roots) == 2 * n_positive
+    if cartan_type == "A1":
+        # sympy 1.14 cannot build the 1x1 matrix (IndexError in type_a)
+        assert rs.cartan == ((2,),)
+        return
+    # sympy's entry (i, j) is <a_i, a_j^vee>, the transpose of ours
+    expected = cartan_matrix.CartanMatrix(cartan_type).tolist()
+    assert [list(row) for row in zip(*rs.cartan)] == expected
