@@ -8,17 +8,45 @@ later in the enumeration, so the rewriting terminates.
 
 Verification of a character against this multiplication has three
 levels.  Checking chi(w * g) = chi(w) + chi(g) over every coset w and
-every generator g is already exact: induction on the token length of
-the right factor extends the identity to arbitrary pairs.  The
-exhaustive pairs mode and the seeded sampling mode exist to exercise
+every generator g = u_pos(v) is already exact: induction on the token
+length of the right factor extends the identity to arbitrary pairs.
+That sweep needs no Cayley table.  Write w = h * u_pos(a) * s, with h
+the entries below pos and s the suffix above it.  Collection moves g
+left through s, and every correction lands strictly later, so s * g
+becomes g * s' with s' above pos and w * g = h * u_pos(a + v) * s'.
+Each row of the character table is additive (it is the trace of c * x),
+so the defect chi(w * g) - chi(w) - chi(g) depends on s alone: one
+collection per suffix, q^N - 1 in all, decides the q^N checks of every
+generator.  The count of checks is still taken in (pos, v, code) order
+up to and including the first failure, so a homomorphism reports
+N * (q - 1) * q^N, and the witness is the least coset with the first
+failing suffix, code s * q^(pos + 1).  The exhaustive pairs mode, which
+reads the Cayley tables, and the seeded sampling mode exist to exercise
 the same claim without leaning on that argument.
+
+Where the first failure of a block lies is known before the sweep gets
+there.  Collecting s * g swaps g or a correction past other tokens,
+never two entries of s, so it writes only to the rows that u_pos
+reaches: pos, the targets of its commutators, theirs, and so on.  The
+entries at t and above form a normal subgroup U_t, and u_t(x) is
+central modulo U_(t+1), so entry t of s * g is s_t plus a function of
+the entries of s below t.  With additive rows the defect is then a
+function of the entries of s below r, the last reached row on which
+chi is nonzero: a failing suffix still fails with its entries from r on
+set to 0, so the least failing suffix of the block is below
+q^(r - 1 - pos).  The sweep takes those low suffixes of every block
+first, in block order, and its first failure there is the first
+failure overall, however late its block.  A second pass takes the
+remaining suffixes, so a homomorphism is still reported only after all
+q^N - 1 collections and that verdict does not lean on the argument
+about r.  Either way a witness is a failing check in its own right.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from .context import Context
 
@@ -149,6 +177,57 @@ def _word_values(chi, ctx: Context) -> List[int]:
     return values
 
 
+def _reach(ctx: Context) -> List[FrozenSet[int]]:
+    """The rows that collecting a token at each position can write.
+
+    A token at x writes x; each swap with another token writes the
+    targets of their commutator, and those corrections are collected in
+    turn.
+    """
+    n = ctx.n_roots
+    reach: List[FrozenSet[int]] = [frozenset()] * n
+    for x in reversed(range(n)):
+        rows = {x}
+        for t in range(n):
+            if t != x:
+                for target, _, _, _ in ctx.expansion_terms(min(x, t), max(x, t)):
+                    rows |= reach[target]
+        reach[x] = frozenset(rows)
+    return reach
+
+
+def _generator_sweep(chi) -> VerifyResult:
+    """chi(w * g) = chi(w) + chi(g) for every coset w and generator g.
+
+    One collection per suffix above pos decides a block of q^N checks.
+    In every block the suffixes below the last nonzero row that u_pos
+    can reach go first, then the rest; the module docstring gives both
+    arguments.
+    """
+    ctx = chi.context
+    q, p = ctx.q, ctx.field.p
+    count = ctx.coset_count()
+    nonzero = [any(row) for row in chi.table]
+    cuts = [
+        q ** max(max((r for r in rows if nonzero[r]), default=pos) - 1 - pos, 0)
+        for pos, rows in enumerate(_reach(ctx))
+    ]
+    blocks = [(pos, val) for pos in range(ctx.n_roots) for val in range(1, q)]
+    for low in (True, False):
+        for k, (pos, val) in enumerate(blocks):
+            step = q ** (pos + 1)
+            gen_value = chi.table[pos][val]
+            cut = cuts[pos]
+            for suffix in range(cut) if low else range(cut, count // step):
+                w = decode(ctx, suffix * step)
+                wg = from_tokens(ctx, w.tokens() + ((pos, val),))
+                if evaluate(chi, wg) != (evaluate(chi, w) + gen_value) % p:
+                    checked = k * count + suffix * step + 1
+                    witness = (w, generator_word(ctx, pos, val))
+                    return VerifyResult(False, "generators", checked, witness)
+    return VerifyResult(True, "generators", len(blocks) * count, None)
+
+
 # most cosets (generators mode) or coset pairs (pairs mode) swept exactly
 _SWEEP_LIMIT = 2**20
 
@@ -162,10 +241,11 @@ def verify_homomorphism(
     """Check chi(w1 * w2) = chi(w1) + chi(w2) against the group model.
 
     Modes: "generators" sweeps every coset against every generator,
-    which is exact; "pairs" sweeps every pair of cosets; "sample" draws
-    seeded random pairs; "auto" picks generators when the coset count
-    is at most 2**20 and falls back to sampling.  The two sweeps refuse
-    more than 2**20 cosets or pairs up front, before building any table.
+    which is exact; "pairs" sweeps every pair of cosets through the
+    Cayley tables; "sample" draws seeded random pairs; "auto" picks
+    generators when the coset count is at most 2**20 and falls back to
+    sampling.  The two sweeps refuse more than 2**20 cosets or pairs up
+    front, before any collection.
     """
     ctx = chi.context
     count = ctx.coset_count()
@@ -181,23 +261,11 @@ def verify_homomorphism(
                 f"{mode} mode would sweep {size} {unit}, above the limit of"
                 f" {_SWEEP_LIMIT}; use --mode sample"
             )
+        if mode == "generators":
+            return _generator_sweep(chi)
         tables = cayley_tables(ctx)
         values = _word_values(chi, ctx)
         p = ctx.field.p
-        checked = 0
-        if mode == "generators":
-            for (pos, val), col in sorted(tables.items()):
-                gen_value = chi.table[pos][val]
-                for code in range(count):
-                    checked += 1
-                    if values[col[code]] != (values[code] + gen_value) % p:
-                        return VerifyResult(
-                            False,
-                            mode,
-                            checked,
-                            (decode(ctx, code), generator_word(ctx, pos, val)),
-                        )
-            return VerifyResult(True, mode, checked, None)
         checked = 0
         for code1 in range(count):
             w1 = decode(ctx, code1)

@@ -226,10 +226,14 @@ class RootSystem:
         """All (i, j) with i, j > 0 and i*a + j*b a root, ordered by (i+j, i).
 
         Requires a + b != 0; the bound i, j <= 3 is exact for reduced
-        systems (G2 realizes (3, 1) and (3, 2)).
+        systems (G2 realizes (3, 1) and (3, 2)).  The string is empty
+        unless a + b is a root.
         """
-        if tuple(x + y for x, y in zip(a, b)) == tuple(0 for _ in a):
+        total = tuple(x + y for x, y in zip(a, b))
+        if not any(total):
             raise ValueError("root string undefined for b == -a")
+        if total not in self.root_set:
+            return []
         out = []
         for s in range(2, 7):
             for i in range(1, s):

@@ -232,6 +232,18 @@ PINNED_OUTPUTS = [
      "8991d82b30403977fe3e567392f24b7e70313a8bbf21a5bff5dec7baab5e5535"),
     (["verify-hom", "--type", "C2", "--params", EXAMPLE, "--mode", "generators"], 0,
      "36119a9e4dc9c3ddb2e0a44a388ef991863c9ac8e09def031c2d795339cbd2f9"),
+    # generators sweeps: invalid C2 and A2 characters whose first witness
+    # lies past the first coset (A2 past the first generator block), and a
+    # valid G2 character on a facet
+    (["verify-hom", "--type", "C2", "--q", "3", "--params", "1,0,0,0,2,1,0,2",
+      "--mode", "generators"], 1,
+     "b1ef91650ad506540094bf91ee8add717775af931fbe2f63bc249c85b6ec582e"),
+    (["verify-hom", "--type", "A2", "--q", "4", "--params", "2,0,1,0,0,3",
+      "--mode", "generators"], 1,
+     "7c606ec9e2808caaef8aa54a2f390e19e70ab9a6f7dab59db7a148a63565da9f"),
+    (["verify-hom", "--type", "G2", "--q", "2", "--facet", "1,2",
+      "--params", "1,1,1,1,1,1,1,0,0,0", "--mode", "generators"], 0,
+     "a9d7b24814868203d4fa4c753f60dcb8b37ccdff43fbf840676ca0f1c6e65634"),
     (["reproduce-sp4", "--q", "2"], 0,
      "23d57c9fd347342a68be1e820eb11543d8559d3b6fa5f9bd1cd3a2e1637d95d4"),
     (["reproduce-sp4", "--q", "3"], 1,

@@ -3,10 +3,13 @@ import random
 import pytest
 
 import sp4_oracle
-from shallow_chars.affine_roots import barycenter
-from shallow_chars.characters import ShallowCharacter
+from shallow_chars import group_model
+from shallow_chars.affine_roots import barycenter, facet_point
+from shallow_chars.characters import ShallowCharacter, solve_space, validate
 from shallow_chars.context import Context
 from shallow_chars.group_model import (
+    VerifyResult,
+    _word_values,
     cayley_tables,
     decode,
     encode,
@@ -17,6 +20,7 @@ from shallow_chars.group_model import (
     multiply,
     verify_homomorphism,
 )
+from shallow_chars.root_system import build_root_system
 
 from conftest import SP4_PARAMS
 
@@ -155,3 +159,147 @@ def test_oversized_sweeps_refused_before_tables(c2):
             verify_homomorphism(chi, mode=mode)
     assert ctx._cayley is None
     assert verify_homomorphism(chi, mode="auto", samples=5).mode == "sample"
+
+
+def table_sweep(chi):
+    """Oracle: the generators sweep read off materialised Cayley tables.
+
+    Every coset against every generator, in (pos, val, code) order,
+    with one collection per table entry.
+    """
+    ctx = chi.context
+    tables = cayley_tables(ctx)
+    values = _word_values(chi, ctx)
+    p = ctx.field.p
+    checked = 0
+    for (pos, val), col in sorted(tables.items()):
+        gen_value = chi.table[pos][val]
+        for code in range(ctx.coset_count()):
+            checked += 1
+            if values[col[code]] != (values[code] + gen_value) % p:
+                witness = (decode(ctx, code), generator_word(ctx, pos, val))
+                return VerifyResult(False, "generators", checked, witness)
+    return VerifyResult(True, "generators", checked, None)
+
+
+def _context(cartan_type, q, facet=None):
+    rs = build_root_system(cartan_type)
+    point = barycenter(rs) if facet is None else facet_point(rs, facet)
+    return Context(rs, point, q=q)
+
+
+def _basis_sum(ctx, basis, rng):
+    """A random F_p-combination of solver basis vectors, so valid."""
+    f = ctx.field
+    vec = [0] * ctx.n_roots
+    for chi in basis:
+        scale = f.from_int(rng.randrange(f.p))
+        for t, c in enumerate(chi.vector):
+            vec[t] = f.add(vec[t], f.mul(scale, c))
+    return vec
+
+
+def _sample_characters(ctx, rng, valid, broken, random_):
+    """Valid basis sums, the same with one entry shifted, and uniform vectors."""
+    basis = solve_space(ctx, cross_check=False).basis
+    vecs = [_basis_sum(ctx, basis, rng) for _ in range(valid)]
+    for _ in range(broken):
+        vec = _basis_sum(ctx, basis, rng)
+        t = rng.randrange(ctx.n_roots)
+        vec[t] = ctx.field.add(vec[t], rng.randrange(1, ctx.q))
+        vecs.append(vec)
+    vecs += [[rng.randrange(ctx.q) for _ in range(ctx.n_roots)] for _ in range(random_)]
+    return [ShallowCharacter.from_vector(ctx, v) for v in vecs]
+
+
+# (type, q, facet): the barycenter unless a facet is given
+SWEEP_MATRIX = [
+    ("A2", 2, None), ("A2", 3, None), ("A2", 4, None), ("C2", 2, None),
+    ("C2", 3, None), ("G2", 2, None), ("A3", 2, None),
+    ("C2", 3, {1}), ("G2", 3, {1}),
+]
+
+
+def test_generator_sweep_matches_table_sweep():
+    rng = random.Random(7)
+    late_witnesses = 0
+    for cartan_type, q, facet in SWEEP_MATRIX:
+        ctx = _context(cartan_type, q, facet)
+        for chi in _sample_characters(ctx, rng, valid=1, broken=3, random_=3):
+            want = table_sweep(chi)
+            assert verify_homomorphism(chi, mode="generators") == want, (ctx, chi)
+            if want.witness is not None:
+                late_witnesses += any(want.witness[1].entries[1:])
+            else:
+                assert want.checked == ctx.n_roots * (q - 1) * ctx.coset_count()
+    assert late_witnesses >= 3  # failures past the first generator block
+
+
+def test_generator_sweep_collects_once_per_suffix(monkeypatch):
+    ctx = _context("C2", 3)
+    chi = _sample_characters(ctx, random.Random(1), valid=1, broken=0, random_=0)[0]
+    calls = []
+    collect = group_model._collect
+
+    def counting(ctx, tokens):
+        calls.append(None)
+        return collect(ctx, tokens)
+
+    monkeypatch.setattr(group_model, "_collect", counting)
+    res = verify_homomorphism(chi, mode="generators")
+    assert res.ok and res.checked == 8 * 2 * 3**8
+    assert len(calls) == 3**8 - 1
+    assert ctx._cayley is None
+
+
+@pytest.mark.parametrize("cartan_type, q", [("C2", 3), ("A3", 2), ("G2", 2)])
+def test_invalid_character_stops_below_its_last_row(monkeypatch, cartan_type, q):
+    """Values on the simple affine roots plus one entry at a later row k.
+
+    These are the benchmark's characters: valid without the extra entry,
+    invalid with it.  An invalid one fails among the suffixes below row
+    k, however late its first failing block, and the table oracle
+    confirms that this failure is the first of the whole sweep.
+    """
+    ctx = _context(cartan_type, q)
+    n, simple = ctx.n_roots, ctx.rs.rank + 1  # the simple roots come first
+    rng = random.Random(5)
+    calls = []
+    collect = group_model._collect
+
+    def counting(ctx, tokens):
+        calls.append(None)
+        return collect(ctx, tokens)
+
+    late = 0
+    for k in [None, *range(simple, n)]:
+        vec = [rng.randrange(1, q) for _ in range(simple)] + [0] * (n - simple)
+        if k is not None:
+            vec[k] = rng.randrange(1, q)
+        chi = ShallowCharacter.from_vector(ctx, vec)
+        want = table_sweep(chi)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(group_model, "_collect", counting)
+            assert verify_homomorphism(chi, mode="generators") == want, chi
+        assert want.ok is (k is None)
+        if want.ok:
+            assert len(calls) == q**n - 1
+            continue
+        assert len(calls) <= n * (q - 1) * q ** (k - 1)
+        late += any(want.witness[1].entries[1:]) and len(calls) < (q - 1) * q ** (n - 1)
+    assert late >= 1  # a failure past block 0 found before block 0 was swept
+
+
+@pytest.mark.parametrize(
+    "cartan_type, q, facet",
+    [("G2", 2, None), ("A3", 2, None), ("C2", 2, {0, 1}), ("A2", 4, None)],
+)
+def test_validate_matches_group_model(cartan_type, q, facet):
+    # beyond the prime C2/A2 barycenters of acceptance criterion 4
+    ctx = _context(cartan_type, q, facet)
+    chars = _sample_characters(ctx, random.Random(cartan_type), valid=3, broken=5, random_=12)
+    verdicts = [validate(chi).ok for chi in chars]
+    assert verdicts[:3] == [True] * 3 and not all(verdicts)
+    for chi, ok in zip(chars, verdicts):
+        assert verify_homomorphism(chi, mode="generators").ok == ok, chi

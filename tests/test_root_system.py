@@ -95,6 +95,31 @@ def test_root_strings():
     assert a3.root_string((1, 0, 0), (0, 0, 1)) == []
 
 
+def _full_root_string(rs, a, b):
+    """Every candidate i*a + j*b with 1 <= i, j <= 3, in (i+j, i) order."""
+    return [
+        (i, s - i)
+        for s in range(2, 7)
+        for i in range(max(1, s - 3), min(3, s - 1) + 1)
+        if tuple(i * x + (s - i) * y for x, y in zip(a, b)) in rs.root_set
+    ]
+
+
+@pytest.mark.parametrize(
+    "cartan_type",
+    ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2", "F4", "E6"],
+)
+def test_root_string_matches_full_scan(cartan_type):
+    rs = build_root_system(cartan_type)
+    for a in rs.roots:
+        for b in rs.roots:
+            if b == negate(a):
+                with pytest.raises(ValueError):
+                    rs.root_string(a, b)
+                continue
+            assert rs.root_string(a, b) == _full_root_string(rs, a, b)
+
+
 def test_simple_reflect_involution():
     rs = build_root_system("B3")
     for i in range(rs.rank):
