@@ -1,10 +1,13 @@
 """Cosets of the depth-one subgroup inside the pro-unipotent radical.
 
 A coset has a unique normal form: one parameter per shallow root, taken
-in enumeration order.  Products are computed by bubble sort on the
-generator tokens; each adjacent swap emits the commutator correction
-terms supplied by the context, and every correction lands strictly
-later in the enumeration, so the rewriting terminates.
+in enumeration order.  Products are computed by collection from the
+left (Vaughan-Lee, J. Symb. Comp. 9, 1990) on the dense entry list of a
+normal form.  To multiply by u_p(v), the entries above p are taken off,
+v is added at p, and each taken u_t(x) is multiplied back on, followed
+by the factors of its commutator with u_p(v) supplied by the context.
+Every factor lands strictly later than both, so the rewriting
+terminates.
 
 Verification of a character against this multiplication has three
 levels.  Checking chi(w * g) = chi(w) + chi(g) over every coset w and
@@ -13,40 +16,54 @@ length of the right factor extends the identity to arbitrary pairs.
 That sweep needs no Cayley table.  Write w = h * u_pos(a) * s, with h
 the entries below pos and s the suffix above it.  Collection moves g
 left through s, and every correction lands strictly later, so s * g
-becomes g * s' with s' above pos and w * g = h * u_pos(a + v) * s'.
-Each row of the character table is additive (it is the trace of c * x),
-so the defect chi(w * g) - chi(w) - chi(g) depends on s alone: one
-collection per suffix, q^N - 1 in all, decides the q^N checks of every
-generator.  The count of checks is still taken in (pos, v, code) order
-up to and including the first failure, so a homomorphism reports
-N * (q - 1) * q^N, and the witness is the least coset with the first
-failing suffix, code s * q^(pos + 1).  The exhaustive pairs mode, which
-reads the Cayley tables, and the seeded sampling mode exist to exercise
-the same claim without leaning on that argument.
+becomes g * phi(s) with phi(s) above pos, and
+w * g = h * u_pos(a + v) * phi(s).  Each row of the character table is
+additive (it is the trace of c * x), so the defect
+chi(w * g) - chi(w) - chi(g) depends on s alone: one form phi(s) per
+suffix decides the q^N checks of every generator.
+
+Each form is one small step from another.  A nonzero suffix is
+s = s' * u_m(a), with m its top entry and s' its parent, so
+
+    s * g = s' * g * u_m(a) * C = g * phi(s') * u_m(a) * C,
+
+where C is the list of factors of [u_m(a), g].  So phi(s) is one
+collection of u_m(a) * C onto phi(s'), and chi(s) = chi(s') +
+chi(u_m(a)) is carried along.  The parent has the smaller code, so the
+sweep reaches it first; suffix 0 needs no collection, so a full sweep
+takes q^N - 1 - N * (q - 1) in all.  The count of checks is still
+taken in (pos, v, code) order up to and including the first failure,
+so a homomorphism reports N * (q - 1) * q^N, and the witness is the
+least coset with the first failing suffix, code s * q^(pos + 1).  The
+exhaustive pairs mode, which reads the Cayley tables, and the seeded
+sampling mode exist to exercise the same claim without leaning on that
+argument.
 
 Where the first failure of a block lies is known before the sweep gets
-there.  Collecting s * g swaps g or a correction past other tokens,
-never two entries of s, so it writes only to the rows that u_pos
-reaches: pos, the targets of its commutators, theirs, and so on.  The
-entries at t and above form a normal subgroup U_t, and u_t(x) is
-central modulo U_(t+1), so entry t of s * g is s_t plus a function of
-the entries of s below t.  With additive rows the defect is then a
-function of the entries of s below r, the last reached row on which
-chi is nonzero: a failing suffix still fails with its entries from r on
-set to 0, so the least failing suffix of the block is below
+there.  Collecting s * g commutes g or a correction past entries of
+s, never two entries of s past each other, so it writes only to the
+rows that u_pos reaches: pos, the targets of its commutators, theirs,
+and so on.  The entries at t and above form a normal subgroup U_t,
+and u_t(x) is central modulo U_(t+1), so entry t of s * g is s_t plus
+a function of the entries of s below t.  With additive rows the defect
+is then a function of the entries of s below r, the last reached row
+on which chi is nonzero: a failing suffix still fails with its entries
+from r on set to 0, so the least failing suffix of the block is below
 q^(r - 1 - pos).  The sweep takes those low suffixes of every block
 first, in block order, and its first failure there is the first
 failure overall, however late its block.  A second pass takes the
-remaining suffixes, so a homomorphism is still reported only after all
-q^N - 1 collections and that verdict does not lean on the argument
-about r.  Either way a witness is a failing check in its own right.
+remaining suffixes, so a homomorphism is still reported only after
+every suffix has been collected, and that verdict does not lean on the
+argument about r.  Either way a witness is a failing check in its own
+right.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
+from operator import getitem
+from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .context import Context
 
@@ -87,49 +104,74 @@ def decode(ctx: Context, code: int) -> CosetWord:
     return CosetWord(tuple(entries))
 
 
-def _collect(ctx: Context, tokens: Iterable[Token]) -> List[Token]:
+def _commutator(ctx: Context, early: int, x: int, late: int, y: int) -> List[Token]:
+    """The nonzero factors of [u_late(y), u_early(x)], in order."""
     f = ctx.field
-    toks = [t for t in tokens if t[1]]
+    factors = []
+    for target, i, j, c in ctx.expansion_terms(early, late):
+        value = f.mul(f.from_int(c), f.mul(f.pow(x, i), f.pow(y, j)))
+        if value:
+            factors.append((target, value))
+    return factors
+
+
+# tokens taken off the stack in one collection.  A product of two random
+# normal forms takes about 4 * 10**6 on E8 at q = 16, so reaching this
+# means the rewriting does not terminate.
+_STEP_LIMIT = 10**8
+
+
+def _collect(
+    ctx: Context, tokens: Iterable[Token], start: Optional[Sequence[int]] = None
+) -> List[int]:
+    """Collection from the left: the entries of start * tokens in normal form.
+
+    start is a normal form given by its entries, the identity by
+    default.  The tokens are multiplied on one at a time from a stack.
+    u_p(v) commutes past the entries above p at the cost of their
+    commutator factors, so those entries are taken off, v is added at p,
+    and each taken u_t(x) goes back on the stack followed by the factors
+    of [u_t(x), u_p(v)].
+    """
+    f = ctx.field
+    entries = [0] * ctx.n_roots if start is None else list(start)
+    top = len(entries) - 1  # the highest nonzero entry, -1 for the identity
+    while top >= 0 and not entries[top]:
+        top -= 1
+    stack = list(tokens)
+    stack.reverse()
     steps = 0
-    while True:
-        merged: List[Token] = []
-        for p, v in toks:
-            if merged and merged[-1][0] == p:
-                s = f.add(merged[-1][1], v)
-                if s:
-                    merged[-1] = (p, s)
-                else:
-                    merged.pop()
-            else:
-                merged.append((p, v))
-        toks = merged
-        k = next(
-            (k for k in range(len(toks) - 1) if toks[k][0] > toks[k + 1][0]), None
-        )
-        if k is None:
-            return toks
-        p1, v1 = toks[k]
-        p2, v2 = toks[k + 1]
-        corrections: List[Token] = []
-        for pos, i, j, c in ctx.expansion_terms(p2, p1):
-            val = f.mul(f.from_int(c), f.mul(f.pow(v2, i), f.pow(v1, j)))
-            if val:
-                corrections.append((pos, val))
-        toks[k : k + 2] = [(p2, v2), (p1, v1)] + corrections
+    while stack:
+        p, v = stack.pop()
+        if not v:
+            continue
         steps += 1
-        assert steps < 100_000, "collection failed to terminate"
+        assert steps < _STEP_LIMIT, "collection failed to terminate"
+        if p < top:
+            moved: List[Token] = []
+            for t in range(p + 1, top + 1):
+                x = entries[t]
+                if x:
+                    entries[t] = 0
+                    moved.append((t, x))
+                    moved += _commutator(ctx, p, v, t, x)
+            moved.reverse()
+            stack += moved
+            top = p
+        elif p > top:
+            top = p
+        entries[p] = f.add(entries[p], v)
+        while top >= 0 and not entries[top]:
+            top -= 1
+    return entries
 
 
 def from_tokens(ctx: Context, tokens: Iterable[Token]) -> CosetWord:
-    entries = [0] * ctx.n_roots
-    for p, v in _collect(ctx, tokens):
-        assert entries[p] == 0
-        entries[p] = v
-    return CosetWord(tuple(entries))
+    return CosetWord(tuple(_collect(ctx, tokens)))
 
 
 def multiply(ctx: Context, w1: CosetWord, w2: CosetWord) -> CosetWord:
-    return from_tokens(ctx, w1.tokens() + w2.tokens())
+    return CosetWord(tuple(_collect(ctx, w2.tokens(), w1.entries)))
 
 
 def evaluate(chi, word: CosetWord) -> int:
@@ -146,12 +188,13 @@ def cayley_tables(ctx: Context):
     if ctx._cayley is None:
         tables = {}
         count = ctx.coset_count()
-        base = [decode(ctx, code).tokens() for code in range(count)]
+        base = [decode(ctx, code).entries for code in range(count)]
         for pos in range(ctx.n_roots):
             for val in range(1, ctx.q):
+                gen = ((pos, val),)
                 col = [
-                    encode(ctx, from_tokens(ctx, toks + ((pos, val),)))
-                    for toks in base
+                    encode(ctx, CosetWord(tuple(_collect(ctx, gen, entries))))
+                    for entries in base
                 ]
                 tables[(pos, val)] = tuple(col)
         ctx._cayley = tables
@@ -196,35 +239,81 @@ def _reach(ctx: Context) -> List[FrozenSet[int]]:
     return reach
 
 
+class _Block:
+    """The checks of one generator g = u_pos(val), one suffix s above pos each.
+
+    phi(s) is collected onto the form of the parent s', as the module
+    docstring explains.  A parent's top entry is below the last row, so
+    its code is below q^(L - 1), with L = N - 1 - pos entries above pos.
+    Only those suffixes are kept: phi(s) as L bytes in `forms` and
+    chi(s) in `chis`, both in code order.
+    """
+
+    def __init__(self, chi, pos: int, val: int):
+        self.chi, self.pos, self.val = chi, pos, val
+        self.width = chi.context.n_roots - 1 - pos
+        self.forms = bytearray(self.width)  # suffix 0: s * g = g
+        self.chis = bytearray(1 if self.width else 0)
+
+    def sweep(self, tops: range) -> Optional[int]:
+        """Check, in code order, the suffixes whose top entry is pos + 1 + k
+        for k in tops; the first failing code, or None."""
+        chi, pos, val, width = self.chi, self.pos, self.val, self.width
+        ctx = chi.context
+        q, p = ctx.q, ctx.field.p
+        head = bytes(pos) + bytes((val,))
+        rows = chi.table[pos + 1 :]
+        forms, chis = self.forms, self.chis
+        for k in tops:
+            m = pos + 1 + k
+            keep = k < width - 1
+            size = q**k
+            for a in range(1, q):
+                tokens = [(m, a)] + _commutator(ctx, pos, val, m, a)
+                chi_top = chi.table[m][a]
+                for parent in range(size):
+                    lo = parent * width
+                    entries = _collect(ctx, tokens, head + forms[lo : lo + width])
+                    above = entries[pos + 1 :]
+                    chi_s = (chis[parent] + chi_top) % p
+                    if sum(map(getitem, rows, above)) % p != chi_s:
+                        return a * size + parent
+                    if keep:
+                        forms += bytes(above)
+                        chis.append(chi_s)
+        return None
+
+
 def _generator_sweep(chi) -> VerifyResult:
     """chi(w * g) = chi(w) + chi(g) for every coset w and generator g.
 
-    One collection per suffix above pos decides a block of q^N checks.
-    In every block the suffixes below the last nonzero row that u_pos
-    can reach go first, then the rest; the module docstring gives both
-    arguments.
+    One collection per nonzero suffix above pos decides a block of q^N
+    checks, each from its parent's collected form.  In every block the
+    suffixes below the last nonzero row that u_pos can reach go first,
+    then the rest; the module docstring gives both arguments.
     """
     ctx = chi.context
-    q, p = ctx.q, ctx.field.p
+    q, n = ctx.q, ctx.n_roots
     count = ctx.coset_count()
     nonzero = [any(row) for row in chi.table]
+    # per pos, how many top entries the low suffixes, those below row r, span
     cuts = [
-        q ** max(max((r for r in rows if nonzero[r]), default=pos) - 1 - pos, 0)
+        max(max((r for r in rows if nonzero[r]), default=pos) - 1 - pos, 0)
         for pos, rows in enumerate(_reach(ctx))
     ]
-    blocks = [(pos, val) for pos in range(ctx.n_roots) for val in range(1, q)]
+    blocks = [_Block(chi, pos, val) for pos in range(n) for val in range(1, q)]
     for low in (True, False):
-        for k, (pos, val) in enumerate(blocks):
-            step = q ** (pos + 1)
-            gen_value = chi.table[pos][val]
-            cut = cuts[pos]
-            for suffix in range(cut) if low else range(cut, count // step):
+        for k, block in enumerate(blocks):
+            pos, cut = block.pos, cuts[block.pos]
+            suffix = block.sweep(range(cut) if low else range(cut, block.width))
+            if suffix is not None:
+                step = q ** (pos + 1)
+                checked = k * count + suffix * step + 1
                 w = decode(ctx, suffix * step)
-                wg = from_tokens(ctx, w.tokens() + ((pos, val),))
-                if evaluate(chi, wg) != (evaluate(chi, w) + gen_value) % p:
-                    checked = k * count + suffix * step + 1
-                    witness = (w, generator_word(ctx, pos, val))
-                    return VerifyResult(False, "generators", checked, witness)
+                witness = (w, generator_word(ctx, pos, block.val))
+                return VerifyResult(False, "generators", checked, witness)
+            if not low:
+                blocks[k] = None  # its parents are no longer needed
     return VerifyResult(True, "generators", len(blocks) * count, None)
 
 

@@ -3,11 +3,13 @@ import random
 import pytest
 
 import sp4_oracle
+from collection_oracle import bubble_collect
 from shallow_chars import group_model
 from shallow_chars.affine_roots import barycenter, facet_point
 from shallow_chars.characters import ShallowCharacter, solve_space, validate
 from shallow_chars.context import Context
 from shallow_chars.group_model import (
+    CosetWord,
     VerifyResult,
     _word_values,
     cayley_tables,
@@ -88,14 +90,60 @@ def test_multiplication_matches_oracle(c2_ctx):
         assert sp4_oracle.same_coset(product, direct)
 
 
-def test_multiplication_associative(c2_ctx):
-    rng = random.Random(3)
-    count = c2_ctx.coset_count()
-    for _ in range(300):
-        w1, w2, w3 = (decode(c2_ctx, rng.randrange(count)) for _ in range(3))
-        left = multiply(c2_ctx, multiply(c2_ctx, w1, w2), w3)
-        right = multiply(c2_ctx, w1, multiply(c2_ctx, w2, w3))
+def _assert_associative(ctx, rng, trials):
+    count = ctx.coset_count()
+    for _ in range(trials):
+        w1, w2, w3 = (decode(ctx, rng.randrange(count)) for _ in range(3))
+        left = multiply(ctx, multiply(ctx, w1, w2), w3)
+        right = multiply(ctx, w1, multiply(ctx, w2, w3))
         assert left == right
+
+
+def test_multiplication_associative(c2_ctx):
+    _assert_associative(c2_ctx, random.Random(3), 300)
+
+
+@pytest.mark.parametrize("cartan_type, q", [("G2", 3), ("A2", 4)])
+def test_multiplication_associative_beyond_c2(cartan_type, q):
+    _assert_associative(_context(cartan_type, q), random.Random(cartan_type), 100)
+
+
+# (type, q, facet) for the collector against bubble sort
+COLLECT_MATRIX = [
+    *(("A2", q, None) for q in (2, 3, 4, 8, 9)),
+    *(("C2", q, None) for q in (2, 3, 5)),
+    ("G2", 2, None), ("G2", 3, None),
+    *((t, 2, None) for t in ("A3", "B3", "C3", "D4", "F4")),
+    ("C2", 3, {1}), ("G2", 3, {1, 2}),
+]
+
+
+def _random_word(ctx, rng):
+    """Tokens in any order, with repeated positions and cancelling runs."""
+    n, f = ctx.n_roots, ctx.field
+    length = rng.randrange(3 * n)
+    word = [(rng.randrange(n), rng.randrange(ctx.q)) for _ in range(length)]
+    if word and rng.random() < 0.5:
+        word += [(t, f.neg(v)) for t, v in reversed(word[-3:])]
+    if word and rng.random() < 0.5:
+        t = rng.choice(word)[0]
+        word.insert(rng.randrange(len(word)), (t, rng.randrange(1, ctx.q)))
+    return word
+
+
+@pytest.mark.parametrize("cartan_type, q, facet", COLLECT_MATRIX)
+def test_collect_matches_bubble_collect(cartan_type, q, facet):
+    ctx = _context(cartan_type, q, facet)
+    rng = random.Random(f"{cartan_type}{q}{facet}")
+    for _ in range(270):
+        word = _random_word(ctx, rng)
+        want = tuple(bubble_collect(ctx, word))
+        assert from_tokens(ctx, word).tokens() == want, word
+        # the same product collected onto the normal form of a prefix
+        cut = rng.randrange(len(word) + 1)
+        start = from_tokens(ctx, word[:cut]).entries
+        got = group_model._collect(ctx, word[cut:], start)
+        assert CosetWord(tuple(got)).tokens() == want, (word, cut)
 
 
 def test_cayley_tables_are_permutations(c2_ctx):
@@ -241,15 +289,52 @@ def test_generator_sweep_collects_once_per_suffix(monkeypatch):
     calls = []
     collect = group_model._collect
 
-    def counting(ctx, tokens):
+    def counting(*args):
         calls.append(None)
-        return collect(ctx, tokens)
+        return collect(*args)
+
+    blocks = []
+
+    class Recorded(group_model._Block):
+        def __init__(self, *args):
+            super().__init__(*args)
+            blocks.append(self)
 
     monkeypatch.setattr(group_model, "_collect", counting)
+    monkeypatch.setattr(group_model, "_Block", Recorded)
     res = verify_homomorphism(chi, mode="generators")
     assert res.ok and res.checked == 8 * 2 * 3**8
-    assert len(calls) == 3**8 - 1
+    # suffix 0 needs no collection: s * g = g
+    assert len(calls) == 3**8 - 1 - 8 * 2
     assert ctx._cayley is None
+    # parents only: codes below q^(N - 2 - pos)
+    assert len(blocks) == 8 * 2
+    for block in blocks:
+        assert len(block.chis) <= 3 ** (8 - 2 - block.pos)
+        assert len(block.forms) == len(block.chis) * block.width
+
+
+@pytest.mark.parametrize("cartan_type, q", [("C2", 3), ("G2", 2)])
+def test_parent_forms_match_bubble_collect(cartan_type, q):
+    """Each kept form is the collected s * g, built from its parent's."""
+    ctx = _context(cartan_type, q)
+    n = ctx.n_roots
+    chi = _sample_characters(ctx, random.Random(2), valid=1, broken=0, random_=0)[0]
+    for pos in range(n):
+        for val in range(1, q):
+            block = group_model._Block(chi, pos, val)
+            assert block.sweep(range(block.width)) is None
+            width = block.width
+            assert len(block.chis) == (q ** (width - 1) if width else 0)
+            for code in range(len(block.chis)):
+                s = decode(ctx, code * q ** (pos + 1))
+                entries = [0] * n
+                for t, v in bubble_collect(ctx, s.tokens() + ((pos, val),)):
+                    entries[t] = v
+                assert entries[: pos + 1] == [0] * pos + [val]
+                form = block.forms[code * width : (code + 1) * width]
+                assert bytes(entries[pos + 1 :]) == form
+                assert block.chis[code] == evaluate(chi, s)
 
 
 @pytest.mark.parametrize("cartan_type, q", [("C2", 3), ("A3", 2), ("G2", 2)])
@@ -267,9 +352,9 @@ def test_invalid_character_stops_below_its_last_row(monkeypatch, cartan_type, q)
     calls = []
     collect = group_model._collect
 
-    def counting(ctx, tokens):
+    def counting(*args):
         calls.append(None)
-        return collect(ctx, tokens)
+        return collect(*args)
 
     late = 0
     for k in [None, *range(simple, n)]:
@@ -284,7 +369,7 @@ def test_invalid_character_stops_below_its_last_row(monkeypatch, cartan_type, q)
             assert verify_homomorphism(chi, mode="generators") == want, chi
         assert want.ok is (k is None)
         if want.ok:
-            assert len(calls) == q**n - 1
+            assert len(calls) == q**n - 1 - n * (q - 1)
             continue
         assert len(calls) <= n * (q - 1) * q ** (k - 1)
         late += any(want.witness[1].entries[1:]) and len(calls) < (q - 1) * q ** (n - 1)
@@ -293,7 +378,10 @@ def test_invalid_character_stops_below_its_last_row(monkeypatch, cartan_type, q)
 
 @pytest.mark.parametrize(
     "cartan_type, q, facet",
-    [("G2", 2, None), ("A3", 2, None), ("C2", 2, {0, 1}), ("A2", 4, None)],
+    [
+        ("G2", 2, None), ("A3", 2, None), ("C2", 2, {0, 1}), ("A2", 4, None),
+        ("B3", 2, None), ("C3", 2, None), ("A2", 8, None),
+    ],
 )
 def test_validate_matches_group_model(cartan_type, q, facet):
     # beyond the prime C2/A2 barycenters of acceptance criterion 4
@@ -302,4 +390,7 @@ def test_validate_matches_group_model(cartan_type, q, facet):
     verdicts = [validate(chi).ok for chi in chars]
     assert verdicts[:3] == [True] * 3 and not all(verdicts)
     for chi, ok in zip(chars, verdicts):
-        assert verify_homomorphism(chi, mode="generators").ok == ok, chi
+        res = verify_homomorphism(chi, mode="generators")
+        assert res.ok == ok, chi
+        if ok:
+            assert res.checked == ctx.n_roots * (q - 1) * ctx.coset_count()

@@ -1,0 +1,52 @@
+"""Seeded property tests: the relation rows against the group model.
+
+hypothesis is a test-only dependency; `derandomize` makes every run draw
+the same examples.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from shallow_chars.affine_roots import facet_point, shallow_roots
+from shallow_chars.characters import ShallowCharacter, solve_space, validate
+from shallow_chars.context import Context
+from shallow_chars.group_model import verify_homomorphism
+from shallow_chars.root_system import build_root_system
+
+SMALL_TYPES = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2")
+FIELDS = (2, 3, 4, 5, 8, 9)
+MAX_COSETS = 2**14
+
+
+@st.composite
+def characters(draw):
+    """A basis combination of the solved space, perhaps with one entry
+    shifted, on a random facet and a field small enough to sweep."""
+    rs = build_root_system(draw(st.sampled_from(SMALL_TYPES)))
+    facet = draw(st.sets(st.integers(0, rs.rank), min_size=1))
+    point = facet_point(rs, facet)
+    n = len(shallow_roots(rs, point))
+    assume(2**n <= MAX_COSETS)
+    q = draw(st.sampled_from([q for q in FIELDS if q**n <= MAX_COSETS]))
+    ctx = Context(rs, point, q=q)
+    f = ctx.field
+    vec = [0] * n
+    for basis_chi in solve_space(ctx, cross_check=False).basis:
+        scale = draw(st.integers(0, f.p - 1))
+        for t, c in enumerate(basis_chi.vector):
+            vec[t] = f.add(vec[t], f.mul(scale, c))
+    if n and draw(st.booleans()):
+        t = draw(st.integers(0, n - 1))
+        vec[t] = f.add(vec[t], draw(st.integers(1, q - 1)))
+    return ShallowCharacter.from_vector(ctx, vec)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(characters())
+def test_validate_matches_generator_sweep(chi):
+    assert validate(chi).ok == verify_homomorphism(chi, mode="generators").ok
