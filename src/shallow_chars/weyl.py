@@ -9,12 +9,13 @@ level-one hyperplane of the highest root, letters 1..l are the finite
 simple reflections.
 
 The condition-star search is exact whenever its witness polytope is
-bounded: boundedness is decided by Fourier-Motzkin elimination over
-rationals, and in the bounded case every orbit point inside the polytope
-is enumerated.  The translation ranges come from one projection per
-character, with the finite orbit point kept symbolic.  Otherwise the
-search is a bounded translation sweep and a negative outcome is
-reported as inconclusive, never extrapolated.
+bounded.  Fourier-Motzkin elimination over rationals projects it onto
+each coroot coordinate once per character, with the finite orbit point
+kept symbolic, and boundedness is read off those projections.  Scaled
+once to integers, they bound the translations tried at each orbit point,
+and in the bounded case every orbit point inside the polytope is tried.
+Otherwise the search is a bounded translation sweep and a negative
+outcome is reported as inconclusive, never extrapolated.
 """
 
 from __future__ import annotations
@@ -232,6 +233,17 @@ def act_on_point(w: AffineWeylElement, mu) -> Point:
 # ----------------------------------------------------------------------
 # enumeration: one breadth-first walk over words in chosen letters
 
+_FINITE_WALK_LIMIT = 100_000  # the most elements a walk without a radius may visit
+
+
+def _weyl_group_order(rs: RootSystem) -> int:
+    """|W| of the finite Weyl group, from the classification."""
+    l, f = rs.rank, math.factorial(rs.rank)
+    orders = {"A": (l + 1) * f, "B": 2**l * f, "C": 2**l * f, "D": 2 ** (l - 1) * f,
+              "E6": 51_840, "E7": 2_903_040, "E8": 696_729_600, "F4": 1_152, "G2": 12}
+    return orders[rs.letter if rs.letter in "ABCD" else rs.cartan_type]
+
+
 def _bfs(
     rs: RootSystem, letters: Sequence[int], radius: Optional[int] = None
 ) -> List[AffineWeylElement]:
@@ -258,7 +270,8 @@ def _bfs(
         out.extend(nxt)
         frontier = nxt
         length += 1
-        assert radius is not None or len(out) <= 100_000, "Weyl group enumeration too large"
+        if radius is None and len(out) > _FINITE_WALK_LIMIT:
+            raise ValueError(f"Weyl group enumeration over {_FINITE_WALK_LIMIT:,} elements")
     return out
 
 
@@ -342,31 +355,6 @@ def _fm_eliminate(rows: InequalityRows, var: int) -> InequalityRows:
     return list(tightest.items())
 
 
-def _fm_feasible(rows: InequalityRows, nvars: int) -> bool:
-    for var in range(nvars):
-        rows = _fm_eliminate(rows, var)
-    return all(rhs >= 0 for _, rhs in rows)
-
-
-def _polytope_bounded(gradients: List[Root], rank: int) -> bool:
-    """Is {mu : a(mu) <= const for all listed gradients} bounded?
-
-    Equivalent to the recession cone {a(mu) <= 0} being trivial, tested
-    one coordinate direction at a time.
-    """
-    cone: InequalityRows = [
-        (tuple(Fraction(c) for c in a), Fraction(0)) for a in gradients
-    ]
-    for i in range(rank):
-        for sgn in (1, -1):
-            ray = cone + [
-                (tuple(Fraction(-sgn if p == i else 0) for p in range(rank)), Fraction(-1))
-            ]
-            if _fm_feasible(ray, rank):
-                return False
-    return True
-
-
 class StarVerdict(NamedTuple):
     status: str  # "holds" | "fails" | "inconclusive"
     witness: Optional[AffineWeylElement]
@@ -382,22 +370,31 @@ class StarVerdict(NamedTuple):
         }
 
 
-# (coefficient of k_j, coefficients of nu, right-hand side)
-ProjectedRows = List[Tuple[Fraction, Tuple[Fraction, ...], Fraction]]
+# (coefficient of k_j, coefficients of nu, right-hand side), in integers
+ProjectedRow = Tuple[int, Tuple[int, ...], int]
 
 
-def _coroot_projections(rs: RootSystem, rows_mu: InequalityRows) -> List[ProjectedRows]:
-    """Bounds on each k_j for the points nu + sum_i k_i a_i^vee.
+def _integral(c: Fraction, b: Sequence[Fraction], rhs: Fraction) -> ProjectedRow:
+    """The row c * k + b . nu <= rhs with its denominators cleared."""
+    scale = math.lcm(c.denominator, rhs.denominator, *(x.denominator for x in b))
+    return int(c * scale), tuple(int(x * scale) for x in b), int(rhs * scale)
+
+
+def _coroot_projections(
+    rs: RootSystem, rows_mu: InequalityRows, n: int
+) -> List[List[ProjectedRow]]:
+    """Bounds on each k_j for the points nu / n + sum_i k_i a_i^vee.
 
     Fourier-Motzkin runs once per character: the coordinates of nu are
     extra variables that are never eliminated, so a finite Weyl element
-    only substitutes its own nu = w(lambda).  Entry j holds the rows
-    c * k_j + b . nu <= rhs left after eliminating every other k_i.
+    only substitutes its own nu = n * w(lambda).  Entry j holds the rows
+    c * k_j + b . nu <= rhs left after eliminating every other k_i, each
+    scaled to integers.
     """
     l = rs.rank
     rows: InequalityRows = []
     for coeffs, rhs in rows_mu:
-        # a(nu + sum k_j a_j^vee): a_j^vee has coordinates cartan[j]
+        # a(nu / n + sum k_j a_j^vee): a_j^vee has coordinates cartan[j]
         kc = tuple(
             sum(coeffs[i] * rs.cartan[j][i] for i in range(l)) for j in range(l)
         )
@@ -408,35 +405,29 @@ def _coroot_projections(rs: RootSystem, rows_mu: InequalityRows) -> List[Project
         for var in range(l):
             if var != keep:
                 proj = _fm_eliminate(proj, var)
-        out.append([(c[keep], c[l:], rhs) for c, rhs in proj])
+        out.append([_integral(n * c[keep], c[l:], n * rhs) for c, rhs in proj])
     return out
 
 
 def _orbit_witness_ranges(
-    ctx: Context,
-    w_fin: AffineWeylElement,
-    projections: List[ProjectedRows],
-    radius: Optional[int],
-) -> Optional[List[range]]:
-    """Integer k-ranges with w_fin(lambda) + k of possible interest."""
-    nu = w_fin.act_on_point(ctx.point)
+    nu: Sequence[int], projections: List[List[ProjectedRow]], radius: Optional[int]
+) -> List[range]:
+    """Integer k-ranges with nu / n + k of possible interest.
+
+    Without a radius each projection must bound k_j on both sides.
+    """
     ranges = []
     for rows in projections:
-        lo, hi = None, None
+        lo, hi = (-math.inf, math.inf) if radius is None else (-radius, radius)
         for c, b, rhs in rows:
             rhs -= sum(x * y for x, y in zip(b, nu))
             if c > 0:
-                hi = rhs / c if hi is None else min(hi, rhs / c)
+                hi = min(hi, rhs // c)
             elif c < 0:
-                lo = rhs / c if lo is None else max(lo, rhs / c)
+                lo = max(lo, -(rhs // -c))
             elif rhs < 0:
                 return [range(0)] * len(projections)
-        if radius is not None:
-            lo = -radius if lo is None else max(-radius, lo)
-            hi = radius if hi is None else min(radius, hi)
-        elif lo is None or hi is None:
-            return None
-        ranges.append(range(math.ceil(lo), math.floor(hi) + 1))
+        ranges.append(range(lo, hi + 1))
     return ranges
 
 
@@ -447,12 +438,17 @@ def condition_star(chi: ShallowCharacter, radius: int = 4) -> StarVerdict:
     for every shallow alpha carrying a nontrivial parameter.  If the
     polytope those inequalities cut out is bounded, the whole orbit
     inside it is enumerated and the verdict is exact; otherwise only
-    translations up to the radius are swept.
+    translations up to the radius are swept.  The finite Weyl group is
+    walked in full, so types whose group is too large for it are refused.
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     ctx = chi.context
     rs = ctx.rs
+    order = _weyl_group_order(rs)
+    if order > _FINITE_WALK_LIMIT:
+        raise ValueError(f"condition (*) walks all of W({rs.cartan_type}), of order "
+                         f"{order:,}; the limit is {_FINITE_WALK_LIMIT:,}")
     supp = [r for r, c in zip(ctx.roots, chi.vector) if c]
     if not supp:
         raise ValueError("condition (*) is degenerate for the trivial character")
@@ -460,25 +456,28 @@ def condition_star(chi: ShallowCharacter, radius: int = 4) -> StarVerdict:
     rows_mu: InequalityRows = [
         (tuple(Fraction(c) for c in a.gradient), r - a.level) for a in supp
     ]
-    bounded = _polytope_bounded([a.gradient for a in supp], rs.rank)
+    # points are scaled by n, so lambda and its finite orbit are integral
+    n = math.lcm(*(x.denominator for x in ctx.point))
+    point = tuple(int(x * n) for x in ctx.point)
+    projections = _coroot_projections(rs, rows_mu, n)
+    # lambda satisfies every row, so the polytope is nonempty, and it is
+    # bounded exactly when each projection bounds k_j on both sides
+    bounded = all(
+        any(c > 0 for c, _, _ in rows) and any(c < 0 for c, _, _ in rows)
+        for rows in projections
+    )
     sweep = None if bounded else radius
-    projections = _coroot_projections(rs, rows_mu)
-
+    bounds = [(a.gradient, math.floor(n * (r - a.level))) for a in supp]
+    # k -> n * sum k_j a_j^vee, in the coordinates of points
+    shift = tuple(zip(*((n * x for x in row) for row in rs.cartan)))
     for w_fin in _finite_elements(rs):
-        ranges = _orbit_witness_ranges(ctx, w_fin, projections, sweep)
-        assert ranges is not None
-        for k in itertools.product(*ranges):
-            w = AffineWeylElement(
-                rs, w_fin.root_map, w_fin.root_map_inv, k, w_fin.word, k
-            )
-            mu = w.act_on_point(ctx.point)
-            if mu == ctx.point:
-                continue
-            if all(depth(a, mu) <= r for a in supp):
-                return StarVerdict("fails", w, bounded, None if bounded else radius)
-    if bounded:
-        return StarVerdict("holds", None, True, None)
-    return StarVerdict("inconclusive", None, False, radius)
+        nu = _apply(tuple(zip(*w_fin.root_map_inv)), point)
+        for k in itertools.product(*_orbit_witness_ranges(nu, projections, sweep)):
+            mu = tuple(x + y for x, y in zip(nu, _apply(shift, k)))
+            if mu != point and all(sum(x * y for x, y in zip(g, mu)) <= b for g, b in bounds):
+                w = AffineWeylElement(rs, w_fin.root_map, w_fin.root_map_inv, k, w_fin.word, k)
+                return StarVerdict("fails", w, bounded, sweep)
+    return StarVerdict("holds" if bounded else "inconclusive", None, bounded, sweep)
 
 
 class BarycenterReport(NamedTuple):

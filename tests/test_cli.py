@@ -192,6 +192,11 @@ def test_bad_usage(capsys):
     assert main(["intertwine", "--type", "C2", "--params", EXAMPLE, "--radius", "-3"]) == 64
     assert main(["check-star", "--type", "C2", "--params", EXAMPLE, "--radius", "-2"]) == 64
     assert main(["reproduce-sp4", "--radius", "-1"]) == 64
+    # condition (*) walks all of W, so E7 (126 shallow roots at the
+    # barycenter) is refused up front instead of after a long walk
+    capsys.readouterr()
+    assert main(["check-star", "--type", "E7", "--params", ",".join(["1"] * 126)]) == 64
+    assert "2,903,040" in capsys.readouterr().err
     # exact sweeps over more than 2**20 cosets or pairs (C2 at q=7: 7**8 cosets)
     for q, mode in (("7", "generators"), ("3", "pairs")):
         argv = ["verify-hom", "--type", "C2", "--q", q, "--params", ones, "--mode", mode]
@@ -228,6 +233,14 @@ PINNED_OUTPUTS = [
      "d3207d8752e372d1ddefeaa93b36efda237489544c1ce518097c90a18f5b3102"),
     (["check-star", "--type", "B3", "--params", "1,0,0,0,0,0,0,0,0,0,0,1,1,0,0,1,1,0"], 1,
      "7c926fb0b3a90e2d2776e8d8bc64f02ad1544778766c391f8222cc081c0d569e"),
+    # a bounded C3 witness at a facet, and an unbounded B3 sweep with no
+    # witness within its radius
+    (["check-star", "--type", "C3", "--facet", "0,2",
+      "--params", "0,0,1,1,0,1,0,1,1,0,1,1,0,0"], 1,
+     "6f5458e1a2ad0a28afaee6d68f6920a7ccf7f1bd167634a1faf99c127c54d34c"),
+    (["check-star", "--type", "B3", "--q", "2", "--facet", "1,3",
+      "--params", "1,1,1,0,1,0,1,1,1,0,1,0", "--radius", "2"], 2,
+     "1328cfc45408863906a20e2a52ed560e3a2017c59f9450b2fa55e42e2de5f987"),
     (["intertwine", "--type", "G2", "--params", "1,1,0,0,0,0,0,0,0,0,0,0"], 1,
      "8991d82b30403977fe3e567392f24b7e70313a8bbf21a5bff5dec7baab5e5535"),
     (["verify-hom", "--type", "C2", "--params", EXAMPLE, "--mode", "generators"], 0,

@@ -9,6 +9,7 @@ from shallow_chars.affine_roots import (
     AffineRoot,
     barycenter,
     depth,
+    facet_point,
     negate_affine,
     simple_affine_roots,
 )
@@ -21,6 +22,7 @@ from shallow_chars.weyl import (
     _finite_elements,
     _on_coroots,
     _orbit_witness_ranges,
+    _weyl_group_order,
     barycenter_criterion,
     condition_star,
     intertwining_reduction,
@@ -29,6 +31,7 @@ from shallow_chars.weyl import (
     support,
 )
 
+from boundedness_oracle import polytope_bounded
 from conftest import SP4_PARAMS
 
 
@@ -201,38 +204,76 @@ def test_condition_star_broad_support_finishes():
     assert condition_star(_chi(ctx, (1,) * ctx.n_roots)).status == "holds"
 
 
-STAR_ORACLE_BOX = range(-3, 4)
+# Types whose finite Weyl group a test walks in full, each with |W| <= 1,152.
+WALKED_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4")
 
 
-def _star_by_orbit_sweep(chi):
+def test_weyl_group_order_matches_walk():
+    for cartan_type in WALKED_TYPES:
+        rs = build_root_system(cartan_type)
+        assert _weyl_group_order(rs) == len(_finite_elements(rs)), cartan_type
+
+
+@pytest.mark.parametrize("cartan_type", WALKED_TYPES)
+def test_condition_star_boundedness_matches_recession_cone(cartan_type):
+    # boundedness read off the projections agrees with the recession-cone
+    # test, at the barycenter and at random facets; rank 4 gets fewer
+    # points and characters, as each bounded search walks all of W
+    rs = build_root_system(cartan_type)
+    small = rs.rank < 4
+    rng = random.Random(f"bounded/{cartan_type}")
+    points = [barycenter(rs)]
+    while len(points) < (4 if small else 2):
+        facet = rng.sample(range(rs.rank + 1), rng.randrange(1, rs.rank + 1))
+        points.append(facet_point(rs, facet))
+    seen = set()
+    for point in points:
+        ctx = Context(rs, point, q=2)
+        if not ctx.roots:
+            continue
+        for density in (0.15, 0.8, 0.3, 0.5) * (2 if small else 1):
+            vec = [int(rng.random() < density) for _ in ctx.roots]
+            vec[rng.randrange(ctx.n_roots)] = 1
+            supp = [a.gradient for a, c in zip(ctx.roots, vec) if c]
+            bounded = polytope_bounded(supp, rs.rank)
+            assert condition_star(_chi(ctx, vec), radius=0).bounded == bounded
+            seen.add(bounded)
+    assert seen == {True, False}
+
+
+def _star_by_orbit_sweep(chi, radius):
     """First (word, k) with w(lambda) + k a witness, sweeping a fixed box.
 
-    Every finite Weyl element is tried with every k in the box, without
-    Fourier-Motzkin and in integers: points are scaled by a common
-    denominator n.  Each witness found is checked to lie inside the
-    k-ranges condition (*) searches, and those ranges inside the box, so
-    the sweep misses nothing the search could find.
+    Every finite Weyl element is tried with every k in [-radius, radius]^l,
+    without Fourier-Motzkin and in integers: points are scaled by a
+    common denominator n.  Each witness found is checked to lie inside
+    the k-ranges condition (*) searches, exact ones for a bounded
+    polytope and those of the sweep at this radius otherwise, and those
+    ranges inside the box, so the sweep misses nothing the search could
+    find.
     """
     ctx = chi.context
     rs = ctx.rs
+    box = range(-radius, radius + 1)
     supp = [a for a, c in zip(ctx.roots, chi.vector) if c]
     r = char_depth(chi)
     n = math.lcm(r.denominator, *(x.denominator for x in ctx.point))
     # a(mu) <= r, times n
     bounds = [(a.gradient, int((r - a.level) * n)) for a in supp]
     rows = [(tuple(Fraction(c) for c in a.gradient), r - a.level) for a in supp]
-    projections = _coroot_projections(rs, rows)
+    projections = _coroot_projections(rs, rows, n)
+    sweep = None if polytope_bounded([a.gradient for a in supp], rs.rank) else radius
     # n * sum k_j a_j^vee in the point's coordinates: a_j^vee is cartan[j]
     shifts = [
         (k, [n * sum(kj * rs.cartan[j][i] for j, kj in enumerate(k)) for i in range(rs.rank)])
-        for k in itertools.product(STAR_ORACLE_BOX, repeat=rs.rank)
+        for k in itertools.product(box, repeat=rs.rank)
     ]
     point = [int(x * n) for x in ctx.point]
     first = None
     for w_fin in _finite_elements(rs):
-        ranges = _orbit_witness_ranges(ctx, w_fin, projections, None)
-        assert all(set(rg) <= set(STAR_ORACLE_BOX) for rg in ranges)
         nu = [int(x * n) for x in w_fin.act_on_point(ctx.point)]
+        ranges = _orbit_witness_ranges(nu, projections, sweep)
+        assert all(set(rg) <= set(box) for rg in ranges)
         for k, shift in shifts:
             mu = [x + y for x, y in zip(nu, shift)]
             if mu == point or any(
@@ -244,26 +285,50 @@ def _star_by_orbit_sweep(chi):
     return first
 
 
-@pytest.mark.parametrize("cartan_type", ["A2", "C2", "G2", "A3", "B3", "C3"])
-def test_condition_star_matches_orbit_sweep(cartan_type):
+ORBIT_SWEEP_CASES = [(t, None, 3) for t in ("A2", "C2", "G2", "A3", "B3", "C3")] + [
+    ("C2", (1,), 3),
+    ("G2", (1, 2), 5),  # bounded polytopes at this facet reach k_j = +-5
+    ("A3", (0, 2), 3),
+    ("B3", (0, 1), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "cartan_type, facet, radius",
+    ORBIT_SWEEP_CASES,
+    ids=[t + (f"-facet{''.join(map(str, f))}" if f else "") for t, f, _ in ORBIT_SWEEP_CASES],
+)
+def test_condition_star_matches_orbit_sweep(cartan_type, facet, radius):
+    # bounded characters are searched exactly; unbounded ones are swept
+    # at the oracle's radius, and both must give its first witness
     rs = build_root_system(cartan_type)
-    ctx = Context(rs, barycenter(rs), q=2)
-    simple = [int(a in simple_affine_roots(rs)) for a in ctx.roots]
-    rng = random.Random(cartan_type)
-    chars = [simple]
-    while len(chars) < 4:
+    ctx = Context(rs, facet_point(rs, facet) if facet else barycenter(rs), q=2)
+    rng = random.Random(cartan_type if facet is None else f"{cartan_type}/{facet}")
+    # four bounded characters and two unbounded ones, keyed by boundedness
+    wanted = {True: 4, False: 2}
+    chars = {True: [], False: []}
+    if facet is None:
+        chars[True].append([int(a in simple_affine_roots(rs)) for a in ctx.roots])
+    while any(len(chars[b]) < wanted[b] for b in chars):
         vec = [int(rng.random() < 0.4) for _ in ctx.roots]
-        if any(vec) and condition_star(_chi(ctx, vec)).bounded:
-            chars.append(vec)
-    for vec in chars:
-        chi = _chi(ctx, vec)
-        star = condition_star(chi)
-        assert star.bounded
-        first = _star_by_orbit_sweep(chi)
-        assert (star.status == "fails") == (first is not None)
-        if first is not None:
-            assert (star.witness.word, star.witness.word_translation) == first
-    assert condition_star(_chi(ctx, simple)).status == "holds"
+        if not any(vec):
+            continue
+        bounded = polytope_bounded([a.gradient for a, c in zip(ctx.roots, vec) if c], rs.rank)
+        if len(chars[bounded]) < wanted[bounded]:
+            chars[bounded].append(vec)
+    for bounded, vecs in chars.items():
+        for vec in vecs:
+            chi = _chi(ctx, vec)
+            star = condition_star(chi, radius=radius)
+            assert star.bounded == bounded
+            first = _star_by_orbit_sweep(chi, radius)
+            if first is None:
+                assert star.status == ("holds" if bounded else "inconclusive")
+            else:
+                assert star.status == "fails"
+                assert (star.witness.word, star.witness.word_translation) == first
+    if facet is None:
+        assert condition_star(_chi(ctx, chars[True][0])).status == "holds"
 
 
 def test_barycenter_criterion_all_cases(c2_ctx, sp4_example):
