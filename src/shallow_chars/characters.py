@@ -15,13 +15,15 @@ equation per reduced monomial, hence m rows over F_p each.  The F_p
 variables are ordered by the depth of their root, so one RREF of those
 rows gives the whole depth filtration: each free column carries one
 basis vector that vanishes past it, and dim V_r counts the free columns
-of depth at most r.  A brute oracle that filters all q^N parameter
-vectors through the validator cross-checks the solver on small contexts.
+of depth at most r.  An exhaustive oracle, independent of the rows,
+cross-checks the solver on small contexts: a depth-first search over
+parameter vectors that cuts a prefix as soon as a pair relation whose
+targets it already fixes fails.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -34,20 +36,31 @@ class ShallowCharacter:
     def __init__(self, context: Context, params: Dict[AffineRoot, int]):
         if set(params) != set(context.roots):
             raise ValueError("params must be defined on exactly the shallow roots")
-        self.context = context
-        self.vector: Tuple[int, ...] = tuple(params[r] for r in context.roots)
-        for v in self.vector:
+        self._bind(context, tuple(params[r] for r in context.roots))
+
+    def _bind(self, context: Context, vector: Tuple[int, ...]) -> None:
+        for v in vector:
             if not 0 <= v < context.q:
                 raise ValueError(f"parameter {v} outside F_{context.q}")
-        f = context.field
-        # per-root lookup chi(u_alpha(x)), filled once
-        self.table: Tuple[Tuple[int, ...], ...] = tuple(
+        self.context = context
+        self.vector = vector
+
+    @functools.cached_property
+    def table(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per-root lookup chi(u_alpha(x)), filled on first use."""
+        f = self.context.field
+        return tuple(
             tuple(f.trace(f.mul(c, x)) for x in f.elements()) for c in self.vector
         )
 
     @classmethod
     def from_vector(cls, context: Context, vector: Sequence[int]) -> "ShallowCharacter":
-        return cls(context, dict(zip(context.roots, vector)))
+        """The character with these parameters, in enumeration order."""
+        if len(vector) != context.n_roots:
+            raise ValueError("params must be defined on exactly the shallow roots")
+        chi = cls.__new__(cls)
+        chi._bind(context, tuple(vector))
+        return chi
 
     @property
     def params(self) -> Dict[AffineRoot, int]:
@@ -202,17 +215,22 @@ class CharacterSpace(NamedTuple):
         return self.filtration[0][1] if self.filtration else 0
 
     def elements(self) -> Iterator[ShallowCharacter]:
-        """All F_p-combinations of the basis."""
+        """All F_p-combinations of the basis, coefficients in lexicographic order."""
         ctx = self.context
         f = ctx.field
-        for coeffs in itertools.product(range(f.p), repeat=len(self.basis)):
-            vec = [0] * ctx.n_roots
-            for coeff, chi in zip(coeffs, self.basis):
-                if coeff:
-                    scale = f.from_int(coeff)
-                    for t, c in enumerate(chi.vector):
-                        vec[t] = f.add(vec[t], f.mul(scale, c))
-            yield ShallowCharacter.from_vector(ctx, vec)
+        multiples = [
+            [tuple(f.mul(f.from_int(c), v) for v in chi.vector) for c in range(f.p)]
+            for chi in self.basis
+        ]
+
+        def combine(k: int, vec: Tuple[int, ...]) -> Iterator[ShallowCharacter]:
+            if k == len(multiples):
+                yield ShallowCharacter.from_vector(ctx, vec)
+                return
+            for step in multiples[k]:
+                yield from combine(k + 1, tuple(map(f.add, vec, step)))
+
+        yield from combine(0, (0,) * ctx.n_roots)
 
     def to_json(self) -> Dict:
         return {
@@ -278,11 +296,39 @@ def _vector_from_coords(ctx: Context, coords: Sequence[int]) -> Tuple[int, ...]:
 
 
 def enumerate_valid(ctx: Context) -> Iterator[ShallowCharacter]:
-    """Brute-force oracle: filter every parameter vector through validate."""
-    for vec in itertools.product(range(ctx.q), repeat=ctx.n_roots):
-        chi = ShallowCharacter.from_vector(ctx, vec)
-        if validate(chi).ok:
-            yield chi
+    """Exhaustive oracle: every valid parameter vector, in lexicographic order.
+
+    A pair relation reads chi only at its commutator targets, and every
+    target lies after both generators, so each relation is filed under
+    its last target.  Positions are assigned in order, values ascending,
+    and once position k is set the relations filed under k have their
+    verdict fixed: a failure there fails every extension of the prefix,
+    so the branch is cut.  A vector reaching full length passes every
+    relation, and the search yields exactly the vectors that validate
+    accepts, without reading the relation rows.
+    """
+    n, f = ctx.n_roots, ctx.field
+    checks: List[List[Tuple[Tuple[int, int, int, int], ...]]] = [[] for _ in range(n)]
+    for p1 in range(n):
+        for p2 in range(p1 + 1, n):
+            terms = ctx.expansion_terms(p1, p2)
+            if terms:
+                checks[max(pos for pos, _, _, _ in terms)].append(terms)
+    vec = [0] * n
+
+    def extend(k: int) -> Iterator[ShallowCharacter]:
+        if k == n:
+            yield ShallowCharacter.from_vector(ctx, vec)
+            return
+        for v in range(f.q):
+            vec[k] = v
+            if all(
+                char_product_trivial(f, [(vec[pos], (i, j), c) for pos, i, j, c in terms])
+                for terms in checks[k]
+            ):
+                yield from extend(k + 1)
+
+    yield from extend(0)
 
 
 def solve_space(ctx: Context, cross_check: Optional[bool] = None) -> CharacterSpace:
@@ -293,9 +339,10 @@ def solve_space(ctx: Context, cross_check: Optional[bool] = None) -> CharacterSp
     vector of free column c vanishes past c, and the vectors whose free
     columns have depth at most r span V_r.  Hence dim V_r is the number
     of free columns of depth at most r, and the first dim V_r basis
-    vectors span V_r.  cross_check=None enumerates all q^N vectors when
-    that is at most 2**12; True forces the oracle (error above 2**20);
-    False skips it.
+    vectors span V_r.  cross_check=None runs the exhaustive oracle
+    (enumerate_valid) when q^N is at most 2**12; True forces it (error
+    above 2**20); False skips it.  The thresholds count the vectors the
+    oracle is exhaustive over, not the fewer prefixes its search visits.
     """
     f = ctx.field
     m = f.m

@@ -233,15 +233,46 @@ def act_on_point(w: AffineWeylElement, mu) -> Point:
 # ----------------------------------------------------------------------
 # enumeration: one breadth-first walk over words in chosen letters
 
-_FINITE_WALK_LIMIT = 100_000  # the most elements a walk without a radius may visit
+_FINITE_WALK_LIMIT = 100_000  # the most elements a walk may visit
+
+
+_EXCEPTIONAL_DEGREES = {
+    "E6": (2, 5, 6, 8, 9, 12), "E7": (2, 6, 8, 10, 12, 14, 18),
+    "E8": (2, 8, 12, 14, 18, 20, 24, 30), "F4": (2, 6, 8, 12), "G2": (2, 6),
+}
+
+
+def _degrees(rs: RootSystem) -> Tuple[int, ...]:
+    """Degrees d_i of the basic invariants of the finite Weyl group."""
+    l = rs.rank
+    if rs.letter == "A":
+        return tuple(range(2, l + 2))
+    if rs.letter in "BC":
+        return tuple(range(2, 2 * l + 1, 2))
+    if rs.letter == "D":
+        return tuple(range(2, 2 * l - 1, 2)) + (l,)
+    return _EXCEPTIONAL_DEGREES[rs.cartan_type]
 
 
 def _weyl_group_order(rs: RootSystem) -> int:
-    """|W| of the finite Weyl group, from the classification."""
-    l, f = rs.rank, math.factorial(rs.rank)
-    orders = {"A": (l + 1) * f, "B": 2**l * f, "C": 2**l * f, "D": 2 ** (l - 1) * f,
-              "E6": 51_840, "E7": 2_903_040, "E8": 696_729_600, "F4": 1_152, "G2": 12}
-    return orders[rs.letter if rs.letter in "ABCD" else rs.cartan_type]
+    """|W| of the finite Weyl group: the product of its degrees."""
+    return math.prod(_degrees(rs))
+
+
+def _ball_size(rs: RootSystem, radius: int) -> int:
+    """Affine Weyl elements of word length at most radius, counted.
+
+    Bott's formula gives the length generating function of the affine
+    Weyl group as prod (1 - t^d) / ((1 - t)(1 - t^(d - 1))) over the
+    degrees d; the ball is the sum of its first radius + 1 coefficients.
+    """
+    series = [1] + [0] * radius
+    for d in _degrees(rs):
+        # times 1 + t + ... + t^(d-1), then divided by 1 - t^(d-1)
+        series = [sum(series[max(0, k - d + 1) : k + 1]) for k in range(radius + 1)]
+        for k in range(d - 1, radius + 1):
+            series[k] += series[k - d + 1]
+    return sum(series)
 
 
 def _bfs(
@@ -270,7 +301,7 @@ def _bfs(
         out.extend(nxt)
         frontier = nxt
         length += 1
-        if radius is None and len(out) > _FINITE_WALK_LIMIT:
+        if len(out) > _FINITE_WALK_LIMIT:
             raise ValueError(f"Weyl group enumeration over {_FINITE_WALK_LIMIT:,} elements")
     return out
 
@@ -281,7 +312,15 @@ def _finite_elements(rs: RootSystem) -> List[AffineWeylElement]:
 
 
 def _ball(rs: RootSystem, radius: int) -> List[AffineWeylElement]:
-    """Affine Weyl elements of word length at most radius."""
+    """Affine Weyl elements of word length at most radius.
+
+    The whole ball is built before any use, so one over the walk limit
+    is refused up front with its size.
+    """
+    size = _ball_size(rs, radius)
+    if size > _FINITE_WALK_LIMIT:
+        raise ValueError(f"the {rs.cartan_type} affine Weyl ball of radius {radius} has "
+                         f"{size:,} elements; the limit is {_FINITE_WALK_LIMIT:,}")
     return _bfs(rs, range(rs.rank + 1), radius)
 
 

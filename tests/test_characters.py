@@ -18,6 +18,7 @@ from shallow_chars.chevalley import Pinning
 from shallow_chars.context import Context
 from shallow_chars.root_system import build_root_system
 
+from brute_oracle import brute_valid
 from conftest import SP4_PARAMS
 
 
@@ -145,6 +146,30 @@ def test_big_type_solve(cartan_type, first_step):
     space = solve_space(ctx, cross_check=False)
     assert space.filtration[0] == (Fraction(1, h), first_step)
     assert all(validate(chi).ok for chi in space.basis)
+
+
+# Barycenters, then facets: (type, facet or None, q).  B3 {0,1} at q=2
+# has every one of its 1,024 vectors valid.
+ORACLE_CONTEXTS = [
+    ("A2", None, 2), ("A2", None, 3), ("A2", None, 4), ("C2", None, 2),
+    ("C2", None, 3), ("G2", None, 2), ("A3", None, 2),
+    ("B3", {0, 1}, 2), ("C2", {1}, 3), ("G2", {1, 2}, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "cartan_type, facet, q",
+    ORACLE_CONTEXTS,
+    ids=[f"{t}-{','.join(map(str, sorted(J))) if J else 'bary'}-q{q}"
+         for t, J, q in ORACLE_CONTEXTS],
+)
+def test_enumerate_valid_matches_brute_filter(cartan_type, facet, q):
+    rs = build_root_system(cartan_type)
+    point = barycenter(rs) if facet is None else facet_point(rs, facet)
+    ctx = Context(rs, point, q=q)
+    found = list(enumerate_valid(ctx))
+    assert [chi.vector for chi in found] == [chi.vector for chi in brute_valid(ctx)]
+    assert all("table" not in vars(chi) for chi in found)  # built only on use
 
 
 def test_cross_check_flag(c2_ctx):

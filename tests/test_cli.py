@@ -69,6 +69,17 @@ def test_solve(capsys):
     assert "cross-checked against brute enumeration: True" in out
 
 
+def test_cross_check_thresholds(capsys):
+    # the oracle runs by default up to 2**12 vectors and on request up to
+    # 2**20, counted as q**N whatever the search visits
+    rc, data = _run_json(capsys, ["solve", "--type", "C2", "--q", "5", "--cross-check"])
+    assert rc == 0 and data["cross_checked"] is True
+    rc, data = _run_json(capsys, ["solve", "--type", "C2", "--q", "4"])  # 4**8 = 65,536
+    assert rc == 0 and data["cross_checked"] is False
+    assert main(["solve", "--type", "G2", "--q", "4", "--cross-check"]) == 64  # 4**12
+    capsys.readouterr()
+
+
 def test_verify_hom(capsys):
     rc, out = _run(
         capsys,
@@ -197,6 +208,10 @@ def test_bad_usage(capsys):
     capsys.readouterr()
     assert main(["check-star", "--type", "E7", "--params", ",".join(["1"] * 126)]) == 64
     assert "2,903,040" in capsys.readouterr().err
+    # the intertwining ball is built before any check, so one over the
+    # walk limit (C2 at radius 300: 120,401 elements) is refused up front
+    assert main(["intertwine", "--type", "C2", "--params", EXAMPLE, "--radius", "300"]) == 64
+    assert "120,401" in capsys.readouterr().err
     # exact sweeps over more than 2**20 cosets or pairs (C2 at q=7: 7**8 cosets)
     for q, mode in (("7", "generators"), ("3", "pairs")):
         argv = ["verify-hom", "--type", "C2", "--q", q, "--params", ones, "--mode", mode]
@@ -215,6 +230,9 @@ PINNED_OUTPUTS = [
      "dce42885b12bcdc268d69568a9b0a26541a9cfbee6c8c7f17a6dcc6f92d00caf"),
     (["solve", "--type", "A2", "--q", "4"], 0,
      "44a4fee2fe12e7c949a8d792dbaab41ddac3c0acfd4162890c5c580268d9693e"),
+    # the forced exhaustive oracle on 5**8 = 390,625 vectors
+    (["solve", "--type", "C2", "--q", "5", "--cross-check"], 0,
+     "5f34a25e2b98ea751fafd5be64400c1efce0b5d42c635b917db8eed4bbf642ca"),
     (["solve", "--type", "G2", "--q", "2", "--facet", "1,2"], 0,
      "b6c225a71701cfb8a6e2eb9e4390a92900fe9885d767e3dd2367a8baa39c0398"),
     (["solve", "--type", "A3", "--q", "2", "--facet", "0,2"], 0,

@@ -1,4 +1,5 @@
-"""Seeded property tests: the relation rows against the group model.
+"""Seeded property tests: the relation rows against the group model, and
+the linear solver against the exhaustive oracle.
 
 hypothesis is a test-only dependency; `derandomize` makes every run draw
 the same examples.
@@ -20,6 +21,8 @@ from shallow_chars.root_system import build_root_system
 SMALL_TYPES = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2")
 FIELDS = (2, 3, 4, 5, 8, 9)
 MAX_COSETS = 2**14
+MAX_VECTORS = 2**20  # the most q^N vectors solve_space will cross-check
+MAX_VALID = 2**14  # each side of the cross-check lists every valid vector
 
 
 @st.composite
@@ -50,3 +53,24 @@ def characters(draw):
 @given(characters())
 def test_validate_matches_generator_sweep(chi):
     assert validate(chi).ok == verify_homomorphism(chi, mode="generators").ok
+
+
+@st.composite
+def contexts(draw):
+    """A random facet and any field whose q^N vectors the oracle accepts,
+    with at most MAX_VALID valid characters."""
+    rs = build_root_system(draw(st.sampled_from(SMALL_TYPES)))
+    facet = draw(st.sets(st.integers(0, rs.rank), min_size=1))
+    point = facet_point(rs, facet)
+    n = len(shallow_roots(rs, point))
+    q = draw(st.sampled_from([q for q in FIELDS if q**n <= MAX_VECTORS]))
+    ctx = Context(rs, point, q=q)
+    assume(ctx.field.p ** solve_space(ctx, cross_check=False).dimension <= MAX_VALID)
+    return ctx
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(contexts())
+def test_solver_matches_oracle(ctx):
+    assert solve_space(ctx, cross_check=True).cross_checked

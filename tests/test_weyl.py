@@ -17,7 +17,10 @@ from shallow_chars.characters import ShallowCharacter, char_depth
 from shallow_chars.context import Context
 from shallow_chars.root_system import build_root_system
 from shallow_chars.weyl import (
+    _FINITE_WALK_LIMIT,
     AffineWeylElement,
+    _ball,
+    _ball_size,
     _coroot_projections,
     _finite_elements,
     _on_coroots,
@@ -212,6 +215,21 @@ def test_weyl_group_order_matches_walk():
     for cartan_type in WALKED_TYPES:
         rs = build_root_system(cartan_type)
         assert _weyl_group_order(rs) == len(_finite_elements(rs)), cartan_type
+
+
+def test_ball_size_matches_walk():
+    for cartan_type in ("A2", "C2", "G2", "A3", "C3", "D4"):
+        rs = build_root_system(cartan_type)
+        for radius in range(7):
+            assert _ball_size(rs, radius) == len(_ball(rs, radius)), (cartan_type, radius)
+    # the values the intertwining benchmark checks against
+    for cartan_type, radius, size in (("C2", 8, 97), ("C2", 16, 364), ("C3", 6, 161),
+                                      ("A3", 6, 195)):
+        assert _ball_size(build_root_system(cartan_type), radius) == size
+    e8 = build_root_system("E8")
+    assert _ball_size(e8, 12) == 202_683 > _FINITE_WALK_LIMIT
+    with pytest.raises(ValueError, match="202,683"):
+        _ball(e8, 12)
 
 
 @pytest.mark.parametrize("cartan_type", WALKED_TYPES)
