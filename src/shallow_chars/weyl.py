@@ -9,13 +9,14 @@ level-one hyperplane of the highest root, letters 1..l are the finite
 simple reflections.
 
 The condition-star search is exact whenever its witness polytope is
-bounded.  Fourier-Motzkin elimination over rationals projects it onto
-each coroot coordinate once per character, with the finite orbit point
-kept symbolic, and boundedness is read off those projections.  Scaled
-once to integers, they bound the translations tried at each orbit point,
-and in the bounded case every orbit point inside the polytope is tried.
-Otherwise the search is a bounded translation sweep and a negative
-outcome is reported as inconclusive, never extrapolated.
+bounded.  Fourier-Motzkin elimination in integers projects it onto each
+coroot coordinate once per character, with the finite orbit point kept
+symbolic, and boundedness is read off those projections.  They bound
+the translations tried at each orbit point, and in the bounded case
+every orbit point inside the polytope is tried.  Otherwise the search is
+a bounded translation sweep and a negative outcome is reported as
+inconclusive, never extrapolated.  The finite Weyl group is walked
+lazily in ShortLex order, and the search stops at its first witness.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from operator import mul
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .affine_roots import (
     AffineRoot,
@@ -77,6 +79,33 @@ def _on_coroots(rs: RootSystem, m: Matrix, k: Sequence[int]) -> Tuple[int, ...]:
     )
 
 
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
+
+
+def _scaled(point: Point) -> Tuple[int, Tuple[int, ...]]:
+    """(n, n * point) for the least n that makes the point integral."""
+    n = math.lcm(*(x.denominator for x in point))
+    return n, tuple(int(x * n) for x in point)
+
+
+def _translation_pairing(rs: RootSystem, k: Sequence[int]) -> Tuple[int, ...]:
+    """The values of the simple roots on sum k_j a_j^vee.
+
+    A translation by it moves a point by this vector and lowers the
+    level of an affine root with gradient a by its pairing with a.
+    """
+    return tuple(_dot(k, column) for column in zip(*rs.cartan))
+
+
+def _move_point(w: "AffineWeylElement", n: int, point: Sequence[int]) -> Tuple[int, ...]:
+    """n * w(point / n) for a point scaled to integers by n."""
+    pairing = _translation_pairing(w.rs, w.translation)
+    return tuple(
+        _dot(column, point) + n * t for column, t in zip(zip(*w.root_map_inv), pairing)
+    )
+
+
 def _unit(l: int, j: int) -> Tuple[int, ...]:
     return tuple(int(p == j) for p in range(l))
 
@@ -85,7 +114,7 @@ def _letter_root(rs: RootSystem, letter: int) -> Root:
     """The root whose reflection is the linear part of a letter."""
     if letter == 0:
         return negate(rs.highest_root)
-    return _unit(rs.rank, letter - 1)
+    return rs.simple_roots[letter - 1]
 
 
 class AffineWeylElement:
@@ -180,22 +209,12 @@ class AffineWeylElement:
     def act_on_root(self, alpha: AffineRoot) -> AffineRoot:
         a = _apply(self.root_map, alpha.gradient)
         assert self.rs.is_root(a)
-        shift = sum(
-            k * sum(a[p] * self.rs.cartan[j][p] for p in range(self.rs.rank))
-            for j, k in enumerate(self.translation)
-        )
+        shift = _dot(a, _translation_pairing(self.rs, self.translation))
         return AffineRoot(a, alpha.level - shift)
 
     def act_on_point(self, mu: Point) -> Point:
-        l = self.rs.rank
-        out = []
-        for i in range(l):
-            v = sum(self.root_map_inv[p][i] * mu[p] for p in range(l))
-            v += sum(
-                k * self.rs.cartan[j][i] for j, k in enumerate(self.translation)
-            )
-            out.append(Fraction(v))
-        return tuple(out)
+        n, scaled = _scaled(tuple(Fraction(x) for x in mu))
+        return tuple(Fraction(x, n) for x in _move_point(self, n, scaled))
 
     def sign(self, pinning, alpha: AffineRoot) -> int:
         """Sign of the conjugation u_alpha(x) -> u_{w alpha}(eta x).
@@ -204,12 +223,13 @@ class AffineWeylElement:
         time; the translation part acts by +1.  The value depends on the
         chosen word and lift convention, not just on the group element.
         """
+        rs = self.rs
         gradient = alpha.gradient
         eta = 1
         for letter in reversed(self.word):
-            r = _letter_root(self.rs, letter)
+            r = _letter_root(rs, letter)
             eta *= pinning.reflection_sign(r, gradient)
-            gradient = self.rs.reflect(gradient, r)
+            gradient = rs.simple_reflect(letter - 1, gradient) if letter else rs.reflect(gradient, r)
         return eta
 
     def to_json(self) -> Dict:
@@ -311,6 +331,43 @@ def _finite_elements(rs: RootSystem) -> List[AffineWeylElement]:
     return _bfs(rs, range(1, rs.rank + 1))
 
 
+def _shortlex_walk(rs: RootSystem) -> Iterator[Tuple[Tuple[int, ...], Matrix]]:
+    """The finite Weyl group as (word, root_map_inv), lazily.
+
+    An element w is keyed by v = w^-1(2 rho) in root coordinates.  The
+    child w s_j is longer exactly when <v, a_j^vee> > 0; its key is then
+    s_j(v), which differs from v in coordinate j only, and only row j of
+    its inverse root map changes.  A longer child never meets an earlier
+    level, so only the next level keeps a seen-set.  Levels are built in
+    parent order, then j ascending: the order and words of
+    `_finite_elements`, which are ShortLex (length, then the least
+    reduced word).
+    """
+    l = rs.rank
+    two_rho = tuple(map(sum, zip(*rs.positive_roots)))
+    # row j of s_j w^-1 mixes the rows i of w^-1 with e_i = [i == j] - cartan[j][i]
+    mixes = []
+    for j, row in enumerate(rs.cartan):
+        mix = [(i, int(i == j) - c) for i, c in enumerate(row) if int(i == j) != c]
+        mixes.append((j, row, tuple(i for i, _ in mix), tuple(e for _, e in mix)))
+    level = [((), _identity(l), two_rho)]
+    while level:
+        nxt, seen = [], set()
+        for word, minv, v in level:
+            yield word, minv
+            for j, row, rows, coeffs in mixes:
+                pair = _dot(v, row)
+                if pair <= 0:
+                    continue
+                key = v[:j] + (v[j] - pair,) + v[j + 1 :]
+                if key in seen:
+                    continue
+                seen.add(key)
+                moved = tuple(_dot(coeffs, col) for col in zip(*(minv[i] for i in rows)))
+                nxt.append((word + (j + 1,), minv[:j] + (moved,) + minv[j + 1 :], key))
+        level = nxt
+
+
 def _ball(rs: RootSystem, radius: int) -> List[AffineWeylElement]:
     """Affine Weyl elements of word length at most radius.
 
@@ -358,40 +415,47 @@ def support(ctx: Context, mu, s) -> FrozenSet[AffineRoot]:
     return frozenset(r for r in ctx.roots if depth(r, mu) >= s)
 
 
-InequalityRows = List[Tuple[Tuple[Fraction, ...], Fraction]]
+# coefficients . x <= rhs, in integers
+IntegerRow = Tuple[Tuple[int, ...], int]
 
 
-def _fm_eliminate(rows: InequalityRows, var: int) -> InequalityRows:
+def _reduced(coeffs: Tuple[int, ...], rhs: int) -> IntegerRow:
+    """The row divided by the gcd of all its entries."""
+    g = math.gcd(*coeffs, rhs)
+    if g > 1:
+        return tuple(c // g for c in coeffs), rhs // g
+    return coeffs, rhs
+
+
+def _fm_eliminate(rows: List[IntegerRow], var: int) -> List[IntegerRow]:
     """Project out one variable, keeping the tightest row per direction.
 
-    Each row is scaled so that its first nonzero coefficient is +-1, and
-    of rows with equal scaled coefficients only the least right-hand
-    side is kept.  The others are implied, so the projection is
-    unchanged, but the row count no longer compounds.
+    A pair of rows with opposite signs at var is combined with the least
+    integer multipliers that cancel it.  Of rows whose coefficients are
+    positive multiples of one primitive direction d, say g * d . x <= b,
+    only the least b / g is kept.  The others are implied, so the
+    projection is unchanged, but the row count no longer compounds.
     """
     zero, pos, neg = [], [], []
-    for coeffs, rhs in rows:
-        c = coeffs[var]
-        if c == 0:
-            zero.append((coeffs, rhs))
-        elif c > 0:
-            pos.append((coeffs, rhs))
-        else:
-            neg.append((coeffs, rhs))
-    out = list(zero)
+    for row in rows:
+        c = row[0][var]
+        (zero if c == 0 else pos if c > 0 else neg).append(row)
+    out = zero
     for cp, bp in pos:
+        a = cp[var]
         for cn, bn in neg:
-            a, c = cp[var], cn[var]
-            coeffs = tuple(-c * x + a * y for x, y in zip(cp, cn))
-            out.append((coeffs, -c * bp + a * bn))
-    tightest: Dict[Tuple[Fraction, ...], Fraction] = {}
+            c = -cn[var]
+            g = math.gcd(a, c)
+            x, y = c // g, a // g
+            out.append(_reduced(tuple(x * u + y * v for u, v in zip(cp, cn)), x * bp + y * bn))
+    tightest: Dict[Tuple[int, ...], Tuple[int, int, Tuple[int, ...]]] = {}
     for coeffs, rhs in out:
-        lead = next((abs(c) for c in coeffs if c), 1)
-        coeffs = tuple(c / lead for c in coeffs)
-        rhs = rhs / lead
-        if coeffs not in tightest or rhs < tightest[coeffs]:
-            tightest[coeffs] = rhs
-    return list(tightest.items())
+        g = math.gcd(*coeffs) or 1
+        direction = tuple(c // g for c in coeffs)
+        best = tightest.get(direction)
+        if best is None or rhs * best[1] < best[0] * g:
+            tightest[direction] = (rhs, g, coeffs)
+    return [(coeffs, rhs) for rhs, _, coeffs in tightest.values()]
 
 
 class StarVerdict(NamedTuple):
@@ -413,38 +477,43 @@ class StarVerdict(NamedTuple):
 ProjectedRow = Tuple[int, Tuple[int, ...], int]
 
 
-def _integral(c: Fraction, b: Sequence[Fraction], rhs: Fraction) -> ProjectedRow:
-    """The row c * k + b . nu <= rhs with its denominators cleared."""
-    scale = math.lcm(c.denominator, rhs.denominator, *(x.denominator for x in b))
-    return int(c * scale), tuple(int(x * scale) for x in b), int(rhs * scale)
-
-
 def _coroot_projections(
-    rs: RootSystem, rows_mu: InequalityRows, n: int
+    rs: RootSystem, rows_mu: Sequence[Tuple[Root, Fraction]], n: int
 ) -> List[List[ProjectedRow]]:
     """Bounds on each k_j for the points nu / n + sum_i k_i a_i^vee.
 
-    Fourier-Motzkin runs once per character: the coordinates of nu are
-    extra variables that are never eliminated, so a finite Weyl element
-    only substitutes its own nu = n * w(lambda).  Entry j holds the rows
-    c * k_j + b . nu <= rhs left after eliminating every other k_i, each
-    scaled to integers.
+    Each row a(mu) <= rhs of rows_mu becomes, once, an integer row in
+    k and nu.  Fourier-Motzkin runs once per character: the coordinates
+    of nu are extra variables that are never eliminated, so a finite
+    Weyl element only substitutes its own nu = n * w(lambda).  Entry j
+    holds the rows c * k_j + b . nu <= rhs left after eliminating every
+    other k_i.  The projections share their eliminations by halving:
+    one half of the k's is eliminated and the other half recursed on,
+    and vice versa, about l log2 l eliminations in all.
     """
     l = rs.rank
-    rows: InequalityRows = []
-    for coeffs, rhs in rows_mu:
-        # a(nu / n + sum k_j a_j^vee): a_j^vee has coordinates cartan[j]
-        kc = tuple(
-            sum(coeffs[i] * rs.cartan[j][i] for i in range(l)) for j in range(l)
-        )
-        rows.append((kc + coeffs, rhs))
-    out = []
-    for keep in range(l):
-        proj = rows
-        for var in range(l):
-            if var != keep:
+    rows: List[IntegerRow] = []
+    for gradient, rhs in rows_mu:
+        # n * a(nu / n + sum k_j a_j^vee) <= n * rhs; a_j^vee has coordinates cartan[j]
+        kc = tuple(n * _dot(gradient, row) for row in rs.cartan)
+        b = n * Fraction(rhs)
+        d = b.denominator
+        rows.append(_reduced(tuple(d * x for x in kc + tuple(gradient)), b.numerator))
+    out: List[List[ProjectedRow]] = [[] for _ in range(l)]
+
+    def project(rows: List[IntegerRow], keep: Sequence[int]) -> None:
+        if len(keep) == 1:
+            j = keep[0]
+            out[j] = [(c[j], c[l:], rhs) for c, rhs in rows]
+            return
+        half = len(keep) // 2
+        for kept, dropped in ((keep[:half], keep[half:]), (keep[half:], keep[:half])):
+            proj = rows
+            for var in dropped:
                 proj = _fm_eliminate(proj, var)
-        out.append([_integral(n * c[keep], c[l:], n * rhs) for c, rhs in proj])
+            project(proj, kept)
+
+    project(rows, range(l))
     return out
 
 
@@ -453,19 +522,23 @@ def _orbit_witness_ranges(
 ) -> List[range]:
     """Integer k-ranges with nu / n + k of possible interest.
 
-    Without a radius each projection must bound k_j on both sides.
+    Without a radius each projection must bound k_j on both sides.  All
+    ranges are empty as soon as one of them is.
     """
     ranges = []
     for rows in projections:
         lo, hi = (-math.inf, math.inf) if radius is None else (-radius, radius)
         for c, b, rhs in rows:
-            rhs -= sum(x * y for x, y in zip(b, nu))
+            rhs -= _dot(b, nu)
             if c > 0:
                 hi = min(hi, rhs // c)
             elif c < 0:
                 lo = max(lo, -(rhs // -c))
             elif rhs < 0:
-                return [range(0)] * len(projections)
+                hi = -math.inf
+                break
+        if lo > hi:
+            return [range(0)] * len(projections)
         ranges.append(range(lo, hi + 1))
     return ranges
 
@@ -478,7 +551,8 @@ def condition_star(chi: ShallowCharacter, radius: int = 4) -> StarVerdict:
     polytope those inequalities cut out is bounded, the whole orbit
     inside it is enumerated and the verdict is exact; otherwise only
     translations up to the radius are swept.  The finite Weyl group is
-    walked in full, so types whose group is too large for it are refused.
+    walked lazily and the search stops at its first witness, but a type
+    whose group is too large to walk in full is refused.
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
@@ -492,13 +566,9 @@ def condition_star(chi: ShallowCharacter, radius: int = 4) -> StarVerdict:
     if not supp:
         raise ValueError("condition (*) is degenerate for the trivial character")
     r = char_depth(chi)
-    rows_mu: InequalityRows = [
-        (tuple(Fraction(c) for c in a.gradient), r - a.level) for a in supp
-    ]
     # points are scaled by n, so lambda and its finite orbit are integral
-    n = math.lcm(*(x.denominator for x in ctx.point))
-    point = tuple(int(x * n) for x in ctx.point)
-    projections = _coroot_projections(rs, rows_mu, n)
+    n, point = _scaled(ctx.point)
+    projections = _coroot_projections(rs, [(a.gradient, r - a.level) for a in supp], n)
     # lambda satisfies every row, so the polytope is nonempty, and it is
     # bounded exactly when each projection bounds k_j on both sides
     bounded = all(
@@ -509,12 +579,13 @@ def condition_star(chi: ShallowCharacter, radius: int = 4) -> StarVerdict:
     bounds = [(a.gradient, math.floor(n * (r - a.level))) for a in supp]
     # k -> n * sum k_j a_j^vee, in the coordinates of points
     shift = tuple(zip(*((n * x for x in row) for row in rs.cartan)))
-    for w_fin in _finite_elements(rs):
-        nu = _apply(tuple(zip(*w_fin.root_map_inv)), point)
+    for word, minv in _shortlex_walk(rs):
+        nu = tuple(_dot(col, point) for col in zip(*minv))
         for k in itertools.product(*_orbit_witness_ranges(nu, projections, sweep)):
             mu = tuple(x + y for x, y in zip(nu, _apply(shift, k)))
-            if mu != point and all(sum(x * y for x, y in zip(g, mu)) <= b for g, b in bounds):
-                w = AffineWeylElement(rs, w_fin.root_map, w_fin.root_map_inv, k, w_fin.word, k)
+            if mu != point and all(_dot(g, mu) <= b for g, b in bounds):
+                w = AffineWeylElement.from_word(rs, word)
+                w = AffineWeylElement(rs, w.root_map, w.root_map_inv, k, word, k)
                 return StarVerdict("fails", w, bounded, sweep)
     return StarVerdict("holds" if bounded else "inconclusive", None, bounded, sweep)
 
@@ -564,21 +635,32 @@ def intertwining_reduction(chi: ShallowCharacter, w: AffineWeylElement) -> Reduc
     the parameters must satisfy c_{w beta} = eta c_beta, where eta is the
     conjugation sign and parameters of non-shallow roots are zero.  The
     first violating beta (sorted by gradient then level) is reported.
+    Values at lambda are compared in integers, at lambda scaled by n.
     """
     ctx = chi.context
-    winv = w.inverse()
-    candidates = set(ctx.roots) | {winv.act_on_root(r) for r in ctx.roots}
     f = ctx.field
+    n, point = _scaled(ctx.point)
+    pairing = _translation_pairing(ctx.rs, w.translation)
+    # beta -> w beta for every beta that w moves off or onto chi's support;
+    # for any other beta both parameters are zero and nothing can fail
+    images: Dict[AffineRoot, AffineRoot] = {}
+    for alpha, c in zip(ctx.roots, chi.vector):
+        if c:
+            a = _apply(w.root_map, alpha.gradient)
+            images[alpha] = AffineRoot(a, alpha.level - _dot(a, pairing))
+            b = _apply(w.root_map_inv, alpha.gradient)
+            images[AffineRoot(b, alpha.level + _dot(alpha.gradient, pairing))] = alpha
+
+    def positive(alpha: AffineRoot) -> bool:
+        return _dot(alpha.gradient, point) + n * alpha.level > 0
 
     def param(alpha: AffineRoot) -> int:
         pos = ctx.index.get(alpha)
         return chi.vector[pos] if pos is not None else 0
 
-    for beta in sorted(candidates):
-        if depth(beta, ctx.point) <= 0:
-            continue
-        image = w.act_on_root(beta)
-        if depth(image, ctx.point) <= 0:
+    for beta in sorted(images):
+        image = images[beta]
+        if not (positive(beta) and positive(image)):
             continue
         eta = w.sign(ctx.pinning, beta)
         if param(image) != f.mul(f.from_int(eta), param(beta)):
@@ -617,10 +699,11 @@ def intertwining_scan(chi: ShallowCharacter, radius: int = 8) -> ScanResult:
     ctx = chi.context
     if not validate(chi).ok:
         raise ValueError("scan requires a character satisfying the relations")
+    n, point = _scaled(ctx.point)
     stabilizer = []
     moved = 0
     for w in _ball(ctx.rs, radius):
-        fixes = w.act_on_point(ctx.point) == ctx.point
+        fixes = _move_point(w, n, point) == point
         verdict = intertwining_reduction(chi, w)
         if fixes:
             if verdict.compatible:

@@ -1,23 +1,89 @@
-"""Recession-cone boundedness, the reference for `weyl.condition_star`.
+"""Fourier-Motzkin over rationals, the reference for `weyl.condition_star`.
 
-The witness polytope {mu : a(mu) <= const for each support gradient a}
-is bounded exactly when its recession cone {a(mu) <= 0} is {0}.  Here
-that is tested one coordinate direction at a time: the cone meets the
-half-space mu_i >= 1 (or mu_i <= -1) exactly when a Fourier-Motzkin
-elimination of every variable leaves no contradictory row.  That costs
-2·l feasibility tests per character, and it shares with condition (*)
-only the elimination step, not the reading of the projections.
+`reference_projections` is the projection condition (*) searches with,
+computed the slow way: every row is normalised by division into
+`Fraction`s, and each coroot coordinate gets its own l - 1 eliminations.
+
+`polytope_bounded` is recession-cone boundedness.  The witness polytope
+{mu : a(mu) <= const for each support gradient a} is bounded exactly
+when its recession cone {a(mu) <= 0} is {0}.  Here that is tested one
+coordinate direction at a time: the cone meets the half-space mu_i >= 1
+(or mu_i <= -1) exactly when a Fourier-Motzkin elimination of every
+variable leaves no contradictory row.  That costs 2·l feasibility tests
+per character, and it shares no code with condition (*).
 """
 
+import math
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
-from shallow_chars.weyl import InequalityRows, _fm_eliminate
+InequalityRows = List[Tuple[Tuple[Fraction, ...], Fraction]]
+
+
+def fm_eliminate(rows: InequalityRows, var: int) -> InequalityRows:
+    """Project out one variable, keeping the tightest row per direction.
+
+    Each row is scaled so that its first nonzero coefficient is +-1, and
+    of rows with equal scaled coefficients only the least right-hand
+    side is kept.
+    """
+    zero, pos, neg = [], [], []
+    for coeffs, rhs in rows:
+        c = coeffs[var]
+        if c == 0:
+            zero.append((coeffs, rhs))
+        elif c > 0:
+            pos.append((coeffs, rhs))
+        else:
+            neg.append((coeffs, rhs))
+    out = list(zero)
+    for cp, bp in pos:
+        for cn, bn in neg:
+            a, c = cp[var], cn[var]
+            coeffs = tuple(-c * x + a * y for x, y in zip(cp, cn))
+            out.append((coeffs, -c * bp + a * bn))
+    tightest: Dict[Tuple[Fraction, ...], Fraction] = {}
+    for coeffs, rhs in out:
+        lead = next((abs(c) for c in coeffs if c), 1)
+        coeffs = tuple(c / lead for c in coeffs)
+        rhs = rhs / lead
+        if coeffs not in tightest or rhs < tightest[coeffs]:
+            tightest[coeffs] = rhs
+    return list(tightest.items())
+
+
+def reference_projections(rs, rows_mu, n: int):
+    """Rows (c, b, rhs) meaning c * k_j + b . nu <= rhs, for each j.
+
+    The points are nu / n + sum_i k_i a_i^vee, and rows_mu holds the rows
+    (gradient, rhs) of the polytope a(mu) <= rhs, as `weyl._coroot_projections`
+    takes them.
+    """
+    l = rs.rank
+    rows: InequalityRows = []
+    for gradient, rhs in rows_mu:
+        kc = tuple(
+            Fraction(sum(gradient[i] * rs.cartan[j][i] for i in range(l))) for j in range(l)
+        )
+        rows.append((kc + tuple(Fraction(c) for c in gradient), Fraction(rhs)))
+    out = []
+    for keep in range(l):
+        proj = rows
+        for var in range(l):
+            if var != keep:
+                proj = fm_eliminate(proj, var)
+        projected = []
+        for c, rhs in proj:
+            c, b, rhs = n * c[keep], c[l:], n * rhs
+            scale = math.lcm(c.denominator, rhs.denominator, *(x.denominator for x in b))
+            projected.append((int(c * scale), tuple(int(x * scale) for x in b), int(rhs * scale)))
+        out.append(projected)
+    return out
 
 
 def fm_feasible(rows: InequalityRows, nvars: int) -> bool:
     for var in range(nvars):
-        rows = _fm_eliminate(rows, var)
+        rows = fm_eliminate(rows, var)
     return all(rhs >= 0 for _, rhs in rows)
 
 

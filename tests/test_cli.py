@@ -223,6 +223,9 @@ def test_bad_usage(capsys):
 # output is meant to stay byte-identical across refactors; a deliberate
 # change of output updates these.  To regenerate, print
 # (rc, hashlib.sha256(out.encode()).hexdigest()) from _run for each argv.
+F4_ZEROS = ",".join(["0"] * 43)  # the 43 shallow F4 roots after the simple ones
+E6_ZEROS = ",".join(["0"] * 65)
+
 PINNED_OUTPUTS = [
     (["solve", "--type", "C2", "--q", "2"], 0,
      "c5c299ecc2654ded4f4fe7f9deb3758d2b588c556881616faeed227821f7a6ca"),
@@ -263,6 +266,20 @@ PINNED_OUTPUTS = [
      "8991d82b30403977fe3e567392f24b7e70313a8bbf21a5bff5dec7baab5e5535"),
     (["verify-hom", "--type", "C2", "--params", EXAMPLE, "--mode", "generators"], 0,
      "36119a9e4dc9c3ddb2e0a44a388ef991863c9ac8e09def031c2d795339cbd2f9"),
+    # epipelagic characters, nonzero on the simple affine roots: stable and
+    # unstable F4 at q=3 (the unstable one leaves a0 at zero), a stable C3
+    # scan, and E6 at q=2, whose (*) walk covers W(E6) when it holds
+    (["check-star", "--type", "F4", "--q", "3", "--params", "1,1,2,1,2," + F4_ZEROS], 0,
+     "80999ae12142d0a4d3d0ca6c6945b5d90240522d52131690a20623d419f702bb"),
+    (["check-star", "--type", "F4", "--q", "3", "--params", "0,1,2,1,2," + F4_ZEROS], 1,
+     "7f6c7ecd3881eface96fcb25041e585c522bdbd9d9229fd5e7e0ef85c58e2dbb"),
+    (["intertwine", "--type", "C3", "--q", "3", "--params",
+      "1,1,2,2,0,0,0,0,0,0,0,0,0,0,0,0,0,0", "--radius", "6"], 0,
+     "51a7ecc0d4345af41411a304167b8059bdfef31dae912d475d65a6d7c089bdc7"),
+    (["check-star", "--type", "E6", "--q", "2", "--params", "1,1,1,1,1,1,1," + E6_ZEROS], 0,
+     "80999ae12142d0a4d3d0ca6c6945b5d90240522d52131690a20623d419f702bb"),
+    (["check-star", "--type", "E6", "--q", "2", "--params", "0,1,1,1,1,1,1," + E6_ZEROS], 1,
+     "2d20eee93aa0c11f88f265878549cebc83dec0857a0dcdbbaad739099d60ad2f"),
     # generators sweeps: invalid C2 and A2 characters whose first witness
     # lies past the first coset (A2 past the first generator block), and a
     # valid G2 character on a facet

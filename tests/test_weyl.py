@@ -25,6 +25,7 @@ from shallow_chars.weyl import (
     _finite_elements,
     _on_coroots,
     _orbit_witness_ranges,
+    _shortlex_walk,
     _weyl_group_order,
     barycenter_criterion,
     condition_star,
@@ -34,8 +35,9 @@ from shallow_chars.weyl import (
     support,
 )
 
-from boundedness_oracle import polytope_bounded
+from boundedness_oracle import polytope_bounded, reference_projections
 from conftest import SP4_PARAMS
+from intertwining_oracle import reference_reduction
 
 
 def _chi(ctx, vector):
@@ -217,6 +219,20 @@ def test_weyl_group_order_matches_walk():
         assert _weyl_group_order(rs) == len(_finite_elements(rs)), cartan_type
 
 
+def test_shortlex_walk_matches_finite_elements():
+    for cartan_type in WALKED_TYPES:
+        rs = build_root_system(cartan_type)
+        expected = [(w.word, w.root_map_inv) for w in _finite_elements(rs)]
+        assert list(_shortlex_walk(rs)) == expected, cartan_type
+
+
+def test_shortlex_walk_covers_e6():
+    # W(E6) is walked without building an element, one level at a time
+    e6 = build_root_system("E6")
+    keys = {minv for _, minv in _shortlex_walk(e6)}
+    assert len(keys) == _weyl_group_order(e6) == 51_840
+
+
 def test_ball_size_matches_walk():
     for cartan_type in ("A2", "C2", "G2", "A3", "C3", "D4"):
         rs = build_root_system(cartan_type)
@@ -265,10 +281,10 @@ def _star_by_orbit_sweep(chi, radius):
     Every finite Weyl element is tried with every k in [-radius, radius]^l,
     without Fourier-Motzkin and in integers: points are scaled by a
     common denominator n.  Each witness found is checked to lie inside
-    the k-ranges condition (*) searches, exact ones for a bounded
-    polytope and those of the sweep at this radius otherwise, and those
-    ranges inside the box, so the sweep misses nothing the search could
-    find.
+    the k-ranges of the rational reference projection, exact ones for a
+    bounded polytope and those of the sweep at this radius otherwise,
+    and those ranges inside the box, so the sweep misses nothing the
+    search could find.
     """
     ctx = chi.context
     rs = ctx.rs
@@ -278,8 +294,7 @@ def _star_by_orbit_sweep(chi, radius):
     n = math.lcm(r.denominator, *(x.denominator for x in ctx.point))
     # a(mu) <= r, times n
     bounds = [(a.gradient, int((r - a.level) * n)) for a in supp]
-    rows = [(tuple(Fraction(c) for c in a.gradient), r - a.level) for a in supp]
-    projections = _coroot_projections(rs, rows, n)
+    projections = reference_projections(rs, [(a.gradient, r - a.level) for a in supp], n)
     sweep = None if polytope_bounded([a.gradient for a in supp], rs.rank) else radius
     # n * sum k_j a_j^vee in the point's coordinates: a_j^vee is cartan[j]
     shifts = [
@@ -303,32 +318,36 @@ def _star_by_orbit_sweep(chi, radius):
     return first
 
 
-ORBIT_SWEEP_CASES = [(t, None, 3) for t in ("A2", "C2", "G2", "A3", "B3", "C3")] + [
-    ("C2", (1,), 3),
-    ("G2", (1, 2), 5),  # bounded polytopes at this facet reach k_j = +-5
-    ("A3", (0, 2), 3),
-    ("B3", (0, 1), 3),
+ORBIT_SWEEP_CASES = [(t, None, 3, 0.4) for t in ("A2", "C2", "G2", "A3", "B3", "C3")] + [
+    ("C2", (1,), 3, 0.4),
+    ("G2", (1, 2), 5, 0.4),  # bounded polytopes at this facet reach k_j = +-5
+    ("A3", (0, 2), 3, 0.4),
+    ("B3", (0, 1), 3, 0.4),
+    # dense supports cut out small polytopes, all bounded here
+    ("F4", None, 1, 0.9),
 ]
 
 
 @pytest.mark.parametrize(
-    "cartan_type, facet, radius",
+    "cartan_type, facet, radius, density",
     ORBIT_SWEEP_CASES,
-    ids=[t + (f"-facet{''.join(map(str, f))}" if f else "") for t, f, _ in ORBIT_SWEEP_CASES],
+    ids=[t + (f"-facet{''.join(map(str, f))}" if f else "") + ("-dense" if d > 0.5 else "")
+         for t, f, _, d in ORBIT_SWEEP_CASES],
 )
-def test_condition_star_matches_orbit_sweep(cartan_type, facet, radius):
+def test_condition_star_matches_orbit_sweep(cartan_type, facet, radius, density):
     # bounded characters are searched exactly; unbounded ones are swept
     # at the oracle's radius, and both must give its first witness
     rs = build_root_system(cartan_type)
     ctx = Context(rs, facet_point(rs, facet) if facet else barycenter(rs), q=2)
     rng = random.Random(cartan_type if facet is None else f"{cartan_type}/{facet}")
-    # four bounded characters and two unbounded ones, keyed by boundedness
-    wanted = {True: 4, False: 2}
+    # four bounded characters and two unbounded ones, keyed by boundedness;
+    # two bounded ones for a dense support
+    wanted = {True: 4, False: 2} if density < 0.5 else {True: 2, False: 0}
     chars = {True: [], False: []}
     if facet is None:
         chars[True].append([int(a in simple_affine_roots(rs)) for a in ctx.roots])
     while any(len(chars[b]) < wanted[b] for b in chars):
-        vec = [int(rng.random() < 0.4) for _ in ctx.roots]
+        vec = [int(rng.random() < density) for _ in ctx.roots]
         if not any(vec):
             continue
         bounded = polytope_bounded([a.gradient for a, c in zip(ctx.roots, vec) if c], rs.rank)
@@ -347,6 +366,99 @@ def test_condition_star_matches_orbit_sweep(cartan_type, facet, radius):
                 assert (star.witness.word, star.witness.word_translation) == first
     if facet is None:
         assert condition_star(_chi(ctx, chars[True][0])).status == "holds"
+
+
+# (type, facet, densities): the integer projections against the rational
+# reference, on supports from sparse to dense
+PROJECTION_CASES = [
+    ("A2", None, (0.2, 0.5, 0.9)),
+    ("C2", (1,), (0.2, 0.5, 0.9)),
+    ("G2", None, (0.2, 0.5, 0.9)),
+    ("B3", None, (0.2, 0.5, 0.9)),
+    ("C3", (0, 2), (0.2, 0.5, 0.9)),
+    ("D4", None, (0.3, 0.9)),
+    ("F4", None, (0.3, 0.9, 0.95)),
+]
+
+
+@pytest.mark.parametrize(
+    "cartan_type, facet, densities",
+    PROJECTION_CASES,
+    ids=[t + (f"-facet{''.join(map(str, f))}" if f else "") for t, f, _ in PROJECTION_CASES],
+)
+def test_integer_projections_match_reference(cartan_type, facet, densities):
+    # any complete description of the projection bounds each k_j alike, so
+    # the ranges searched at every orbit point and the boundedness agree
+    rs = build_root_system(cartan_type)
+    ctx = Context(rs, facet_point(rs, facet) if facet else barycenter(rs), q=2)
+    rng = random.Random(f"projections/{cartan_type}")
+    n = math.lcm(*(x.denominator for x in ctx.point))
+    point = [int(x * n) for x in ctx.point]
+    orbit = [
+        tuple(sum(minv[p][i] * point[p] for p in range(rs.rank)) for i in range(rs.rank))
+        for _, minv in _shortlex_walk(rs)
+    ]
+    for density in densities:
+        for _ in range(2):
+            vec = [int(rng.random() < density) for _ in ctx.roots]
+            vec[rng.randrange(ctx.n_roots)] = 1
+            supp = [a for a, c in zip(ctx.roots, vec) if c]
+            rows = [(a.gradient, char_depth(_chi(ctx, vec)) - a.level) for a in supp]
+            got = _coroot_projections(rs, rows, n)
+            want = reference_projections(rs, rows, n)
+            bounded = polytope_bounded([a.gradient for a in supp], rs.rank)
+            for proj in (got, want):
+                assert bounded == all(
+                    any(c > 0 for c, _, _ in p) and any(c < 0 for c, _, _ in p) for p in proj
+                )
+            for radius in (None, 2) if bounded else (2,):
+                for nu in orbit:
+                    assert (_orbit_witness_ranges(nu, got, radius)
+                            == _orbit_witness_ranges(nu, want, radius)), (vec, nu, radius)
+
+
+def _random_valid(space, rng):
+    f = space.context.field
+    vec = (0,) * space.context.n_roots
+    for chi in space.basis:
+        c = f.from_int(rng.randrange(f.p))
+        vec = tuple(f.add(x, f.mul(c, v)) for x, v in zip(vec, chi.vector))
+    return vec
+
+
+REDUCTION_CASES = [("C2", None, 8), ("C3", None, 6), ("A3", None, 6),
+                   # facets put affine roots at depth 0, on both sides of the test
+                   ("C2", (1,), 8), ("A3", (0, 2), 6)]
+
+
+@pytest.mark.parametrize(
+    "cartan_type, facet, radius",
+    REDUCTION_CASES,
+    ids=[f"{t}-r{r}" + (f"-facet{''.join(map(str, f))}" if f else "")
+         for t, f, r in REDUCTION_CASES],
+)
+def test_intertwining_reduction_matches_reference(cartan_type, facet, radius):
+    # every element of the ball, for stable characters (every shallow
+    # simple parameter nonzero) and random valid ones
+    from shallow_chars.characters import solve_space
+
+    rs = build_root_system(cartan_type)
+    ctx = Context(rs, facet_point(rs, facet) if facet else barycenter(rs), q=3)
+    rng = random.Random(f"reduction/{cartan_type}/{facet}")
+    simples = [ctx.index[a] for a in simple_affine_roots(rs) if a in ctx.index]
+    space = solve_space(ctx, cross_check=False)
+    vectors = []
+    for _ in range(2):
+        vec = [0] * ctx.n_roots
+        for pos in simples:
+            vec[pos] = rng.randrange(1, 3)
+        vectors.append(vec)
+    vectors += [_random_valid(space, rng) for _ in range(4)]
+    ball = _ball(rs, radius)
+    for vec in vectors:
+        chi = _chi(ctx, vec)
+        for w in ball:
+            assert intertwining_reduction(chi, w) == reference_reduction(chi, w), (vec, w)
 
 
 def test_barycenter_criterion_all_cases(c2_ctx, sp4_example):
