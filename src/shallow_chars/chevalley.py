@@ -6,7 +6,8 @@ Types A and C use the defining representations (elementary matrices;
 antidiagonal symplectic form, matching u_r(x) = 1 + x M_r since every
 M_r squares to zero); all other types use the adjoint representation
 of a Chevalley basis.  Each M_r is stored as its (row, col, value)
-entries and made dense only on request.
+entries and made dense only on request; the adjoint entries are built
+only when a matrix or the pinning hash is asked for.
 
 Every pinning reads its structure constants N(a, b), defined by
 [M_a, M_b] = N(a, b) M_{a+b}, from one `StructureConstants`: the
@@ -48,6 +49,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -214,9 +216,7 @@ def _type_c_entries(rs: RootSystem) -> Tuple[int, Dict[Root, Entries]]:
     return dim, out
 
 
-def _adjoint_entries(
-    rs: RootSystem, sc: StructureConstants
-) -> Tuple[int, Dict[Root, Entries]]:
+def _adjoint_entries(rs: RootSystem, sc: StructureConstants) -> Dict[Root, Entries]:
     roots = rs.roots
     idx = {r: k for k, r in enumerate(roots)}
     R = len(roots)
@@ -237,7 +237,7 @@ def _adjoint_entries(
             if c:
                 entries.append((idx[r], R + i, -c))
         out[r] = tuple(entries)
-    return R + rs.rank, out
+    return out
 
 
 def _bracket_sign(entries: Dict[Root, Entries], r: Root, s: Root) -> int:
@@ -288,13 +288,22 @@ class Pinning:
             self.constants = StructureConstants(rs, signs)
         elif kind == "adjoint":
             self.constants = StructureConstants(rs, extraspecial_signs)
-            self.dim, self._entries = _adjoint_entries(rs, self.constants)
+            self.dim = len(rs.roots) + rs.rank
         else:
             raise ValueError(f"unknown pinning kind {kind!r}")
         self.rs = rs
         self.kind = kind
         self._expansions: Dict[Tuple[Root, Root], Tuple] = {}
         self._signs: Dict[Tuple[Root, Root], int] = {}
+
+    @cached_property
+    def _entries(self) -> Dict[Root, Entries]:
+        """The adjoint matrices, built on first use.
+
+        Only `matrix` and `pinning_hash` read them; the matrix kind sets
+        its own at construction, as it reads its signs from them.
+        """
+        return _adjoint_entries(self.rs, self.constants)
 
     def matrix(self, r: Root) -> Matrix:
         """M_r as a dense matrix, built from its stored entries."""

@@ -8,6 +8,10 @@ kept.  Words use affine labels: letter 0 is the reflection through the
 level-one hyperplane of the highest root, letters 1..l are the finite
 simple reflections.
 
+One lazy ShortLex walk enumerates the finite Weyl group, finite
+parabolics and the affine ball alike, building each child from its
+parent by the rows and columns one reflection changes.
+
 The condition-star search is exact whenever its witness polytope is
 bounded.  Fourier-Motzkin elimination in integers projects it onto each
 coroot coordinate once per character, with the finite orbit point kept
@@ -15,8 +19,8 @@ symbolic, and boundedness is read off those projections.  They bound
 the translations tried at each orbit point, and in the bounded case
 every orbit point inside the polytope is tried.  Otherwise the search is
 a bounded translation sweep and a negative outcome is reported as
-inconclusive, never extrapolated.  The finite Weyl group is walked
-lazily in ShortLex order, and the search stops at its first witness.
+inconclusive, never extrapolated.  The search stops at its first
+witness.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .affine_roots import (
     AffineRoot,
@@ -106,10 +110,6 @@ def _move_point(w: "AffineWeylElement", n: int, point: Sequence[int]) -> Tuple[i
     )
 
 
-def _unit(l: int, j: int) -> Tuple[int, ...]:
-    return tuple(int(p == j) for p in range(l))
-
-
 def _letter_root(rs: RootSystem, letter: int) -> Root:
     """The root whose reflection is the linear part of a letter."""
     if letter == 0:
@@ -120,15 +120,9 @@ def _letter_root(rs: RootSystem, letter: int) -> Root:
 class AffineWeylElement:
     """t_translation composed with the product of the word's reflections."""
 
-    def __init__(
-        self,
-        rs: RootSystem,
-        root_map: Matrix,
-        root_map_inv: Matrix,
-        translation: Tuple[int, ...],
-        word: Tuple[int, ...],
-        word_translation: Tuple[int, ...],
-    ):
+    def __init__(self, rs: RootSystem, root_map: Matrix, root_map_inv: Matrix,
+                 translation: Tuple[int, ...], word: Tuple[int, ...],
+                 word_translation: Tuple[int, ...]):
         self.rs = rs
         self.root_map = root_map
         self.root_map_inv = root_map_inv
@@ -151,7 +145,7 @@ class AffineWeylElement:
             raise ValueError(f"no simple reflection {i} in rank {l}")
         r = _letter_root(rs, i)
         # columns are the images of the simple roots
-        rmap = tuple(zip(*(rs.reflect(_unit(l, j), r) for j in range(l))))
+        rmap = tuple(zip(*(rs.reflect(a, r) for a in rs.simple_roots)))
         zero = (0,) * l
         shift = rs.coroot(rs.highest_root) if i == 0 else zero
         return cls(rs, rmap, rmap, shift, (i,), zero)
@@ -177,26 +171,17 @@ class AffineWeylElement:
             return tuple(a + b for a, b in zip(mine, moved))
 
         return AffineWeylElement(
-            self.rs,
-            _mat_mul(self.root_map, other.root_map),
+            self.rs, _mat_mul(self.root_map, other.root_map),
             _mat_mul(other.root_map_inv, self.root_map_inv),
-            shift(self.translation, other.translation),
-            self.word + other.word,
-            shift(self.word_translation, other.word_translation),
-        )
+            shift(self.translation, other.translation), self.word + other.word,
+            shift(self.word_translation, other.word_translation))
 
     def inverse(self) -> "AffineWeylElement":
         def back(k):
             return tuple(-x for x in _on_coroots(self.rs, self.root_map_inv, k))
 
-        return AffineWeylElement(
-            self.rs,
-            self.root_map_inv,
-            self.root_map,
-            back(self.translation),
-            tuple(reversed(self.word)),
-            back(self.word_translation),
-        )
+        return AffineWeylElement(self.rs, self.root_map_inv, self.root_map, back(self.translation),
+                                 tuple(reversed(self.word)), back(self.word_translation))
 
     def key(self) -> Tuple:
         return (self.root_map, self.translation)
@@ -233,25 +218,18 @@ class AffineWeylElement:
         return eta
 
     def to_json(self) -> Dict:
-        return {
-            "word": list(self.word),
-            "translation": list(self.word_translation),
-        }
+        return {"word": list(self.word), "translation": list(self.word_translation)}
 
     def __repr__(self) -> str:
         return f"AffineWeylElement(word={self.word}, t={self.word_translation})"
 
 
-def act_on_root(w: AffineWeylElement, alpha: AffineRoot) -> AffineRoot:
-    return w.act_on_root(alpha)
-
-
-def act_on_point(w: AffineWeylElement, mu) -> Point:
-    return w.act_on_point(tuple(Fraction(x) for x in mu))
+act_on_root = AffineWeylElement.act_on_root
+act_on_point = AffineWeylElement.act_on_point
 
 
 # ----------------------------------------------------------------------
-# enumeration: one breadth-first walk over words in chosen letters
+# enumeration: one ShortLex walk over words in chosen letters
 
 _FINITE_WALK_LIMIT = 100_000  # the most elements a walk may visit
 
@@ -295,90 +273,119 @@ def _ball_size(rs: RootSystem, radius: int) -> int:
     return sum(series)
 
 
-def _bfs(
-    rs: RootSystem, letters: Sequence[int], radius: Optional[int] = None
-) -> List[AffineWeylElement]:
-    """Elements spelled by words in `letters`, breadth first.
+def _combination(terms: Sequence[Tuple[int, int]]) -> Callable[[Matrix], Tuple[int, ...]]:
+    """rows -> the sum of e * rows[i] over the (i, e) in terms."""
+    # a finite letter needs sums of one or two rows, which skip the general sum
+    if len(terms) == 1:
+        ((i, e),) = terms
+        return lambda rows: tuple([e * x for x in rows[i]])
+    if len(terms) == 2:
+        (i, e), (k, f) = terms
+        return lambda rows: tuple([e * x + f * y for x, y in zip(rows[i], rows[k])])
+    idx, coeffs = zip(*terms)
+    return lambda rows: tuple([sum(map(mul, coeffs, col)) for col in zip(*[rows[i] for i in idx])])
 
-    Each element keeps the first word that reached it, so words are
-    reduced and nondecreasing in length.  With a radius the walk stops
-    at that word length; without one it runs until the generated group
-    is exhausted, which must be finite.
+
+def _reflection(u: Sequence[int], v: Sequence[int]) -> Callable[[Matrix], Matrix]:
+    """rows -> (I - u v^T) rows, recomputing only the rows k with u_k != 0."""
+    changes = [(k, _combination([(i, int(i == k) - uk * vi) for i, vi in enumerate(v)
+                                 if int(i == k) != uk * vi]))
+               for k, uk in enumerate(u) if uk]
+
+    def times(rows: Matrix) -> Matrix:
+        out = list(rows)
+        for k, combine in changes:
+            out[k] = combine(rows)
+        return tuple(out)
+
+    return times
+
+
+def _shortlex_walk(
+    rs: RootSystem, letters: Sequence[int], radius: Optional[int] = None
+) -> Iterator[Tuple[Tuple[int, ...], Matrix, Matrix, Tuple[int, ...]]]:
+    """Elements spelled by words in `letters`, lazily, in ShortLex order.
+
+    Yields (word, images, root_map_inv, translation), where images[i] =
+    w(a_i) is column i of the root map.  Each w is keyed by y = h w^-1(x0)
+    in point coordinates, with x0 = rho^vee / h inside the fundamental
+    alcove, so y starts at (1, ..., 1).  Letter j's simple affine root
+    takes the value a = y_j there (h - theta(y) for j = 0), and w s_j is
+    longer exactly when a > 0 (Humphreys, Reflection Groups and Coxeter
+    Groups, 5.4); its key is then y - a c, c_i = <a_i, r^vee> for the
+    letter's root r.  As s_j = I - r c^T, the inverse root map changes
+    only in the rows with r_k != 0, the root map only in the columns with
+    c_i != 0, and the translation only at letter 0, by (w theta)^vee.
+    Only the next level keeps a seen-set, as a longer child never meets an
+    earlier one.  Levels grow in parent order, then letter order, so each
+    word is its element's ShortLex least reduced word (Bjorner-Brenti, GTM
+    231, ch. 3-4).  Without a radius the letters must generate a finite group.
     """
-    gens = [AffineWeylElement.simple(rs, i) for i in letters]
-    out = [AffineWeylElement.identity(rs)]
-    seen = {out[0].key()}
-    frontier = list(out)
-    length = 0
-    while frontier and (radius is None or length < radius):
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                child = w.compose(g)
-                if child.key() not in seen:
-                    seen.add(child.key())
-                    nxt.append(child)
-        out.extend(nxt)
-        frontier = nxt
-        length += 1
-        if len(out) > _FINITE_WALK_LIMIT:
+    l, h, theta = rs.rank, rs.coxeter_number, rs.highest_root
+    steps = []
+    for j in sorted(letters):
+        r = _letter_root(rs, j)
+        c = _translation_pairing(rs, rs.coroot(r))
+        moves = [(i, ci) for i, ci in enumerate(c) if ci]
+        steps.append((j, moves, _reflection(c, r), _reflection(r, c)))
+    eye = _identity(l)
+    level = [((), (1,) * l, eye, eye, (0,) * l)]
+    size = length = 0
+    while level:
+        size += len(level)
+        if size > _FINITE_WALK_LIMIT:
             raise ValueError(f"Weyl group enumeration over {_FINITE_WALK_LIMIT:,} elements")
-    return out
+        nxt, seen = [], set()
+        for word, y, images, minv, t in level:
+            yield word, images, minv, t
+            if length == radius:
+                continue
+            for j, moves, on_images, on_inverse in steps:
+                a = y[j - 1] if j else h - _dot(theta, y)
+                if a <= 0:
+                    continue
+                key = list(y)
+                for i, ci in moves:
+                    key[i] -= a * ci
+                key = tuple(key)
+                if key in seen:
+                    continue
+                seen.add(key)
+                shift = t
+                if not j:
+                    w_theta = tuple(_dot(theta, col) for col in zip(*images))
+                    shift = tuple(u + v for u, v in zip(t, rs.coroot(w_theta)))
+                nxt.append((word + (j,), key, on_images(images), on_inverse(minv), shift))
+        level, length = nxt, length + 1
+
+
+def _element(rs: RootSystem, word, images, root_map_inv, translation) -> AffineWeylElement:
+    """The element of one step of the walk."""
+    return AffineWeylElement(rs, tuple(zip(*images)), root_map_inv, translation, word,
+                             (0,) * rs.rank)
 
 
 def _finite_elements(rs: RootSystem) -> List[AffineWeylElement]:
     """The finite Weyl group: words in the letters 1..l."""
-    return _bfs(rs, range(1, rs.rank + 1))
-
-
-def _shortlex_walk(rs: RootSystem) -> Iterator[Tuple[Tuple[int, ...], Matrix]]:
-    """The finite Weyl group as (word, root_map_inv), lazily.
-
-    An element w is keyed by v = w^-1(2 rho) in root coordinates.  The
-    child w s_j is longer exactly when <v, a_j^vee> > 0; its key is then
-    s_j(v), which differs from v in coordinate j only, and only row j of
-    its inverse root map changes.  A longer child never meets an earlier
-    level, so only the next level keeps a seen-set.  Levels are built in
-    parent order, then j ascending: the order and words of
-    `_finite_elements`, which are ShortLex (length, then the least
-    reduced word).
-    """
-    l = rs.rank
-    two_rho = tuple(map(sum, zip(*rs.positive_roots)))
-    # row j of s_j w^-1 mixes the rows i of w^-1 with e_i = [i == j] - cartan[j][i]
-    mixes = []
-    for j, row in enumerate(rs.cartan):
-        mix = [(i, int(i == j) - c) for i, c in enumerate(row) if int(i == j) != c]
-        mixes.append((j, row, tuple(i for i, _ in mix), tuple(e for _, e in mix)))
-    level = [((), _identity(l), two_rho)]
-    while level:
-        nxt, seen = [], set()
-        for word, minv, v in level:
-            yield word, minv
-            for j, row, rows, coeffs in mixes:
-                pair = _dot(v, row)
-                if pair <= 0:
-                    continue
-                key = v[:j] + (v[j] - pair,) + v[j + 1 :]
-                if key in seen:
-                    continue
-                seen.add(key)
-                moved = tuple(_dot(coeffs, col) for col in zip(*(minv[i] for i in rows)))
-                nxt.append((word + (j + 1,), minv[:j] + (moved,) + minv[j + 1 :], key))
-        level = nxt
+    return [_element(rs, *step) for step in _shortlex_walk(rs, range(1, rs.rank + 1))]
 
 
 def _ball(rs: RootSystem, radius: int) -> List[AffineWeylElement]:
     """Affine Weyl elements of word length at most radius.
 
     The whole ball is built before any use, so one over the walk limit
-    is refused up front with its size.
+    is refused up front with its size.  Bott's series has coefficients
+    of at least l + 1 at every length from 1 on, so a ball whose lower
+    bound 1 + (l + 1) * radius already passes the limit is refused
+    without summing the series.
     """
-    size = _ball_size(rs, radius)
+    lower = 1 + (rs.rank + 1) * radius
+    size = lower if lower > _FINITE_WALK_LIMIT else _ball_size(rs, radius)
     if size > _FINITE_WALK_LIMIT:
+        least = "at least " if size == lower else ""
         raise ValueError(f"the {rs.cartan_type} affine Weyl ball of radius {radius} has "
-                         f"{size:,} elements; the limit is {_FINITE_WALK_LIMIT:,}")
-    return _bfs(rs, range(rs.rank + 1), radius)
+                         f"{least}{size:,} elements; the limit is {_FINITE_WALK_LIMIT:,}")
+    return [_element(rs, *step) for step in _shortlex_walk(rs, range(rs.rank + 1), radius)]
 
 
 def long_element(rs: RootSystem, subset) -> AffineWeylElement:
@@ -393,11 +400,10 @@ def long_element(rs: RootSystem, subset) -> AffineWeylElement:
         raise ValueError("subset of simple reflections must be nonempty")
     if len(letters) > rs.rank or any(i < 0 or i > rs.rank for i in letters):
         raise ValueError("subset must be a proper part of the affine diagram")
-    elements = _bfs(rs, letters)
-    last_level = len(elements[-1].word)
-    longest = [w for w in elements if len(w.word) == last_level]
+    steps = list(_shortlex_walk(rs, letters))
+    longest = [step for step in steps if len(step[0]) == len(steps[-1][0])]
     assert len(longest) == 1, "longest element must be unique"
-    w = longest[0]
+    w = _element(rs, *longest[0])
     simples = simple_affine_roots(rs)
     for i in letters:
         image = w.act_on_root(simples[i])
@@ -465,12 +471,9 @@ class StarVerdict(NamedTuple):
     radius: Optional[int]
 
     def to_json(self) -> Dict:
-        return {
-            "condition_star": self.status,
-            "witness": self.witness.to_json() if self.witness else None,
-            "polytope_bounded": self.bounded,
-            "radius": self.radius,
-        }
+        witness = self.witness.to_json() if self.witness else None
+        return {"condition_star": self.status, "witness": witness,
+                "polytope_bounded": self.bounded, "radius": self.radius}
 
 
 # (coefficient of k_j, coefficients of nu, right-hand side), in integers
@@ -579,13 +582,12 @@ def condition_star(chi: ShallowCharacter, radius: int = 4) -> StarVerdict:
     bounds = [(a.gradient, math.floor(n * (r - a.level))) for a in supp]
     # k -> n * sum k_j a_j^vee, in the coordinates of points
     shift = tuple(zip(*((n * x for x in row) for row in rs.cartan)))
-    for word, minv in _shortlex_walk(rs):
+    for word, images, minv, _ in _shortlex_walk(rs, range(1, rs.rank + 1)):
         nu = tuple(_dot(col, point) for col in zip(*minv))
         for k in itertools.product(*_orbit_witness_ranges(nu, projections, sweep)):
             mu = tuple(x + y for x, y in zip(nu, _apply(shift, k)))
             if mu != point and all(_dot(g, mu) <= b for g, b in bounds):
-                w = AffineWeylElement.from_word(rs, word)
-                w = AffineWeylElement(rs, w.root_map, w.root_map_inv, k, word, k)
+                w = AffineWeylElement(rs, tuple(zip(*images)), minv, k, word, k)
                 return StarVerdict("fails", w, bounded, sweep)
     return StarVerdict("holds" if bounded else "inconclusive", None, bounded, sweep)
 
@@ -676,13 +678,9 @@ class ScanResult(NamedTuple):
     stabilizer: Tuple[AffineWeylElement, ...]
 
     def to_json(self) -> Dict:
-        return {
-            "intertwining": self.verdict,
-            "witness": self.witness.to_json() if self.witness else None,
-            "radius": self.radius,
-            "moved_checked": self.moved_checked,
-            "stabilizer_size": len(self.stabilizer),
-        }
+        witness = self.witness.to_json() if self.witness else None
+        return {"intertwining": self.verdict, "witness": witness, "radius": self.radius,
+                "moved_checked": self.moved_checked, "stabilizer_size": len(self.stabilizer)}
 
 
 def intertwining_scan(chi: ShallowCharacter, radius: int = 8) -> ScanResult:
@@ -712,6 +710,5 @@ def intertwining_scan(chi: ShallowCharacter, radius: int = 8) -> ScanResult:
         moved += 1
         if verdict.compatible:
             return ScanResult("counterexample", w, radius, moved, tuple(stabilizer))
-    if moved == 0:
-        return ScanResult("inconclusive", None, radius, 0, tuple(stabilizer))
-    return ScanResult("collapses_to_P_chi", None, radius, moved, tuple(stabilizer))
+    outcome = "collapses_to_P_chi" if moved else "inconclusive"
+    return ScanResult(outcome, None, radius, moved, tuple(stabilizer))

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from shallow_chars import chevalley
 from shallow_chars.cli import main
 
 EXAMPLE = "1,0,0,1,1,0,1,1"
@@ -113,6 +114,20 @@ def test_check_star(capsys):
     assert "condition (*): holds" in out
 
 
+def test_check_star_builds_no_adjoint_matrices(capsys, monkeypatch):
+    # condition (*) reads the root system, the point and the character
+    # only, so the adjoint pinning's root matrices are never built
+    def refuse(*args):
+        raise AssertionError("adjoint root matrices built")
+
+    monkeypatch.setattr(chevalley, "_adjoint_entries", refuse)
+    for params, rc in (("1,1,2,1,2," + F4_ZEROS, 0), ("0,1,2,1,2," + F4_ZEROS, 1)):
+        assert main(["check-star", "--type", "F4", "--q", "3", "--params", params]) == rc
+    with pytest.raises(AssertionError, match="adjoint root matrices"):
+        main(["solve", "--type", "F4", "--q", "2"])  # its JSON carries the pinning hash
+    capsys.readouterr()
+
+
 def test_intertwine_exit_codes(capsys):
     rc, out = _run(capsys, ["intertwine", "--type", "C2", "--params", EXAMPLE])
     assert rc == 0 and "collapses_to_P_chi" in out
@@ -212,6 +227,13 @@ def test_bad_usage(capsys):
     # walk limit (C2 at radius 300: 120,401 elements) is refused up front
     assert main(["intertwine", "--type", "C2", "--params", EXAMPLE, "--radius", "300"]) == 64
     assert "120,401" in capsys.readouterr().err
+    # a huge radius is refused by a lower bound on the ball, without
+    # summing the series up to it; "at least" marks that path, and at this
+    # radius the exact sum would still end in seconds if it were taken
+    for argv in (["intertwine", "--type", "C2", "--params", EXAMPLE],
+                 ["reproduce-sp4"]):
+        assert main(argv + ["--radius", "1000000"]) == 64
+        assert "at least 3,000,001 elements" in capsys.readouterr().err
     # exact sweeps over more than 2**20 cosets or pairs (C2 at q=7: 7**8 cosets)
     for q, mode in (("7", "generators"), ("3", "pairs")):
         argv = ["verify-hom", "--type", "C2", "--q", q, "--params", ones, "--mode", mode]

@@ -38,6 +38,7 @@ from shallow_chars.weyl import (
 from boundedness_oracle import polytope_bounded, reference_projections
 from conftest import SP4_PARAMS
 from intertwining_oracle import reference_reduction
+from weyl_walk_oracle import bfs
 
 
 def _chi(ctx, vector):
@@ -219,17 +220,29 @@ def test_weyl_group_order_matches_walk():
         assert _weyl_group_order(rs) == len(_finite_elements(rs)), cartan_type
 
 
-def test_shortlex_walk_matches_finite_elements():
+def test_shortlex_walk_matches_bfs_oracle():
+    # the walk against composition, element by element and in order: the
+    # finite group, affine balls, and finite parabolics with and without
+    # letter 0
     for cartan_type in WALKED_TYPES:
         rs = build_root_system(cartan_type)
-        expected = [(w.word, w.root_map_inv) for w in _finite_elements(rs)]
-        assert list(_shortlex_walk(rs)) == expected, cartan_type
+        l = rs.rank
+        cases = [(range(1, l + 1), None)] + [(range(l + 1), radius) for radius in range(7)]
+        for subset in ({0}, {0, 1}, set(range(l)), set(range(1, l + 1)), {0, l}):
+            if len(subset) <= l:  # proper, so the parabolic is finite
+                cases.append((sorted(subset), None))
+        for letters, radius in cases:
+            expected = [(w.word, w.root_map, w.root_map_inv, w.translation)
+                        for w in bfs(rs, letters, radius)]
+            walked = [(word, tuple(zip(*images)), minv, t)
+                      for word, images, minv, t in _shortlex_walk(rs, letters, radius)]
+            assert walked == expected, (cartan_type, letters, radius)
 
 
 def test_shortlex_walk_covers_e6():
     # W(E6) is walked without building an element, one level at a time
     e6 = build_root_system("E6")
-    keys = {minv for _, minv in _shortlex_walk(e6)}
+    keys = {minv for _, _, minv, _ in _shortlex_walk(e6, range(1, 7))}
     assert len(keys) == _weyl_group_order(e6) == 51_840
 
 
@@ -246,6 +259,18 @@ def test_ball_size_matches_walk():
     assert _ball_size(e8, 12) == 202_683 > _FINITE_WALK_LIMIT
     with pytest.raises(ValueError, match="202,683"):
         _ball(e8, 12)
+
+
+def test_ball_size_lower_bound():
+    # every length from 1 on holds at least l + 1 elements, which is what
+    # lets a huge radius be refused without summing Bott's series
+    for cartan_type in ("A1", "A4", "B3", "C2", "D5", "G2", "F4", "E6", "E8"):
+        rs = build_root_system(cartan_type)
+        for radius in (0, 1, 2, 5, 30):
+            assert _ball_size(rs, radius) >= 1 + (rs.rank + 1) * radius, (cartan_type, radius)
+    # past the limit by the bound alone: refused without the exact size
+    with pytest.raises(ValueError, match="has at least 120,001 elements"):
+        _ball(build_root_system("C2"), 40_000)
 
 
 @pytest.mark.parametrize("cartan_type", WALKED_TYPES)
@@ -396,7 +421,7 @@ def test_integer_projections_match_reference(cartan_type, facet, densities):
     point = [int(x * n) for x in ctx.point]
     orbit = [
         tuple(sum(minv[p][i] * point[p] for p in range(rs.rank)) for i in range(rs.rank))
-        for _, minv in _shortlex_walk(rs)
+        for _, _, minv, _ in _shortlex_walk(rs, range(1, rs.rank + 1))
     ]
     for density in densities:
         for _ in range(2):
