@@ -64,13 +64,17 @@ def parse_point(coords: Iterable) -> Point:
     """Coerce coordinates to exact rationals.
 
     Accepts ints, Fractions, and "p/q" strings; floats are rejected
-    because the library guarantees exact arithmetic throughout.
+    because the library guarantees exact arithmetic throughout, and so
+    is a zero denominator.
     """
     out = []
     for c in coords:
         if isinstance(c, float):
             raise ValueError(f"irrational/float coordinate not supported: {c!r}")
-        out.append(Fraction(c))
+        try:
+            out.append(Fraction(c))
+        except ZeroDivisionError:
+            raise ValueError(f"coordinate {c!r} has a zero denominator") from None
     return tuple(out)
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .affine_roots import AffineRoot, is_indecomposable, point_to_json
-from .context import Context
+from .context import Context, Factor
 from .finite_field import char_product_trivial
 
 
@@ -40,6 +40,8 @@ class ShallowCharacter:
 
     def _bind(self, context: Context, vector: Tuple[int, ...]) -> None:
         for v in vector:
+            if type(v) is not int:  # bool is an int subclass, and refused too
+                raise ValueError(f"parameter {v!r} is not an integer")
             if not 0 <= v < context.q:
                 raise ValueError(f"parameter {v} outside F_{context.q}")
         self.context = context
@@ -69,9 +71,6 @@ class ShallowCharacter:
     def is_trivial(self) -> bool:
         return not any(self.vector)
 
-    def root_eval(self, position: int, x: int) -> int:
-        return self.table[position][x]
-
     def to_json(self) -> Dict:
         return {
             "lambda": point_to_json(self.context.point),
@@ -97,10 +96,34 @@ class ShallowCharacter:
 
 
 def character_from_json(context: Context, data: Dict) -> ShallowCharacter:
+    """The character of a `ShallowCharacter.to_json` object.
+
+    Anything but a list "params" of {"root": {"gradient": [int, ...],
+    "level": int}, "c": int} objects, one per root, is refused with a
+    ValueError.
+    """
+    entries = data.get("params") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError('a character needs a list "params"')
     params = {}
-    for entry in data["params"]:
-        root = AffineRoot(tuple(entry["root"]["gradient"]), entry["root"]["level"])
-        params[root] = entry["c"]
+    for entry in entries:
+        try:
+            gradient, level = entry["root"]["gradient"], entry["root"]["level"]
+            c = entry["c"]
+        except (KeyError, TypeError):
+            raise ValueError(
+                'each entry of "params" must be {"root": {"gradient": ..., "level": ...}, "c": ...}'
+            ) from None
+        if not (
+            isinstance(gradient, list)
+            and all(type(g) is int for g in gradient)
+            and type(level) is int
+        ):
+            raise ValueError(f"root {entry['root']!r} needs integer gradient and level")
+        root = AffineRoot(tuple(gradient), level)
+        if root in params:
+            raise ValueError(f"root {root} is given twice")
+        params[root] = c
     return ShallowCharacter(context, params)
 
 
@@ -116,14 +139,10 @@ def validate(chi: ShallowCharacter) -> ValidationResult:
     """Check every pair relation; collect the pairs that fail."""
     ctx = chi.context
     bad: List[Tuple[AffineRoot, AffineRoot]] = []
-    for p1 in range(ctx.n_roots):
-        for p2 in range(p1 + 1, ctx.n_roots):
-            terms = ctx.expansion_terms(p1, p2)
-            if not terms:
-                continue
-            packed = [(chi.vector[pos], (i, j), c) for pos, i, j, c in terms]
-            if not char_product_trivial(ctx.field, packed):
-                bad.append((ctx.roots[p1], ctx.roots[p2]))
+    for (p1, p2), terms in ctx.relations.items():
+        packed = [(chi.vector[pos], (i, j), c) for pos, i, j, c in terms]
+        if not char_product_trivial(ctx.field, packed):
+            bad.append((ctx.roots[p1], ctx.roots[p2]))
     return ValidationResult(not bad, tuple(bad))
 
 
@@ -259,30 +278,24 @@ def relation_rows(ctx: Context) -> List[List[int]]:
     p, m, q = f.p, f.m, f.q
     nvars = ctx.n_roots * m
     rows: List[List[int]] = []
-    for p1 in range(ctx.n_roots):
-        for p2 in range(p1 + 1, ctx.n_roots):
-            terms = ctx.expansion_terms(p1, p2)
-            if not terms:
-                continue
-            bins: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
-            for pos, i, j, c in terms:
-                if c % p == 0:
-                    continue
-                for e in range(m):
-                    mono = (
-                        _reduce_exponent(i * p**e, q),
-                        _reduce_exponent(j * p**e, q),
-                    )
-                    bins.setdefault(mono, []).append((pos, e, c % p))
-            for contributions in bins.values():
-                block = [[0] * nvars for _ in range(m)]
-                for pos, e, c in contributions:
-                    for d in range(m):
-                        image = f.mul(f.from_int(c), f.pow(p**d, p**e))
-                        for r, coeff in enumerate(f.coeffs(image)):
-                            col = pos * m + d
-                            block[r][col] = (block[r][col] + coeff) % p
-                rows.extend(row for row in block if any(row))
+    for terms in ctx.relations.values():
+        bins: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
+        for pos, i, j, c in terms:
+            for e in range(m):
+                mono = (
+                    _reduce_exponent(i * p**e, q),
+                    _reduce_exponent(j * p**e, q),
+                )
+                bins.setdefault(mono, []).append((pos, e, c))
+        for contributions in bins.values():
+            block = [[0] * nvars for _ in range(m)]
+            for pos, e, c in contributions:
+                for d in range(m):
+                    image = f.mul(c, f.pow(p**d, p**e))
+                    for r, coeff in enumerate(f.coeffs(image)):
+                        col = pos * m + d
+                        block[r][col] = (block[r][col] + coeff) % p
+            rows.extend(row for row in block if any(row))
     return rows
 
 
@@ -308,12 +321,9 @@ def enumerate_valid(ctx: Context) -> Iterator[ShallowCharacter]:
     accepts, without reading the relation rows.
     """
     n, f = ctx.n_roots, ctx.field
-    checks: List[List[Tuple[Tuple[int, int, int, int], ...]]] = [[] for _ in range(n)]
-    for p1 in range(n):
-        for p2 in range(p1 + 1, n):
-            terms = ctx.expansion_terms(p1, p2)
-            if terms:
-                checks[max(pos for pos, _, _, _ in terms)].append(terms)
+    checks: List[List[Tuple[Factor, ...]]] = [[] for _ in range(n)]
+    for terms in ctx.relations.values():
+        checks[max(pos for pos, _, _, _ in terms)].append(terms)
     vec = [0] * n
 
     def extend(k: int) -> Iterator[ShallowCharacter]:

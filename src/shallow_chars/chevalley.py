@@ -102,9 +102,6 @@ class StructureConstants:
         self._extraspecial = extraspecial_pairs(rs)
         self._memo: Dict[Tuple[Root, Root], Fraction] = {}
 
-    def extraspecial_pair(self, c: Root) -> Tuple[Root, Root]:
-        return self._extraspecial[c]
-
     def p_down(self, a: Root, b: Root) -> int:
         """Largest p with b - p*a a root."""
         p = 0

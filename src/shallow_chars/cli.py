@@ -25,6 +25,7 @@ from .affine_roots import (
     facet_point,
     n_J,
     is_indecomposable,
+    parse_point,
     point_to_json,
 )
 from .chevalley import Pinning, commutator_expansion
@@ -86,7 +87,7 @@ def _build_context(args) -> Context:
     elif args.point == "barycenter":
         point = barycenter(rs)
     else:
-        point = tuple(Fraction(x) for x in args.point.split(","))
+        point = parse_point(args.point.split(","))
     pinning = Pinning(rs, kind=args.pinning)
     return Context(rs, point, q=args.q, pinning=pinning)
 
@@ -346,25 +347,18 @@ def cmd_reproduce_sp4(args) -> int:
     # 2. the relation families visible over F_q
     families = []
     got_pairs = []
-    for p1 in range(ctx.n_roots):
-        for p2 in range(p1 + 1, ctx.n_roots):
-            terms = [
-                (ctx.roots[t], i, j)
-                for t, i, j, c in ctx.expansion_terms(p1, p2)
-                if c % ctx.field.p
-            ]
-            if not terms:
-                continue
-            got_pairs.append((ctx.roots[p1], ctx.roots[p2], terms))
-            families.append(
-                "1 = "
-                + " ".join(
-                    "chi_{%s}(x^%d y^%d)" % (_affine_label(ctx, t), i, j)
-                    for t, i, j in terms
-                )
-                + "   if %s, %s shallow"
-                % (_affine_label(ctx, ctx.roots[p1]), _affine_label(ctx, ctx.roots[p2]))
+    for (p1, p2), factors in ctx.relations.items():
+        terms = [(ctx.roots[t], i, j) for t, i, j, _ in factors]
+        got_pairs.append((ctx.roots[p1], ctx.roots[p2], terms))
+        families.append(
+            "1 = "
+            + " ".join(
+                "chi_{%s}(x^%d y^%d)" % (_affine_label(ctx, t), i, j)
+                for t, i, j in terms
             )
+            + "   if %s, %s shallow"
+            % (_affine_label(ctx, ctx.roots[p1]), _affine_label(ctx, ctx.roots[p2]))
+        )
     report["relation_families"] = families
     if args.q == 2:
         expected_pairs = [

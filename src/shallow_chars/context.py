@@ -2,16 +2,17 @@
 
 Everything downstream of the shallow-root enumeration is positional: a
 context freezes the enumeration (depth, then gradient, both ascending),
-and caches the commutator data exchanged between the character relations
-and the normal-form rewriting.  The cache is keyed by positions, not
-roots, and stores only targets that stay shallow; every cached target is
-checked to land strictly later in the enumeration, which is the fact
-making the rewriting terminate.
+and builds on first use the one commutator table, `relations`, that the
+relation rows, the validator, the exhaustive oracle, the collector and
+the Sp4 report all read.  Its constants are reduced into F_p here and
+nowhere else.  Every target is checked to land strictly later than both
+generators of its pair, which is the fact making the rewriting terminate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 from .affine_roots import (
@@ -25,6 +26,8 @@ from .affine_roots import (
 from .chevalley import Pinning, commutator_expansion
 from .finite_field import FiniteField
 from .root_system import RootSystem, _parallel
+
+Factor = Tuple[int, int, int, int]  # (target position, i, j, C in F_p)
 
 
 class Context:
@@ -50,7 +53,6 @@ class Context:
             depth(r, self.point) for r in self.roots
         )
         self.facet = facet_of(rs, self.point)
-        self._terms: Dict[Tuple[int, int], Tuple[Tuple[int, int, int, int], ...]] = {}
         self._cayley = None
 
     @property
@@ -64,29 +66,37 @@ class Context:
     def coset_count(self) -> int:
         return self.field.q ** len(self.roots)
 
-    def expansion_terms(self, early: int, late: int) -> Tuple[Tuple[int, int, int, int], ...]:
-        """Shallow commutator data for the generator pair at two positions.
+    @cached_property
+    def relations(self) -> Dict[Tuple[int, int], Tuple[Factor, ...]]:
+        """The shallow commutator factors over F_p, one entry per pair.
 
-        Entries (target_position, i, j, C) describe the factor
-        u_target(C x^i y^j) of [u_late(y), u_early(x)], keeping only
-        targets that are themselves shallow; parallel gradients give ().
+        Keys (early, late) with early < late, in ascending order; values
+        the factors (target, i, j, C) of [u_late(y), u_early(x)], ordered
+        by (i+j, i), that carry u_target(C x^i y^j) with target shallow
+        and C a nonzero element of F_p.  Pairs of parallel gradients
+        and pairs with no such factor are absent.  Built on first use.
         """
-        key = (early, late)
-        if key not in self._terms:
-            alpha, beta = self.roots[early], self.roots[late]
-            if _parallel(alpha.gradient, beta.gradient):
-                out: Tuple[Tuple[int, int, int, int], ...] = ()
-            else:
-                found = []
+        p = self.field.p
+        table: Dict[Tuple[int, int], Tuple[Factor, ...]] = {}
+        for early, alpha in enumerate(self.roots):
+            for late in range(early + 1, len(self.roots)):
+                beta = self.roots[late]
+                if _parallel(alpha.gradient, beta.gradient):
+                    continue
+                factors = []
                 for target, term in commutator_expansion(self.pinning, alpha, beta):
-                    pos = self.index.get(target)
-                    if pos is None:
-                        continue  # depth >= 1, dies in the quotient
-                    assert pos > max(early, late), "commutator target must come later"
-                    found.append((pos, term.i, term.j, term.constant))
-                out = tuple(found)
-            self._terms[key] = out
-        return self._terms[key]
+                    pos, c = self.index.get(target), term.constant % p
+                    if pos is None or not c:
+                        continue  # depth >= 1, or C = 0 in F_p: trivial here
+                    assert pos > late, "commutator target must come later"
+                    factors.append((pos, term.i, term.j, c))
+                if factors:
+                    table[early, late] = tuple(factors)
+        return table
+
+    def expansion_terms(self, early: int, late: int) -> Tuple[Factor, ...]:
+        """The factors of [u_late(y), u_early(x)], early < late: `relations`, or ()."""
+        return self.relations.get((early, late), ())
 
     def to_json(self) -> Dict:
         return {

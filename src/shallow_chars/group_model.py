@@ -105,14 +105,12 @@ def decode(ctx: Context, code: int) -> CosetWord:
 
 
 def _commutator(ctx: Context, early: int, x: int, late: int, y: int) -> List[Token]:
-    """The nonzero factors of [u_late(y), u_early(x)], in order."""
+    """The factors of [u_late(y), u_early(x)], in order; nonzero for units x, y."""
     f = ctx.field
-    factors = []
-    for target, i, j, c in ctx.expansion_terms(early, late):
-        value = f.mul(f.from_int(c), f.mul(f.pow(x, i), f.pow(y, j)))
-        if value:
-            factors.append((target, value))
-    return factors
+    return [
+        (target, f.mul(c, f.mul(f.pow(x, i), f.pow(y, j))))
+        for target, i, j, c in ctx.expansion_terms(early, late)
+    ]
 
 
 # tokens taken off the stack in one collection.  A product of two random
@@ -225,17 +223,17 @@ def _reach(ctx: Context) -> List[FrozenSet[int]]:
 
     A token at x writes x; each swap with another token writes the
     targets of their commutator, and those corrections are collected in
-    turn.
+    turn.  Only the factors in `Context.relations` are ever written, and
+    every target lies after both positions of its pair.
     """
     n = ctx.n_roots
+    targets: List[set] = [set() for _ in range(n)]
+    for pair, factors in ctx.relations.items():
+        for x in pair:
+            targets[x].update(t for t, _, _, _ in factors)
     reach: List[FrozenSet[int]] = [frozenset()] * n
     for x in reversed(range(n)):
-        rows = {x}
-        for t in range(n):
-            if t != x:
-                for target, _, _, _ in ctx.expansion_terms(min(x, t), max(x, t)):
-                    rows |= reach[target]
-        reach[x] = frozenset(rows)
+        reach[x] = frozenset({x}.union(*(reach[t] for t in targets[x])))
     return reach
 
 

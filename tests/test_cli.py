@@ -182,7 +182,7 @@ def test_output_is_deterministic(capsys):
     assert out3 == out4
 
 
-def test_bad_usage(capsys):
+def test_bad_usage(capsys, tmp_path):
     assert main(["frobnicate"]) == 64
     assert main(["shallow"]) == 64  # --type is required
     assert main(["classify", "--type", "C2", "--params", "1,0"]) == 64
@@ -238,6 +238,38 @@ def test_bad_usage(capsys):
     for q, mode in (("7", "generators"), ("3", "pairs")):
         argv = ["verify-hom", "--type", "C2", "--q", q, "--params", ones, "--mode", mode]
         assert main(argv) == 64
+    capsys.readouterr()
+    # malformed values end in a message and exit 64, not a traceback:
+    # a zero denominator, a character file of the wrong shape, a
+    # parameter that is not an integer (a bool included), a repeated root
+    assert main(["shallow", "--type", "C2", "--point", "1/0,1/2"]) == 64
+    assert "zero denominator" in capsys.readouterr().err
+    _, payload = _run_json(capsys, ["classify", "--type", "C2", "--params", EXAMPLE])
+    good = payload["character"]
+    entry = good["params"][0]
+    shapes = [
+        [],
+        {},
+        {"params": 5},
+        {"params": [1, 2]},
+        {"params": [{"root": [1, 0], "c": 1}]},
+        {"params": [{"root": {"gradient": [1, 0]}, "c": 1}]},
+        {"params": [{"root": entry["root"]}]},
+        {"params": [{"root": {"gradient": 1, "level": 0}, "c": 1}]},
+        {"params": [{"root": {"gradient": [1, 0], "level": "0"}, "c": 1}]},
+    ]
+    values = [dict(good, params=[dict(entry, c=c)] + good["params"][1:])
+              for c in ("1", 1.0, None, True)]
+    # a repeated root, whose second value would otherwise win silently
+    values.append(dict(good, params=good["params"] + [dict(entry, c=0)]))
+    path = tmp_path / "bad.json"
+    for data in shapes + values:
+        path.write_text(json.dumps(data))
+        assert main(["classify", "--type", "C2", "--char", str(path)]) == 64, data
+        err = capsys.readouterr().err
+        assert err.startswith("shallow-chars: error:"), data
+    path.write_text(json.dumps(good))
+    assert main(["classify", "--type", "C2", "--char", str(path)]) == 0
     capsys.readouterr()
 
 

@@ -394,3 +394,26 @@ def test_validate_matches_group_model(cartan_type, q, facet):
         assert res.ok == ok, chi
         if ok:
             assert res.checked == ctx.n_roots * (q - 1) * ctx.coset_count()
+
+
+@pytest.mark.parametrize(
+    "cartan_type, q", [("C2", 2), ("C2", 3), ("G2", 2), ("G2", 3), ("A3", 2), ("B3", 2)]
+)
+def test_reach_covers_every_written_row(cartan_type, q):
+    """Collecting u_x(v) onto a normal form changes only rows in _reach[x].
+
+    The sweep orders its suffixes by the last reached row, so a row
+    written outside the reach could move a first failure past it.
+    """
+    ctx = _context(cartan_type, q)
+    reach = group_model._reach(ctx)
+    rng = random.Random(f"{cartan_type}-{q}")
+    widest = 0
+    for _ in range(300):
+        start = [rng.randrange(q) for _ in range(ctx.n_roots)]
+        x, v = rng.randrange(ctx.n_roots), rng.randrange(1, q)
+        end = group_model._collect(ctx, [(x, v)], start)
+        written = {t for t, (a, b) in enumerate(zip(start, end)) if a != b}
+        assert written <= reach[x], (start, x, v)
+        widest = max(widest, len(written))
+    assert widest > 1  # some token wrote commutator corrections
