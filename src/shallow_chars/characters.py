@@ -27,7 +27,7 @@ import functools
 from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .affine_roots import AffineRoot, is_indecomposable, point_to_json
+from .affine_roots import AffineRoot, is_indecomposable, parse_point, point_to_json
 from .context import Context, Factor
 from .finite_field import char_product_trivial
 
@@ -100,11 +100,23 @@ def character_from_json(context: Context, data: Dict) -> ShallowCharacter:
 
     Anything but a list "params" of {"root": {"gradient": [int, ...],
     "level": int}, "c": int} objects, one per root, is refused with a
-    ValueError.
+    ValueError, and so is a "q" or a "lambda", where present, that is
+    not the context's field size or point.
     """
     entries = data.get("params") if isinstance(data, dict) else None
     if not isinstance(entries, list):
         raise ValueError('a character needs a list "params"')
+    if "q" in data and not (type(data["q"]) is int and data["q"] == context.q):
+        raise ValueError(f"the character is over q = {data['q']!r}, not q = {context.q}")
+    if "lambda" in data:
+        point = data["lambda"]
+        try:
+            same = isinstance(point, list) and parse_point(point) == context.point
+        except TypeError:
+            same = False
+        if not same:
+            here = point_to_json(context.point)
+            raise ValueError(f"the character is at the point {point!r}, not {here}")
     params = {}
     for entry in entries:
         try:

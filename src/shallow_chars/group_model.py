@@ -34,10 +34,17 @@ sweep reaches it first; suffix 0 needs no collection, so a full sweep
 takes q^N - 1 - N * (q - 1) in all.  The count of checks is still
 taken in (pos, v, code) order up to and including the first failure,
 so a homomorphism reports N * (q - 1) * q^N, and the witness is the
-least coset with the first failing suffix, code s * q^(pos + 1).  The
-exhaustive pairs mode, which reads the Cayley tables, and the seeded
-sampling mode exist to exercise the same claim without leaning on that
-argument.
+least coset with the first failing suffix, code s * q^(pos + 1).
+
+The pairs mode rests on the same induction: every pair check is a sum
+of generator checks, so a character that passes the sweep passes all
+q^(2N) pairs.  One that fails has a failing pair, a failing generator
+check being one, and the pairs are walked in (code1, code2) order up to
+the first.  With m the top entry of w2 = w2' * u_m(a), the product
+w1 * w2 is one collection of u_m(a) onto the kept form of w1 * w2'.  A
+Cayley-table loop was never independent of the argument either: it
+formed w1 * w2 as ((w1 * t1) * t2) ... * tk over the tokens of w2.
+Only the seeded sampling mode multiplies two whole normal forms.
 
 Where the first failure of a block lies is known before the sweep gets
 there.  Collecting s * g commutes g or a correction past entries of
@@ -182,7 +189,11 @@ def evaluate(chi, word: CosetWord) -> int:
 
 
 def cayley_tables(ctx: Context):
-    """Right multiplication by each generator as a permutation of coset codes."""
+    """Right multiplication by each generator as a permutation of coset codes.
+
+    No runtime path calls it: the tests read it as an oracle, and the
+    perfbench tracer wraps it by name.
+    """
     if ctx._cayley is None:
         tables = {}
         count = ctx.coset_count()
@@ -315,6 +326,39 @@ def _generator_sweep(chi) -> VerifyResult:
     return VerifyResult(True, "generators", len(blocks) * count, None)
 
 
+def _pair_sweep(chi) -> VerifyResult:
+    """chi(w1 * w2) = chi(w1) + chi(w2) for every pair of cosets.
+
+    The generator sweep decides the verdict; a character that fails it
+    is walked pair by pair in (code1, code2) order to its first failing
+    pair.  Each w1 * w2 is collected onto the form of w1 * w2', w2' being
+    w2 less its top entry, so only the forms of codes below q^(N - 1),
+    the parents, are kept, one list per w1.
+    """
+    ctx = chi.context
+    count = ctx.coset_count()
+    if _generator_sweep(chi).ok:
+        return VerifyResult(True, "pairs", count**2, None)
+    q, n, p = ctx.q, ctx.n_roots, ctx.field.p
+    values = _word_values(chi, ctx)
+    for code1 in range(count):
+        forms = [decode(ctx, code1).entries]  # w1 * w2' by code of w2'
+        for m in range(n):
+            size = q**m
+            for a in range(1, q):
+                for parent in range(size):
+                    entries = _collect(ctx, [(m, a)], forms[parent])
+                    code2 = a * size + parent
+                    chi_w = sum(map(getitem, chi.table, entries)) % p
+                    if chi_w != (values[code1] + values[code2]) % p:
+                        witness = (decode(ctx, code1), decode(ctx, code2))
+                        checked = code1 * count + code2 + 1
+                        return VerifyResult(False, "pairs", checked, witness)
+                    if m < n - 1:
+                        forms.append(entries)
+    raise AssertionError("a failing generator check is a failing pair")
+
+
 # most cosets (generators mode) or coset pairs (pairs mode) swept exactly
 _SWEEP_LIMIT = 2**20
 
@@ -328,8 +372,10 @@ def verify_homomorphism(
     """Check chi(w1 * w2) = chi(w1) + chi(w2) against the group model.
 
     Modes: "generators" sweeps every coset against every generator,
-    which is exact; "pairs" sweeps every pair of cosets through the
-    Cayley tables; "sample" draws seeded random pairs; "auto" picks
+    which is exact; "pairs" takes that sweep's verdict, since every pair
+    check is a sum of generator checks (a Cayley-table loop composes
+    the same checks), and walks the pairs in code order to the
+    first failing one; "sample" draws seeded random pairs; "auto" picks
     generators when the coset count is at most 2**20 and falls back to
     sampling.  The two sweeps refuse more than 2**20 cosets or pairs up
     front, before any collection.
@@ -350,22 +396,7 @@ def verify_homomorphism(
             )
         if mode == "generators":
             return _generator_sweep(chi)
-        tables = cayley_tables(ctx)
-        values = _word_values(chi, ctx)
-        p = ctx.field.p
-        checked = 0
-        for code1 in range(count):
-            w1 = decode(ctx, code1)
-            for code2 in range(count):
-                code = code1
-                for tok in decode(ctx, code2).tokens():
-                    code = tables[tok][code]
-                checked += 1
-                if values[code] != (values[code1] + values[code2]) % p:
-                    return VerifyResult(
-                        False, mode, checked, (w1, decode(ctx, code2))
-                    )
-        return VerifyResult(True, mode, checked, None)
+        return _pair_sweep(chi)
 
     if mode == "sample":
         if seed is None:

@@ -261,6 +261,31 @@ def test_json_roundtrip(c2_ctx, sp4_example):
     assert character_from_json(c2_ctx, data) == sp4_example
 
 
+def test_json_field_and_point_must_match(c2, c2_ctx, sp4_example):
+    data = sp4_example.to_json()
+    # the point is compared as rationals, and both keys may be left out
+    assert character_from_json(c2_ctx, dict(data, **{"lambda": ["2/8", "1/4"]})) == sp4_example
+    bare = {"params": data["params"]}
+    assert character_from_json(c2_ctx, bare) == sp4_example
+    # the same shallow roots over another field or at another alcove
+    # point: read silently, the character would be judged where it is not
+    for ctx, message in (
+        (Context(c2, barycenter(c2), q=3), "over q = 2, not q = 3"),
+        (Context(c2, ("1/5", "1/4"), q=2), "at the point"),
+    ):
+        assert set(ctx.roots) == set(c2_ctx.roots)
+        with pytest.raises(ValueError, match=message):
+            character_from_json(ctx, data)
+    for q in (True, "2", 2.0):
+        with pytest.raises(ValueError, match="the character is over q"):
+            character_from_json(c2_ctx, dict(data, q=q))
+    for point in (["1/5", "1/4"], ["1/4"], "1/4,1/4", [None, None], None):
+        with pytest.raises(ValueError, match="the character is at the point"):
+            character_from_json(c2_ctx, dict(data, **{"lambda": point}))
+    with pytest.raises(ValueError, match="float"):
+        character_from_json(c2_ctx, dict(data, **{"lambda": [0.25, 0.25]}))
+
+
 def test_space_json(c2_ctx):
     data = solve_space(c2_ctx, cross_check=False).to_json()
     assert data["dimension"] == 5

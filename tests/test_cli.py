@@ -271,6 +271,16 @@ def test_bad_usage(capsys, tmp_path):
     path.write_text(json.dumps(good))
     assert main(["classify", "--type", "C2", "--char", str(path)]) == 0
     capsys.readouterr()
+    # a character file read over another field or at another point, with
+    # the same shallow roots there, is refused rather than judged there
+    _, solved = _run_json(capsys, ["solve", "--type", "A2", "--q", "4"])
+    path.write_text(json.dumps(solved["basis"][0]))
+    for q in ("2", "8"):
+        assert main(["classify", "--type", "A2", "--q", q, "--char", str(path)]) == 64
+        assert "the character is over q = 4" in capsys.readouterr().err
+    path.write_text(json.dumps(good))
+    assert main(["classify", "--type", "C2", "--point", "1/5,1/4", "--char", str(path)]) == 64
+    assert "the character is at the point" in capsys.readouterr().err
 
 
 # Exit code and sha256 of stdout for fixed --json invocations.  The JSON
@@ -346,6 +356,17 @@ PINNED_OUTPUTS = [
     (["verify-hom", "--type", "G2", "--q", "2", "--facet", "1,2",
       "--params", "1,1,1,1,1,1,1,0,0,0", "--mode", "generators"], 0,
      "a9d7b24814868203d4fa4c753f60dcb8b37ccdff43fbf840676ca0f1c6e65634"),
+    # pairs sweeps: the valid Sp4 example over all 2**16 pairs, and two
+    # invalid characters with two nonzero entries whose first failing
+    # pair lies deep in the (code1, code2) order
+    (["verify-hom", "--type", "C2", "--params", EXAMPLE, "--mode", "pairs"], 0,
+     "8280a4dfc4141646e64b955730a58b80e71d0b8087ee2250048a027b39505194"),
+    (["verify-hom", "--type", "G2", "--q", "2", "--facet", "1,2",
+      "--params", "0,0,0,0,0,0,1,0,0,1", "--mode", "pairs"], 1,
+     "34ed31896f3a3ea3a41be4b1e51a27d55a1233ea5f74107aaad2f6efaf8d12f4"),
+    (["verify-hom", "--type", "A2", "--q", "3", "--params", "0,0,0,0,1,0",
+      "--mode", "pairs"], 1,
+     "5dff77910e9f4f4e469c2262360706c994d24de7f1f33f11c2a61c251911936e"),
     (["reproduce-sp4", "--q", "2"], 0,
      "23d57c9fd347342a68be1e820eb11543d8559d3b6fa5f9bd1cd3a2e1637d95d4"),
     (["reproduce-sp4", "--q", "3"], 1,

@@ -230,6 +230,30 @@ def table_sweep(chi):
     return VerifyResult(True, "generators", checked, None)
 
 
+def table_pairs(chi):
+    """Oracle: the pairs sweep read off materialised Cayley tables.
+
+    Every pair of cosets in (code1, code2) order, the product of w1 and
+    w2 taken as w1 times the tokens of w2, one table lookup each.
+    """
+    ctx = chi.context
+    count = ctx.coset_count()
+    tables = cayley_tables(ctx)
+    values = _word_values(chi, ctx)
+    p = ctx.field.p
+    checked = 0
+    for code1 in range(count):
+        w1 = decode(ctx, code1)
+        for code2 in range(count):
+            code = code1
+            for tok in decode(ctx, code2).tokens():
+                code = tables[tok][code]
+            checked += 1
+            if values[code] != (values[code1] + values[code2]) % p:
+                return VerifyResult(False, "pairs", checked, (w1, decode(ctx, code2)))
+    return VerifyResult(True, "pairs", checked, None)
+
+
 def _context(cartan_type, q, facet=None):
     rs = build_root_system(cartan_type)
     point = barycenter(rs) if facet is None else facet_point(rs, facet)
@@ -312,6 +336,51 @@ def test_generator_sweep_collects_once_per_suffix(monkeypatch):
     for block in blocks:
         assert len(block.chis) <= 3 ** (8 - 2 - block.pos)
         assert len(block.forms) == len(block.chis) * block.width
+
+
+# (type, q, facet) for the pairs sweep against the table oracle
+PAIRS_MATRIX = [
+    ("A1", 2, None), ("A1", 4, None), ("A1", 8, None), ("A2", 2, None),
+    ("A2", 3, None), ("C2", 2, None), ("B2", 2, None), ("G2", 2, {1, 2}),
+    ("C2", 3, {1}), ("C2", 2, {0, 1}), ("B2", 2, {0, 1}), ("A3", 2, {0, 1}),
+]
+
+
+@pytest.mark.parametrize("cartan_type, q, facet", PAIRS_MATRIX)
+def test_pair_sweep_matches_table_pairs(cartan_type, q, facet):
+    """Valid, shifted and uniform characters, and characters with one or
+    two nonzero entries, whose first failing pair often lies past many
+    whole rows of w1.  The oracle takes every pair of a valid character,
+    3 to 7 s of table lookups on A2 q=3 and G2 {1,2}, so valid characters
+    run against it only up to 2**16 pairs; validate drops them there."""
+    ctx = _context(cartan_type, q, facet)
+    n = ctx.n_roots
+    rng = random.Random(f"{cartan_type}{q}{facet}")
+    chars = _sample_characters(ctx, rng, valid=2, broken=3, random_=3)
+    for size in (1, 2, 2, 2):
+        vec = [0] * n
+        for t in rng.sample(range(n), size):
+            vec[t] = rng.randrange(1, q)
+        chars.append(ShallowCharacter.from_vector(ctx, vec))
+    if ctx.coset_count() ** 2 > 2**16:
+        chars = [chi for chi in chars if not validate(chi).ok]
+    assert chars
+    for chi in chars:
+        assert verify_homomorphism(chi, mode="pairs") == table_pairs(chi), chi
+
+
+def test_pair_sweep_builds_no_table(monkeypatch):
+    def refuse(ctx):
+        raise AssertionError("Cayley tables built")
+
+    monkeypatch.setattr(group_model, "cayley_tables", refuse)
+    ctx = _context("C2", 2)
+    good = ShallowCharacter(ctx, SP4_PARAMS)
+    bad = ShallowCharacter.from_vector(ctx, good.vector[:4] + (0,) + good.vector[5:])
+    assert verify_homomorphism(good, mode="pairs") == (True, "pairs", 2**16, None)
+    res = verify_homomorphism(bad, mode="pairs")
+    assert not res.ok and res.checked > 1
+    assert ctx._cayley is None
 
 
 @pytest.mark.parametrize("cartan_type, q", [("C2", 3), ("G2", 2)])

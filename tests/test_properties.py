@@ -1,5 +1,6 @@
-"""Seeded property tests: the relation rows against the group model, and
-the linear solver against the exhaustive oracle.
+"""Seeded property tests: the relation rows against the group model, the
+pairs sweep against the Cayley tables, and the linear solver against the
+exhaustive oracle.
 
 hypothesis is a test-only dependency; `derandomize` makes every run draw
 the same examples.
@@ -18,23 +19,32 @@ from shallow_chars.context import Context
 from shallow_chars.group_model import verify_homomorphism
 from shallow_chars.root_system import build_root_system
 
+from test_group_model import table_pairs
+
 SMALL_TYPES = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2")
 FIELDS = (2, 3, 4, 5, 8, 9)
 MAX_COSETS = 2**14
+MAX_PAIR_COSETS = 2**8  # the table oracle takes every pair of a valid character
 MAX_VECTORS = 2**20  # the most q^N vectors solve_space will cross-check
 MAX_VALID = 2**14  # each side of the cross-check lists every valid vector
 
 
 @st.composite
-def characters(draw):
+def characters(draw, max_cosets=MAX_COSETS):
     """A basis combination of the solved space, perhaps with one entry
-    shifted, on a random facet and a field small enough to sweep."""
+    shifted, at a random rational point of the closed alcove and a field
+    small enough to sweep.
+
+    The point lies on a random facet, with positive weights on its
+    simple affine roots, so not only at facet barycenters.
+    """
     rs = build_root_system(draw(st.sampled_from(SMALL_TYPES)))
     facet = draw(st.sets(st.integers(0, rs.rank), min_size=1))
-    point = facet_point(rs, facet)
+    weights = {j: draw(st.integers(1, 5)) for j in sorted(facet)}
+    point = facet_point(rs, facet, weights)
     n = len(shallow_roots(rs, point))
-    assume(2**n <= MAX_COSETS)
-    q = draw(st.sampled_from([q for q in FIELDS if q**n <= MAX_COSETS]))
+    assume(2**n <= max_cosets)
+    q = draw(st.sampled_from([q for q in FIELDS if q**n <= max_cosets]))
     ctx = Context(rs, point, q=q)
     f = ctx.field
     vec = [0] * n
@@ -53,6 +63,13 @@ def characters(draw):
 @given(characters())
 def test_validate_matches_generator_sweep(chi):
     assert validate(chi).ok == verify_homomorphism(chi, mode="generators").ok
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(characters(max_cosets=MAX_PAIR_COSETS))
+def test_pair_sweep_matches_table_pairs(chi):
+    assert verify_homomorphism(chi, mode="pairs") == table_pairs(chi)
 
 
 @st.composite
