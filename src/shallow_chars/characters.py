@@ -98,11 +98,15 @@ class ShallowCharacter:
 def character_from_json(context: Context, data: Dict) -> ShallowCharacter:
     """The character of a `ShallowCharacter.to_json` object.
 
-    Anything but a list "params" of {"root": {"gradient": [int, ...],
-    "level": int}, "c": int} objects, one per root, is refused with a
-    ValueError, and so is a "q" or a "lambda", where present, that is
-    not the context's field size or point.
+    An object without "params" but with a dict "character", as `classify
+    --json` prints, is read through that dict.  Anything but a list
+    "params" of {"root": {"gradient": [int, ...], "level": int}, "c":
+    int} objects, one per root, is refused with a ValueError, and so is
+    a "q" or a "lambda", where present, that is not the context's field
+    size or point.
     """
+    if isinstance(data, dict) and "params" not in data and isinstance(data.get("character"), dict):
+        data = data["character"]
     entries = data.get("params") if isinstance(data, dict) else None
     if not isinstance(entries, list):
         raise ValueError('a character needs a list "params"')

@@ -27,24 +27,22 @@ s = s' * u_m(a), with m its top entry and s' its parent, so
 
     s * g = s' * g * u_m(a) * C = g * phi(s') * u_m(a) * C,
 
-where C is the list of factors of [u_m(a), g].  So phi(s) is one
-collection of u_m(a) * C onto phi(s'), and chi(s) = chi(s') +
-chi(u_m(a)) is carried along.  The parent has the smaller code, so the
-sweep reaches it first; suffix 0 needs no collection, so a full sweep
-takes q^N - 1 - N * (q - 1) in all.  The count of checks is still
-taken in (pos, v, code) order up to and including the first failure,
-so a homomorphism reports N * (q - 1) * q^N, and the witness is the
-least coset with the first failing suffix, code s * q^(pos + 1).
+where C is the list of factors of [u_m(a), g].  `_parent_walk` takes
+the suffixes in code order, parents first, and collects each form
+F(s) = F(s') * step onto its parent's, carrying chi(s) = chi(s') +
+chi(u_m(a)); only the parents' forms are kept.  Here F(0) = g and the
+step is u_m(a) * C, so F(s) = s * g.  Suffix 0 needs no collection, so
+a full sweep takes q^N - 1 - N * (q - 1) in all.  The count of checks
+is still taken in (pos, v, code) order up to and including the first
+failure, so a homomorphism reports N * (q - 1) * q^N, and the witness
+is the least coset with the first failing suffix, code s * q^(pos + 1).
 
 The pairs mode rests on the same induction: every pair check is a sum
 of generator checks, so a character that passes the sweep passes all
-q^(2N) pairs.  One that fails has a failing pair, a failing generator
-check being one, and the pairs are walked in (code1, code2) order up to
-the first.  With m the top entry of w2 = w2' * u_m(a), the product
-w1 * w2 is one collection of u_m(a) onto the kept form of w1 * w2'.  A
-Cayley-table loop was never independent of the argument either: it
-formed w1 * w2 as ((w1 * t1) * t2) ... * tk over the tokens of w2.
-Only the seeded sampling mode multiplies two whole normal forms.
+q^(2N) pairs.  One that fails has a failing pair, found in (code1,
+code2) order by one walk per w1, from F(0) = w1 with step u_m(a), so
+that F(w2) = w1 * w2.  Only the seeded sampling mode multiplies two
+whole normal forms.
 
 Where the first failure of a block lies is known before the sweep gets
 there.  Collecting s * g commutes g or a correction past entries of
@@ -69,8 +67,9 @@ from __future__ import annotations
 
 import os
 import random
+from itertools import islice
 from operator import getitem
-from typing import FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .context import Context
 
@@ -220,15 +219,6 @@ class VerifyResult(NamedTuple):
         return self.ok
 
 
-def _word_values(chi, ctx: Context) -> List[int]:
-    p = ctx.field.p
-    values = []
-    for code in range(ctx.coset_count()):
-        values.append(evaluate(chi, decode(ctx, code)))
-    assert all(0 <= v < p for v in values)
-    return values
-
-
 def _reach(ctx: Context) -> List[FrozenSet[int]]:
     """The rows that collecting a token at each position can write.
 
@@ -248,58 +238,51 @@ def _reach(ctx: Context) -> List[FrozenSet[int]]:
     return reach
 
 
-class _Block:
-    """The checks of one generator g = u_pos(val), one suffix s above pos each.
+def _parent_walk(
+    chi, start: Sequence[int], lo: int, step: Callable[[int, int], List[Token]]
+) -> Iterator[Tuple[int, int, List[int]]]:
+    """(code of s, chi(s) mod p, F(s)) for each nonzero suffix s above lo.
 
-    phi(s) is collected onto the form of the parent s', as the module
-    docstring explains.  A parent's top entry is below the last row, so
-    its code is below q^(L - 1), with L = N - 1 - pos entries above pos.
-    Only those suffixes are kept: phi(s) as L bytes in `forms` and
-    chi(s) in `chis`, both in code order.
+    The suffixes come in code order, the code counting entries from
+    lo + 1.  F(0) = start and F(s) = F(s') * step(m, a), collected, where
+    s = s' * u_m(a) with m the top entry of s.  A parent's top entry is
+    below the last row, so its code is below q^(L - 1), with L = N - 1 -
+    lo entries above lo.  Only those forms are kept, as N bytes each in
+    `forms`, with chi(s') in `chis`.
     """
+    ctx = chi.context
+    q, n, p = ctx.q, ctx.n_roots, ctx.field.p
+    width = n - 1 - lo
+    forms, chis = bytearray(start), bytearray(1)
+    for k in range(width):
+        m, size = lo + 1 + k, q**k
+        for a in range(1, q):
+            tokens, chi_top = step(m, a), chi.table[m][a]
+            for parent in range(size):
+                entries = _collect(ctx, tokens, forms[parent * n : (parent + 1) * n])
+                chi_s = (chis[parent] + chi_top) % p
+                if k < width - 1:
+                    forms += bytes(entries)
+                    chis.append(chi_s)
+                yield a * size + parent, chi_s, entries
 
-    def __init__(self, chi, pos: int, val: int):
-        self.chi, self.pos, self.val = chi, pos, val
-        self.width = chi.context.n_roots - 1 - pos
-        self.forms = bytearray(self.width)  # suffix 0: s * g = g
-        self.chis = bytearray(1 if self.width else 0)
 
-    def sweep(self, tops: range) -> Optional[int]:
-        """Check, in code order, the suffixes whose top entry is pos + 1 + k
-        for k in tops; the first failing code, or None."""
-        chi, pos, val, width = self.chi, self.pos, self.val, self.width
-        ctx = chi.context
-        q, p = ctx.q, ctx.field.p
-        head = bytes(pos) + bytes((val,))
-        rows = chi.table[pos + 1 :]
-        forms, chis = self.forms, self.chis
-        for k in tops:
-            m = pos + 1 + k
-            keep = k < width - 1
-            size = q**k
-            for a in range(1, q):
-                tokens = [(m, a)] + _commutator(ctx, pos, val, m, a)
-                chi_top = chi.table[m][a]
-                for parent in range(size):
-                    lo = parent * width
-                    entries = _collect(ctx, tokens, head + forms[lo : lo + width])
-                    above = entries[pos + 1 :]
-                    chi_s = (chis[parent] + chi_top) % p
-                    if sum(map(getitem, rows, above)) % p != chi_s:
-                        return a * size + parent
-                    if keep:
-                        forms += bytes(above)
-                        chis.append(chi_s)
-        return None
+def _first_failure(chi, walk, shift: int) -> Optional[int]:
+    """The first code of the walk whose form F has chi(F) != chi(s) + shift, or None."""
+    p = chi.context.field.p
+    for code, chi_s, entries in walk:
+        if sum(map(getitem, chi.table, entries)) % p != (chi_s + shift) % p:
+            return code
+    return None
 
 
 def _generator_sweep(chi) -> VerifyResult:
     """chi(w * g) = chi(w) + chi(g) for every coset w and generator g.
 
     One collection per nonzero suffix above pos decides a block of q^N
-    checks, each from its parent's collected form.  In every block the
-    suffixes below the last nonzero row that u_pos can reach go first,
-    then the rest; the module docstring gives both arguments.
+    checks: the walk from g whose step is u_m(a) * [u_m(a), g].  In every
+    block the suffixes below the last nonzero row that u_pos can reach go
+    first, then the rest; the module docstring gives both arguments.
     """
     ctx = chi.context
     q, n = ctx.q, ctx.n_roots
@@ -310,19 +293,24 @@ def _generator_sweep(chi) -> VerifyResult:
         max(max((r for r in rows if nonzero[r]), default=pos) - 1 - pos, 0)
         for pos, rows in enumerate(_reach(ctx))
     ]
-    blocks = [_Block(chi, pos, val) for pos in range(n) for val in range(1, q)]
+
+    def walk(pos: int, val: int):
+        def step(m: int, a: int) -> List[Token]:
+            return [(m, a)] + _commutator(ctx, pos, val, m, a)
+
+        return _parent_walk(chi, generator_word(ctx, pos, val).entries, pos, step)
+
+    blocks = [(pos, val, walk(pos, val)) for pos in range(n) for val in range(1, q)]
     for low in (True, False):
-        for k, block in enumerate(blocks):
-            pos, cut = block.pos, cuts[block.pos]
-            suffix = block.sweep(range(cut) if low else range(cut, block.width))
+        for k, (pos, val, suffixes) in enumerate(blocks):
+            if low:
+                suffixes = islice(suffixes, q ** cuts[pos] - 1)
+            suffix = _first_failure(chi, suffixes, chi.table[pos][val])
             if suffix is not None:
-                step = q ** (pos + 1)
-                checked = k * count + suffix * step + 1
-                w = decode(ctx, suffix * step)
-                witness = (w, generator_word(ctx, pos, block.val))
+                stride = q ** (pos + 1)
+                checked = k * count + suffix * stride + 1
+                witness = (decode(ctx, suffix * stride), generator_word(ctx, pos, val))
                 return VerifyResult(False, "generators", checked, witness)
-            if not low:
-                blocks[k] = None  # its parents are no longer needed
     return VerifyResult(True, "generators", len(blocks) * count, None)
 
 
@@ -331,31 +319,19 @@ def _pair_sweep(chi) -> VerifyResult:
 
     The generator sweep decides the verdict; a character that fails it
     is walked pair by pair in (code1, code2) order to its first failing
-    pair.  Each w1 * w2 is collected onto the form of w1 * w2', w2' being
-    w2 less its top entry, so only the forms of codes below q^(N - 1),
-    the parents, are kept, one list per w1.
+    pair, one walk from w1 whose step is u_m(a) for each w1.
     """
     ctx = chi.context
     count = ctx.coset_count()
     if _generator_sweep(chi).ok:
         return VerifyResult(True, "pairs", count**2, None)
-    q, n, p = ctx.q, ctx.n_roots, ctx.field.p
-    values = _word_values(chi, ctx)
     for code1 in range(count):
-        forms = [decode(ctx, code1).entries]  # w1 * w2' by code of w2'
-        for m in range(n):
-            size = q**m
-            for a in range(1, q):
-                for parent in range(size):
-                    entries = _collect(ctx, [(m, a)], forms[parent])
-                    code2 = a * size + parent
-                    chi_w = sum(map(getitem, chi.table, entries)) % p
-                    if chi_w != (values[code1] + values[code2]) % p:
-                        witness = (decode(ctx, code1), decode(ctx, code2))
-                        checked = code1 * count + code2 + 1
-                        return VerifyResult(False, "pairs", checked, witness)
-                    if m < n - 1:
-                        forms.append(entries)
+        w1 = decode(ctx, code1)
+        walk = _parent_walk(chi, w1.entries, -1, lambda m, a: [(m, a)])
+        code2 = _first_failure(chi, walk, evaluate(chi, w1))
+        if code2 is not None:
+            checked = code1 * count + code2 + 1
+            return VerifyResult(False, "pairs", checked, (w1, decode(ctx, code2)))
     raise AssertionError("a failing generator check is a failing pair")
 
 

@@ -171,6 +171,23 @@ def test_character_file_roundtrip(capsys, tmp_path):
     assert parsed["character"] == data["basis"][3]
 
 
+def test_classify_json_reads_back_through_char(capsys, tmp_path):
+    """classify --json nests its character under "character"; --char reads
+    that file, and classify and check-star answer as through --params."""
+    path = tmp_path / "classified.json"
+    codes = set()
+    for params in (EXAMPLE, FLIPPED):
+        _, out = _run(capsys, ["classify", "--type", "C2", "--params", params, "--json"])
+        path.write_text(out)
+        for cmd in ("classify", "check-star"):
+            for json_flag in ([], ["--json"]):
+                argv = [cmd, "--type", "C2"]
+                want = _run(capsys, argv + ["--params", params] + json_flag)
+                assert _run(capsys, argv + ["--char", str(path)] + json_flag) == want
+                codes.add(want[0])
+    assert codes == {0, 1}  # EXAMPLE is valid, FLIPPED is not
+
+
 def test_output_is_deterministic(capsys):
     argv = ["check-star", "--type", "C2", "--params", EXAMPLE, "--json"]
     rc1, out1 = _run(capsys, argv)

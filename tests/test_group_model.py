@@ -11,7 +11,6 @@ from shallow_chars.context import Context
 from shallow_chars.group_model import (
     CosetWord,
     VerifyResult,
-    _word_values,
     cayley_tables,
     decode,
     encode,
@@ -209,6 +208,13 @@ def test_oversized_sweeps_refused_before_tables(c2):
     assert verify_homomorphism(chi, mode="auto", samples=5).mode == "sample"
 
 
+def _word_values(chi, ctx):
+    """chi of every coset, by code, for the table oracles."""
+    values = [evaluate(chi, decode(ctx, code)) for code in range(ctx.coset_count())]
+    assert all(0 <= v < ctx.field.p for v in values)
+    return values
+
+
 def table_sweep(chi):
     """Oracle: the generators sweep read off materialised Cayley tables.
 
@@ -309,6 +315,7 @@ def test_generator_sweep_matches_table_sweep():
 
 def test_generator_sweep_collects_once_per_suffix(monkeypatch):
     ctx = _context("C2", 3)
+    n = ctx.n_roots
     chi = _sample_characters(ctx, random.Random(1), valid=1, broken=0, random_=0)[0]
     calls = []
     collect = group_model._collect
@@ -317,25 +324,81 @@ def test_generator_sweep_collects_once_per_suffix(monkeypatch):
         calls.append(None)
         return collect(*args)
 
-    blocks = []
+    walk = group_model._parent_walk
+    kept = []  # (lo, forms, chis) of each walk, read at its last item
 
-    class Recorded(group_model._Block):
-        def __init__(self, *args):
-            super().__init__(*args)
-            blocks.append(self)
+    def recorded(chi, start, lo, step):
+        inner = walk(chi, start, lo, step)
+        last = None
+        for item in inner:
+            state = inner.gi_frame.f_locals
+            last = (lo, len(state["forms"]), len(state["chis"]))
+            yield item
+        if last:
+            kept.append(last)
 
     monkeypatch.setattr(group_model, "_collect", counting)
-    monkeypatch.setattr(group_model, "_Block", Recorded)
+    monkeypatch.setattr(group_model, "_parent_walk", recorded)
     res = verify_homomorphism(chi, mode="generators")
-    assert res.ok and res.checked == 8 * 2 * 3**8
+    assert res.ok and res.checked == n * 2 * 3**n
     # suffix 0 needs no collection: s * g = g
-    assert len(calls) == 3**8 - 1 - 8 * 2
+    assert len(calls) == 3**n - 1 - n * 2
     assert ctx._cayley is None
-    # parents only: codes below q^(N - 2 - pos)
-    assert len(blocks) == 8 * 2
-    for block in blocks:
-        assert len(block.chis) <= 3 ** (8 - 2 - block.pos)
-        assert len(block.forms) == len(block.chis) * block.width
+    # parents only: codes below q^(N - 2 - lo); the last block yields nothing
+    assert len(kept) == (n - 1) * 2
+    for lo, forms, chis in kept:
+        assert chis <= 3 ** (n - 2 - lo)
+        assert forms == chis * n
+
+
+def _walk_to_the_end(walk, q, width, n):
+    """Every item of a walk over width entries, in code order.  The
+    parents it keeps, codes below q^(width - 1), are read from the
+    generator while it is suspended at its last item."""
+    items = [next(walk) for _ in range(1, q**width)]
+    state = walk.gi_frame.f_locals
+    assert len(state["chis"]) == q ** (width - 1)
+    assert len(state["forms"]) == n * len(state["chis"])
+    assert next(walk, None) is None
+    assert [code for code, _, _ in items] == list(range(1, q**width))
+    return items
+
+
+def _normal_form(ctx, tokens):
+    entries = [0] * ctx.n_roots
+    for t, v in bubble_collect(ctx, tokens):
+        entries[t] = v
+    return entries
+
+
+@pytest.mark.parametrize("cartan_type, q", [("C2", 3), ("G2", 2)])
+def test_parent_walk_matches_bubble_collect(cartan_type, q):
+    """Every yielded form is the collected product, built from its
+    parent's, and the carried chi(s) is chi of the suffix: s * g for the
+    generator step, w1 * w2 for the pairs step."""
+    ctx = _context(cartan_type, q)
+    n = ctx.n_roots
+    chi = _sample_characters(ctx, random.Random(2), valid=1, broken=0, random_=0)[0]
+    for pos in range(n - 1):
+        for val in range(1, q):
+            def step(m, a):
+                return [(m, a)] + group_model._commutator(ctx, pos, val, m, a)
+
+            start = generator_word(ctx, pos, val).entries
+            walk = group_model._parent_walk(chi, start, pos, step)
+            for code, chi_s, form in _walk_to_the_end(walk, q, n - 1 - pos, n):
+                s = decode(ctx, code * q ** (pos + 1))
+                assert form == _normal_form(ctx, s.tokens() + ((pos, val),))
+                assert form[: pos + 1] == [0] * pos + [val]
+                assert chi_s == evaluate(chi, s)
+    rng = random.Random(cartan_type)
+    for code1 in (ctx.coset_count() - 1, rng.randrange(ctx.coset_count())):
+        w1 = decode(ctx, code1)
+        walk = group_model._parent_walk(chi, w1.entries, -1, lambda m, a: [(m, a)])
+        for code2, chi_w2, form in _walk_to_the_end(walk, q, n, n):
+            w2 = decode(ctx, code2)
+            assert form == _normal_form(ctx, w1.tokens() + w2.tokens())
+            assert chi_w2 == evaluate(chi, w2)
 
 
 # (type, q, facet) for the pairs sweep against the table oracle
@@ -381,29 +444,6 @@ def test_pair_sweep_builds_no_table(monkeypatch):
     res = verify_homomorphism(bad, mode="pairs")
     assert not res.ok and res.checked > 1
     assert ctx._cayley is None
-
-
-@pytest.mark.parametrize("cartan_type, q", [("C2", 3), ("G2", 2)])
-def test_parent_forms_match_bubble_collect(cartan_type, q):
-    """Each kept form is the collected s * g, built from its parent's."""
-    ctx = _context(cartan_type, q)
-    n = ctx.n_roots
-    chi = _sample_characters(ctx, random.Random(2), valid=1, broken=0, random_=0)[0]
-    for pos in range(n):
-        for val in range(1, q):
-            block = group_model._Block(chi, pos, val)
-            assert block.sweep(range(block.width)) is None
-            width = block.width
-            assert len(block.chis) == (q ** (width - 1) if width else 0)
-            for code in range(len(block.chis)):
-                s = decode(ctx, code * q ** (pos + 1))
-                entries = [0] * n
-                for t, v in bubble_collect(ctx, s.tokens() + ((pos, val),)):
-                    entries[t] = v
-                assert entries[: pos + 1] == [0] * pos + [val]
-                form = block.forms[code * width : (code + 1) * width]
-                assert bytes(entries[pos + 1 :]) == form
-                assert block.chis[code] == evaluate(chi, s)
 
 
 @pytest.mark.parametrize("cartan_type, q", [("C2", 3), ("A3", 2), ("G2", 2)])

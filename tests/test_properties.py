@@ -31,12 +31,15 @@ MAX_VALID = 2**14  # each side of the cross-check lists every valid vector
 
 @st.composite
 def characters(draw, max_cosets=MAX_COSETS):
-    """A basis combination of the solved space, perhaps with one entry
-    shifted, at a random rational point of the closed alcove and a field
-    small enough to sweep.
+    """A basis combination of the solved space at a random rational point
+    of the closed alcove, over a field small enough to sweep, with one
+    entry shifted at a commutator target where the context has one.
 
     The point lies on a random facet, with positive weights on its
-    simple affine roots, so not only at facet barycenters.
+    simple affine roots, so not only at facet barycenters.  Shifting
+    only at targets makes about half the examples invalid; the valid
+    ones are then the contexts without commutator relations, and valid
+    characters elsewhere are the matrix tests' basis sums.
     """
     rs = build_root_system(draw(st.sampled_from(SMALL_TYPES)))
     facet = draw(st.sets(st.integers(0, rs.rank), min_size=1))
@@ -52,8 +55,9 @@ def characters(draw, max_cosets=MAX_COSETS):
         scale = draw(st.integers(0, f.p - 1))
         for t, c in enumerate(basis_chi.vector):
             vec[t] = f.add(vec[t], f.mul(scale, c))
-    if n and draw(st.booleans()):
-        t = draw(st.integers(0, n - 1))
+    targets = sorted({t for factors in ctx.relations.values() for t, _, _, _ in factors})
+    if targets:
+        t = draw(st.sampled_from(targets))
         vec[t] = f.add(vec[t], draw(st.integers(1, q - 1)))
     return ShallowCharacter.from_vector(ctx, vec)
 
@@ -74,11 +78,13 @@ def test_pair_sweep_matches_table_pairs(chi):
 
 @st.composite
 def contexts(draw):
-    """A random facet and any field whose q^N vectors the oracle accepts,
-    with at most MAX_VALID valid characters."""
+    """A random point of a random facet, weighted as in `characters`, and
+    any field whose q^N vectors the oracle accepts, with at most
+    MAX_VALID valid characters."""
     rs = build_root_system(draw(st.sampled_from(SMALL_TYPES)))
     facet = draw(st.sets(st.integers(0, rs.rank), min_size=1))
-    point = facet_point(rs, facet)
+    weights = {j: draw(st.integers(1, 5)) for j in sorted(facet)}
+    point = facet_point(rs, facet, weights)
     n = len(shallow_roots(rs, point))
     q = draw(st.sampled_from([q for q in FIELDS if q**n <= MAX_VECTORS]))
     ctx = Context(rs, point, q=q)
