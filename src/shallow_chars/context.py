@@ -75,11 +75,16 @@ class Context:
         by (i+j, i), that carry u_target(C x^i y^j) with target shallow
         and C a nonzero element of F_p.  Pairs of parallel gradients
         and pairs with no such factor are absent.  Built on first use.
+        A target i*alpha + j*beta has depth at least d(alpha) + d(beta),
+        and depths ascend, so the scan of late stops at the first pair
+        whose depths sum to 1 or more.
         """
         p = self.field.p
         table: Dict[Tuple[int, int], Tuple[Factor, ...]] = {}
         for early, alpha in enumerate(self.roots):
             for late in range(early + 1, len(self.roots)):
+                if self.depths[early] + self.depths[late] >= 1:
+                    break
                 beta = self.roots[late]
                 if _parallel(alpha.gradient, beta.gradient):
                     continue

@@ -31,11 +31,11 @@ where C is the list of factors of [u_m(a), g].  `_parent_walk` takes
 the suffixes in code order, parents first, and collects each form
 F(s) = F(s') * step onto its parent's, carrying chi(s) = chi(s') +
 chi(u_m(a)); only the parents' forms are kept.  Here F(0) = g and the
-step is u_m(a) * C, so F(s) = s * g.  Suffix 0 needs no collection, so
-a full sweep takes q^N - 1 - N * (q - 1) in all.  The count of checks
-is still taken in (pos, v, code) order up to and including the first
-failure, so a homomorphism reports N * (q - 1) * q^N, and the witness
-is the least coset with the first failing suffix, code s * q^(pos + 1).
+step is u_m(a) * C, so F(s) = s * g, and suffix 0 needs no collection.
+The count of checks is taken in (pos, v, code) order up to and
+including the first failure, so a homomorphism reports
+N * (q - 1) * q^N, and the witness is the least coset with the first
+failing suffix, code s * q^(pos + 1).
 
 The pairs mode rests on the same induction: every pair check is a sum
 of generator checks, so a character that passes the sweep passes all
@@ -44,23 +44,24 @@ code2) order by one walk per w1, from F(0) = w1 with step u_m(a), so
 that F(w2) = w1 * w2.  Only the seeded sampling mode multiplies two
 whole normal forms.
 
-Where the first failure of a block lies is known before the sweep gets
-there.  Collecting s * g commutes g or a correction past entries of
-s, never two entries of s past each other, so it writes only to the
-rows that u_pos reaches: pos, the targets of its commutators, theirs,
-and so on.  The entries at t and above form a normal subgroup U_t,
-and u_t(x) is central modulo U_(t+1), so entry t of s * g is s_t plus
-a function of the entries of s below t.  With additive rows the defect
-is then a function of the entries of s below r, the last reached row
-on which chi is nonzero: a failing suffix still fails with its entries
-from r on set to 0, so the least failing suffix of the block is below
-q^(r - 1 - pos).  The sweep takes those low suffixes of every block
-first, in block order, and its first failure there is the first
-failure overall, however late its block.  A second pass takes the
-remaining suffixes, so a homomorphism is still reported only after
-every suffix has been collected, and that verdict does not lean on the
-argument about r.  Either way a witness is a failing check in its own
-right.
+A block needs only its low suffixes.  Collecting s * g commutes g or a
+correction past entries of s, never two entries of s past each other,
+so it writes only to the rows that u_pos reaches: pos, the targets of
+its commutators, theirs, and so on.  The entries at t and above form a
+normal subgroup U_t, and u_t(x) is central modulo U_(t+1) (Moy-Prasad,
+Invent. Math. 116, 1994), so entry t of s * g is s_t + f_t(s_<t), with
+f_t a function of the entries of s below t.  With additive rows the
+defect is the sum of chi_t(f_t(s_<t)) over the reached rows t up to r,
+the last reached row on which chi is nonzero, so it reads only the
+entries of s below r.  The suffixes below q^(r - 1 - pos) meet every
+value it takes, and a failing suffix still fails, with a smaller code,
+once its entries from r on are set to 0.  So the sweep walks only those
+low suffixes, q^cut - 1 collections for a block that spans cut entries
+below r, and (q - 1) * (q^cut_pos - 1) summed over pos in all: its
+verdict, and not only its first witness, rests on this argument.  The
+first failure among them, in block order, is the first failure of the
+whole sweep.  `table_sweep` and `table_pairs` in the tests read every
+check off materialised Cayley tables and stay as its oracles.
 """
 
 from __future__ import annotations
@@ -279,10 +280,11 @@ def _first_failure(chi, walk, shift: int) -> Optional[int]:
 def _generator_sweep(chi) -> VerifyResult:
     """chi(w * g) = chi(w) + chi(g) for every coset w and generator g.
 
-    One collection per nonzero suffix above pos decides a block of q^N
-    checks: the walk from g whose step is u_m(a) * [u_m(a), g].  In every
-    block the suffixes below the last nonzero row that u_pos can reach go
-    first, then the rest; the module docstring gives both arguments.
+    One collection per nonzero low suffix decides a block of q^N checks:
+    the walk from g whose step is u_m(a) * [u_m(a), g], cut at the
+    suffixes below the last nonzero row that u_pos can reach.  They meet
+    every value of the defect, so the verdict rests on the module
+    docstring's argument; `table_sweep` in the tests is its oracle.
     """
     ctx = chi.context
     q, n = ctx.q, ctx.n_roots
@@ -293,24 +295,18 @@ def _generator_sweep(chi) -> VerifyResult:
         max(max((r for r in rows if nonzero[r]), default=pos) - 1 - pos, 0)
         for pos, rows in enumerate(_reach(ctx))
     ]
-
-    def walk(pos: int, val: int):
+    blocks = [(pos, val) for pos in range(n) for val in range(1, q)]
+    for k, (pos, val) in enumerate(blocks):
         def step(m: int, a: int) -> List[Token]:
             return [(m, a)] + _commutator(ctx, pos, val, m, a)
 
-        return _parent_walk(chi, generator_word(ctx, pos, val).entries, pos, step)
-
-    blocks = [(pos, val, walk(pos, val)) for pos in range(n) for val in range(1, q)]
-    for low in (True, False):
-        for k, (pos, val, suffixes) in enumerate(blocks):
-            if low:
-                suffixes = islice(suffixes, q ** cuts[pos] - 1)
-            suffix = _first_failure(chi, suffixes, chi.table[pos][val])
-            if suffix is not None:
-                stride = q ** (pos + 1)
-                checked = k * count + suffix * stride + 1
-                witness = (decode(ctx, suffix * stride), generator_word(ctx, pos, val))
-                return VerifyResult(False, "generators", checked, witness)
+        walk = _parent_walk(chi, generator_word(ctx, pos, val).entries, pos, step)
+        suffix = _first_failure(chi, islice(walk, q ** cuts[pos] - 1), chi.table[pos][val])
+        if suffix is not None:
+            stride = q ** (pos + 1)
+            checked = k * count + suffix * stride + 1
+            witness = (decode(ctx, suffix * stride), generator_word(ctx, pos, val))
+            return VerifyResult(False, "generators", checked, witness)
     return VerifyResult(True, "generators", len(blocks) * count, None)
 
 
@@ -347,14 +343,15 @@ def verify_homomorphism(
 ) -> VerifyResult:
     """Check chi(w1 * w2) = chi(w1) + chi(w2) against the group model.
 
-    Modes: "generators" sweeps every coset against every generator,
-    which is exact; "pairs" takes that sweep's verdict, since every pair
-    check is a sum of generator checks (a Cayley-table loop composes
-    the same checks), and walks the pairs in code order to the
-    first failing one; "sample" draws seeded random pairs; "auto" picks
-    generators when the coset count is at most 2**20 and falls back to
-    sampling.  The two sweeps refuse more than 2**20 cosets or pairs up
-    front, before any collection.
+    Modes: "generators" decides every coset against every generator
+    from the low suffixes of each block, exactly by the argument in the
+    module docstring; "pairs" takes that verdict, since every pair check
+    is a sum of generator checks, and walks the pairs in code order to
+    the first failing one.  `table_sweep` and `table_pairs` in the tests
+    are the oracles of both.  "sample" draws seeded random pairs; "auto"
+    picks generators when the coset count is at most 2**20 and falls
+    back to sampling.  The two sweeps refuse more than 2**20 cosets or
+    pairs up front, before any collection.
     """
     ctx = chi.context
     count = ctx.coset_count()

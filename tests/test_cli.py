@@ -306,6 +306,7 @@ def test_bad_usage(capsys, tmp_path):
 # (rc, hashlib.sha256(out.encode()).hexdigest()) from _run for each argv.
 F4_ZEROS = ",".join(["0"] * 43)  # the 43 shallow F4 roots after the simple ones
 E6_ZEROS = ",".join(["0"] * 65)
+A4_ZEROS = ",".join(["0"] * 15)  # q**20 = 2**20 cosets, the sweep limit
 
 PINNED_OUTPUTS = [
     (["solve", "--type", "C2", "--q", "2"], 0,
@@ -373,6 +374,10 @@ PINNED_OUTPUTS = [
     (["verify-hom", "--type", "G2", "--q", "2", "--facet", "1,2",
       "--params", "1,1,1,1,1,1,1,0,0,0", "--mode", "generators"], 0,
      "a9d7b24814868203d4fa4c753f60dcb8b37ccdff43fbf840676ca0f1c6e65634"),
+    # a valid A4 character on the simple affine roots, at the size limit
+    (["verify-hom", "--type", "A4", "--q", "2", "--params", "1,1,1,1,1," + A4_ZEROS,
+      "--mode", "generators"], 0,
+     "3bfa43aa2d71005c6b59216da8faa2bc342d6c83cad46606532b6aafe1ba7f7c"),
     # pairs sweeps: the valid Sp4 example over all 2**16 pairs, and two
     # invalid characters with two nonzero entries whose first failing
     # pair lies deep in the (code1, code2) order

@@ -7,6 +7,7 @@ constants taken mod p and factors and pairs that vanish there dropped.
 
 import pytest
 
+from shallow_chars import context
 from shallow_chars.affine_roots import barycenter, facet_point
 from shallow_chars.chevalley import shallow_commutator_expansion
 from shallow_chars.context import Context
@@ -55,6 +56,39 @@ def test_relations_match_shallow_expansions(cartan_type, q):
         for (a, b), factors in ctx.relations.items():
             assert ctx.expansion_terms(a, b) is factors
             assert all(0 < c < ctx.field.p for _, _, _, c in factors)
+
+
+@pytest.mark.parametrize("q", (2, 3))
+@pytest.mark.parametrize("cartan_type", ("B4", "F4", "E6"))
+def test_relations_expand_only_pairs_shallower_than_one(monkeypatch, cartan_type, q):
+    """The table stops each scan at the first pair whose depths sum to 1
+    or more, and still equals the reference, which expands every pair."""
+    expanded = []
+    expand = context.commutator_expansion
+
+    def counting(pinning, alpha, beta):
+        expanded.append(None)
+        return expand(pinning, alpha, beta)
+
+    monkeypatch.setattr(context, "commutator_expansion", counting)
+    rs = build_root_system(cartan_type)
+    facets = ({1, 2}, {1, rs.rank}, {rs.rank - 1})
+    skipped = 0
+    for point in [barycenter(rs)] + [facet_point(rs, facet) for facet in facets]:
+        ctx = Context(rs, point, q=q)
+        expanded.clear()
+        table, _ = _reference(ctx)
+        assert ctx.relations == table, ctx
+        pairs = [
+            (a, b)
+            for a in range(ctx.n_roots)
+            for b in range(a + 1, ctx.n_roots)
+            if not _parallel(ctx.roots[a].gradient, ctx.roots[b].gradient)
+        ]
+        shallow = [(a, b) for a, b in pairs if ctx.depths[a] + ctx.depths[b] < 1]
+        assert len(expanded) == len(shallow), ctx
+        skipped += len(pairs) - len(shallow)
+    assert skipped
 
 
 @pytest.mark.parametrize("cartan_type, q", [("C2", 2), ("G2", 3)])

@@ -313,10 +313,23 @@ def test_generator_sweep_matches_table_sweep():
     assert late_witnesses >= 3  # failures past the first generator block
 
 
+def _low_suffix_collections(chi):
+    """(q - 1) * (q^cut - 1) summed over pos: the collections of a valid
+    generators sweep, with cut the entries of the suffix below the last
+    nonzero row of chi that u_pos reaches."""
+    ctx = chi.context
+    q = ctx.q
+    total = 0
+    for pos, rows in enumerate(group_model._reach(ctx)):
+        r = max((t for t in rows if any(chi.table[t])), default=pos)
+        total += (q - 1) * (q ** max(r - 1 - pos, 0) - 1)
+    return total
+
+
 def test_generator_sweep_collects_once_per_suffix(monkeypatch):
-    ctx = _context("C2", 3)
+    ctx = _context("C2", 2)
     n = ctx.n_roots
-    chi = _sample_characters(ctx, random.Random(1), valid=1, broken=0, random_=0)[0]
+    chi = ShallowCharacter(ctx, SP4_PARAMS)  # the worked example
     calls = []
     collect = group_model._collect
 
@@ -325,29 +338,28 @@ def test_generator_sweep_collects_once_per_suffix(monkeypatch):
         return collect(*args)
 
     walk = group_model._parent_walk
-    kept = []  # (lo, forms, chis) of each walk, read at its last item
+    kept = {}  # (lo, val): (forms, chis) of each walk, read at its last item
 
     def recorded(chi, start, lo, step):
         inner = walk(chi, start, lo, step)
-        last = None
         for item in inner:
             state = inner.gi_frame.f_locals
-            last = (lo, len(state["forms"]), len(state["chis"]))
+            kept[lo, start[lo]] = (len(state["forms"]), len(state["chis"]))
             yield item
-        if last:
-            kept.append(last)
 
     monkeypatch.setattr(group_model, "_collect", counting)
     monkeypatch.setattr(group_model, "_parent_walk", recorded)
     res = verify_homomorphism(chi, mode="generators")
-    assert res.ok and res.checked == n * 2 * 3**n
-    # suffix 0 needs no collection: s * g = g
-    assert len(calls) == 3**n - 1 - n * 2
+    assert res.ok and res.checked == n * 2**n
+    # cuts [5, 5, 4, 0, 0, 0, 0, 0]: one collection per nonzero low
+    # suffix, against 2**8 - 1 - 8 = 247 for every suffix
+    assert len(calls) == _low_suffix_collections(chi) == 31 + 31 + 15
     assert ctx._cayley is None
-    # parents only: codes below q^(N - 2 - lo); the last block yields nothing
-    assert len(kept) == (n - 1) * 2
-    for lo, forms, chis in kept:
-        assert chis <= 3 ** (n - 2 - lo)
+    # parents only: codes below q^(N - 2 - lo), met with equality at
+    # pos 1 and 2; the blocks whose cut is 0 walk nothing
+    assert sorted(kept) == [(0, 1), (1, 1), (2, 1)]
+    for (lo, _), (forms, chis) in kept.items():
+        assert chis <= 2 ** (n - 2 - lo)
         assert forms == chis * n
 
 
@@ -399,6 +411,52 @@ def test_parent_walk_matches_bubble_collect(cartan_type, q):
             w2 = decode(ctx, code2)
             assert form == _normal_form(ctx, w1.tokens() + w2.tokens())
             assert chi_w2 == evaluate(chi, w2)
+
+
+# (type, q, facet, sharp): sharp where clearing entry r - 1 as well
+# changes some sampled defect; on A3 and B3 no sampled defect reads it
+DEFECT_MATRIX = [
+    ("C2", 3, None, True), ("G2", 2, None, True), ("A3", 2, None, False),
+    ("B3", 2, None, False), ("G2", 2, {1, 2}, True),
+]
+
+
+@pytest.mark.parametrize("cartan_type, q, facet, sharp", DEFECT_MATRIX)
+def test_defect_reads_only_the_suffix_below_its_last_row(cartan_type, q, facet, sharp):
+    """The fact the generators sweep's verdict rests on.
+
+    For every block g = u_pos(val) and random suffixes s above pos, the
+    defect chi(s * g) - chi(s) - chi(g), collected by bubble sort, is
+    unchanged when the entries of s from r on are cleared, r the last
+    nonzero row of chi that u_pos reaches.  Where the cut is sharp,
+    clearing entry r - 1 as well changes some defect.
+    """
+    ctx = _context(cartan_type, q, facet)
+    n, p = ctx.n_roots, ctx.field.p
+    rng = random.Random(f"defect-{cartan_type}{q}{facet}")
+    reach = group_model._reach(ctx)
+    failing = moved = 0
+    for chi in _sample_characters(ctx, rng, valid=1, broken=3, random_=3):
+        nonzero = [any(row) for row in chi.table]
+
+        def defect(pos, val, entries):
+            s = CosetWord(tuple(entries))
+            form = CosetWord(tuple(_normal_form(ctx, s.tokens() + ((pos, val),))))
+            return (evaluate(chi, form) - evaluate(chi, s) - chi.table[pos][val]) % p
+
+        for pos in range(n):
+            r = max((t for t in reach[pos] if nonzero[t]), default=pos)
+            for val in range(1, q):
+                for _ in range(12):
+                    s = [0] * (pos + 1) + [rng.randrange(q) for _ in range(n - 1 - pos)]
+                    low = defect(pos, val, s[:r] + [0] * (n - r))
+                    assert defect(pos, val, s) == low, (chi, pos, val, s)
+                    failing += low != 0
+                    if r > pos + 1:
+                        moved += defect(pos, val, s[: r - 1] + [0] * (n - r + 1)) != low
+    assert failing > 0
+    if sharp:
+        assert moved > 0
 
 
 # (type, q, facet) for the pairs sweep against the table oracle
@@ -478,7 +536,7 @@ def test_invalid_character_stops_below_its_last_row(monkeypatch, cartan_type, q)
             assert verify_homomorphism(chi, mode="generators") == want, chi
         assert want.ok is (k is None)
         if want.ok:
-            assert len(calls) == q**n - 1 - n * (q - 1)
+            assert len(calls) == _low_suffix_collections(chi)
             continue
         assert len(calls) <= n * (q - 1) * q ** (k - 1)
         late += any(want.witness[1].entries[1:]) and len(calls) < (q - 1) * q ** (n - 1)

@@ -1,5 +1,5 @@
-"""Seeded property tests: the relation rows against the group model, the
-pairs sweep against the Cayley tables, and the linear solver against the
+"""Seeded property tests: the relation rows against the group model, both
+sweeps against the Cayley tables, and the linear solver against the
 exhaustive oracle.
 
 hypothesis is a test-only dependency; `derandomize` makes every run draw
@@ -19,12 +19,13 @@ from shallow_chars.context import Context
 from shallow_chars.group_model import verify_homomorphism
 from shallow_chars.root_system import build_root_system
 
-from test_group_model import table_pairs
+from test_group_model import table_pairs, table_sweep
 
 SMALL_TYPES = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2")
 FIELDS = (2, 3, 4, 5, 8, 9)
 MAX_COSETS = 2**14
 MAX_PAIR_COSETS = 2**8  # the table oracle takes every pair of a valid character
+MAX_TABLE_COSETS = 2**10  # the Cayley tables take N * (q - 1) * q^N collections
 MAX_VECTORS = 2**20  # the most q^N vectors solve_space will cross-check
 MAX_VALID = 2**14  # each side of the cross-check lists every valid vector
 
@@ -32,14 +33,15 @@ MAX_VALID = 2**14  # each side of the cross-check lists every valid vector
 @st.composite
 def characters(draw, max_cosets=MAX_COSETS):
     """A basis combination of the solved space at a random rational point
-    of the closed alcove, over a field small enough to sweep, with one
-    entry shifted at a commutator target where the context has one.
+    of the closed alcove, over a field small enough to sweep.  Where the
+    context has commutator relations, a drawn flag shifts one entry at a
+    commutator target, which breaks the character.
 
     The point lies on a random facet, with positive weights on its
-    simple affine roots, so not only at facet barycenters.  Shifting
-    only at targets makes about half the examples invalid; the valid
-    ones are then the contexts without commutator relations, and valid
-    characters elsewhere are the matrix tests' basis sums.
+    simple affine roots, so not only at facet barycenters.  The flag
+    leaves valid characters on contexts with relations, where the sweep
+    meets commutators, as well as invalid ones; a shift at a position
+    that is no target would leave the character valid.
     """
     rs = build_root_system(draw(st.sampled_from(SMALL_TYPES)))
     facet = draw(st.sets(st.integers(0, rs.rank), min_size=1))
@@ -56,7 +58,7 @@ def characters(draw, max_cosets=MAX_COSETS):
         for t, c in enumerate(basis_chi.vector):
             vec[t] = f.add(vec[t], f.mul(scale, c))
     targets = sorted({t for factors in ctx.relations.values() for t, _, _, _ in factors})
-    if targets:
+    if targets and draw(st.booleans()):
         t = draw(st.sampled_from(targets))
         vec[t] = f.add(vec[t], draw(st.integers(1, q - 1)))
     return ShallowCharacter.from_vector(ctx, vec)
@@ -66,7 +68,10 @@ def characters(draw, max_cosets=MAX_COSETS):
           suppress_health_check=[HealthCheck.too_slow])
 @given(characters())
 def test_validate_matches_generator_sweep(chi):
-    assert validate(chi).ok == verify_homomorphism(chi, mode="generators").ok
+    res = verify_homomorphism(chi, mode="generators")
+    assert validate(chi).ok == res.ok
+    if chi.context.coset_count() <= MAX_TABLE_COSETS:
+        assert res == table_sweep(chi)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None,
