@@ -13,10 +13,11 @@ Exit codes: 0 success / verdict holds, 1 failure / counterexample,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .affine_roots import (
     AffineRoot,
@@ -49,34 +50,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EX_USAGE)
-
-
-def _add_context_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--type", required=True, help="Cartan type, e.g. C2 or C")
-    p.add_argument("--rank", type=int, help="rank when --type is a bare letter")
-    p.add_argument(
-        "--point",
-        default="barycenter",
-        help='apartment point: "barycenter" or rational coords like 1/4,1/4',
-    )
-    p.add_argument(
-        "--facet", help="facet letters like 1,2; overrides --point with its facet point"
-    )
-    p.add_argument("--q", type=int, default=2, help="residue field size (default 2)")
-    p.add_argument(
-        "--pinning",
-        choices=["auto", "matrix", "adjoint"],
-        default="auto",
-        help="which pinning to use for commutator constants",
-    )
-
-
-def _add_character_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--char", help="path to a character JSON file")
-    p.add_argument(
-        "--params",
-        help="character parameters in enumeration order, e.g. 1,0,0,1,1,0,1,1",
-    )
 
 
 def _build_context(args) -> Context:
@@ -138,8 +111,7 @@ def _emit(args, payload: Dict, human: str) -> None:
 # ----------------------------------------------------------------------
 # subcommands
 
-def cmd_shallow(args) -> int:
-    ctx = _build_context(args)
+def cmd_shallow(args, ctx: Context) -> int:
     rows = []
     data = []
     for pos, (root, d) in enumerate(zip(ctx.roots, ctx.depths)):
@@ -171,9 +143,8 @@ def cmd_shallow(args) -> int:
     return 0
 
 
-def cmd_classify(args) -> int:
-    ctx = _build_context(args)
-    chi = _load_character(ctx, args)
+def cmd_classify(args, chi: ShallowCharacter) -> int:
+    ctx = chi.context
     result = validate(chi)
     depth_value = char_depth(chi)
     payload = {
@@ -194,8 +165,7 @@ def cmd_classify(args) -> int:
     return 0 if result.ok else 1
 
 
-def cmd_solve(args) -> int:
-    ctx = _build_context(args)
+def cmd_solve(args, ctx: Context) -> int:
     space = solve_space(ctx, cross_check=args.cross_check)
     rows = [
         [str(i), ",".join(str(c) for c in chi.vector), str(char_depth(chi))]
@@ -214,9 +184,7 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_verify_hom(args) -> int:
-    ctx = _build_context(args)
-    chi = _load_character(ctx, args)
+def cmd_verify_hom(args, chi: ShallowCharacter) -> int:
     result = verify_homomorphism(chi, mode=args.mode, samples=args.samples)
     payload = {
         "ok": result.ok,
@@ -231,9 +199,7 @@ def cmd_verify_hom(args) -> int:
     return 0 if result.ok else 1
 
 
-def cmd_check_star(args) -> int:
-    ctx = _build_context(args)
-    chi = _load_character(ctx, args)
+def cmd_check_star(args, chi: ShallowCharacter) -> int:
     verdict = condition_star(chi, radius=args.radius)
     human = f"condition (*): {verdict.status}"
     if verdict.witness is not None:
@@ -245,9 +211,7 @@ def cmd_check_star(args) -> int:
     return {"holds": 0, "fails": 1, "inconclusive": 2}[verdict.status]
 
 
-def cmd_intertwine(args) -> int:
-    ctx = _build_context(args)
-    chi = _load_character(ctx, args)
+def cmd_intertwine(args, chi: ShallowCharacter) -> int:
     result = intertwining_scan(chi, radius=args.radius)
     human = (
         f"intertwining: {result.verdict}"
@@ -448,8 +412,70 @@ def cmd_reproduce_sp4(args) -> int:
 
 
 # ----------------------------------------------------------------------
+# the parser: one row per subcommand
 
+_Option = Tuple[str, Dict]
+
+_CONTEXT_OPTIONS: Tuple[_Option, ...] = (
+    ("--type", dict(required=True, help="Cartan type, e.g. C2 or C")),
+    ("--rank", dict(type=int, help="rank when --type is a bare letter")),
+    ("--point", dict(default="barycenter", help='apartment point: "barycenter"'
+                     " or rational coords like 1/4,1/4")),
+    ("--facet", dict(help="facet letters like 1,2; overrides --point with its facet point")),
+    ("--q", dict(type=int, default=2, help="residue field size (default 2)")),
+    ("--pinning", dict(choices=["auto", "matrix", "adjoint"], default="auto",
+                       help="which pinning to use for commutator constants")),
+)
+
+_CHARACTER_OPTIONS: Tuple[_Option, ...] = (
+    ("--char", dict(help="path to a character JSON file")),
+    ("--params", dict(help="character parameters in enumeration order,"
+                      " e.g. 1,0,0,1,1,0,1,1")),
+)
+
+
+class _Subcommand(NamedTuple):
+    """One subcommand.  With context set it takes the context options and
+    main passes func the Context; with character set as well it takes the
+    character options and main passes the character instead.  Its own
+    options follow, then --json."""
+
+    name: str
+    help: str
+    func: Callable[..., int]
+    options: Tuple[_Option, ...] = ()
+    context: bool = True
+    character: bool = False
+
+
+_SUBCOMMANDS = (
+    _Subcommand("shallow", "enumerate shallow roots with depths", cmd_shallow),
+    _Subcommand("classify", "validate a character and report its depth", cmd_classify,
+                character=True),
+    _Subcommand("solve", "solve the relation system", cmd_solve, (
+        ("--cross-check", dict(action="store_true", default=None,
+                               help="force the brute-force oracle comparison")),
+    )),
+    _Subcommand("verify-hom", "check a character against the group model", cmd_verify_hom, (
+        ("--mode", dict(choices=["auto", "generators", "pairs", "sample"], default="auto")),
+        ("--samples", dict(type=int, default=1000)),
+    ), character=True),
+    _Subcommand("check-star", "search for a condition (*) witness", cmd_check_star, (
+        ("--radius", dict(type=int, default=4)),
+    ), character=True),
+    _Subcommand("intertwine", "scan the affine Weyl ball for intertwiners", cmd_intertwine, (
+        ("--radius", dict(type=int, default=8)),
+    ), character=True),
+    _Subcommand("reproduce-sp4", "run the packaged Sp4 walkthrough", cmd_reproduce_sp4, (
+        ("--q", dict(type=int, default=2)),
+        ("--radius", dict(type=int, default=8)),
+    ), context=False),
+)
+
+
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first call to main and reused after it."""
     parser = _Parser(prog="shallow-chars", description=__doc__)
     parser.add_argument(
         "--threads",
@@ -459,69 +485,31 @@ def _build_parser() -> _Parser:
         "single-threaded and results never depend on this value",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("shallow", help="enumerate shallow roots with depths")
-    _add_context_args(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_shallow)
-
-    p = sub.add_parser("classify", help="validate a character and report its depth")
-    _add_context_args(p)
-    _add_character_args(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("solve", help="solve the relation system")
-    _add_context_args(p)
-    p.add_argument(
-        "--cross-check",
-        dest="cross_check",
-        action="store_true",
-        default=None,
-        help="force the brute-force oracle comparison",
-    )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("verify-hom", help="check a character against the group model")
-    _add_context_args(p)
-    _add_character_args(p)
-    p.add_argument("--mode", choices=["auto", "generators", "pairs", "sample"], default="auto")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify_hom)
-
-    p = sub.add_parser("check-star", help="search for a condition (*) witness")
-    _add_context_args(p)
-    _add_character_args(p)
-    p.add_argument("--radius", type=int, default=4)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check_star)
-
-    p = sub.add_parser("intertwine", help="scan the affine Weyl ball for intertwiners")
-    _add_context_args(p)
-    _add_character_args(p)
-    p.add_argument("--radius", type=int, default=8)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_intertwine)
-
-    p = sub.add_parser("reproduce-sp4", help="run the packaged Sp4 walkthrough")
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--radius", type=int, default=8)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_reproduce_sp4)
-
+    for row in _SUBCOMMANDS:
+        p = sub.add_parser(row.name, help=row.help)
+        for flag, kwargs in (
+            (_CONTEXT_OPTIONS if row.context else ())
+            + (_CHARACTER_OPTIONS if row.character else ())
+            + row.options
+            + (("--json", dict(action="store_true")),)
+        ):
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(subcommand=row)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EX_USAGE
+    row = args.subcommand
     try:
-        return args.func(args)
+        inputs = ()
+        if row.context:
+            ctx = _build_context(args)
+            inputs = (_load_character(ctx, args) if row.character else ctx,)
+        return row.func(args, *inputs)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"shallow-chars: error: {exc}", file=sys.stderr)
         return EX_USAGE

@@ -41,8 +41,20 @@ The pairs mode rests on the same induction: every pair check is a sum
 of generator checks, so a character that passes the sweep passes all
 q^(2N) pairs.  One that fails has a failing pair, found in (code1,
 code2) order by one walk per w1, from F(0) = w1 with step u_m(a), so
-that F(w2) = w1 * w2.  Only the seeded sampling mode multiplies two
-whole normal forms.
+that F(w2) = w1 * w2.
+
+The pairs walks and the sampling mode read only the rows that chi
+reads.  Let r be the last row on which chi is nonzero.  The entries
+above r form the normal subgroup U_(r+1), so the entries up to r of
+w1 * w2 depend only on those of w1 and w2, and as u_r is central modulo
+U_(r+1), entry r is w1_r + w2_r plus a function of the entries below r.
+So the defect chi(w1 * w2) - chi(w1) - chi(w2) reads only the entries
+below r.  Each pairs walk stops after the q^r - 1 suffixes w2 with no
+entry from r on: a failing w2 still fails once those entries are set to
+0, and its code gets smaller, so the first failing pair and its count
+stay the same.  The seeded sampling mode draws whole normal forms,
+multiplies them with their entries above r set to 0, and keeps the
+whole pair as its witness.
 
 A block needs only its low suffixes.  Collecting s * g commutes g or a
 correction past entries of s, never two entries of s past each other,
@@ -268,6 +280,11 @@ def _parent_walk(
                 yield a * size + parent, chi_s, entries
 
 
+def _last_row(chi) -> int:
+    """The last position at which chi is nonzero, -1 for the trivial character."""
+    return max((t for t, row in enumerate(chi.table) if any(row)), default=-1)
+
+
 def _first_failure(chi, walk, shift: int) -> Optional[int]:
     """The first code of the walk whose form F has chi(F) != chi(s) + shift, or None."""
     p = chi.context.field.p
@@ -315,16 +332,18 @@ def _pair_sweep(chi) -> VerifyResult:
 
     The generator sweep decides the verdict; a character that fails it
     is walked pair by pair in (code1, code2) order to its first failing
-    pair, one walk from w1 whose step is u_m(a) for each w1.
+    pair, one walk from w1 whose step is u_m(a) for each w1, through the
+    suffixes w2 below chi's last nonzero row.
     """
     ctx = chi.context
     count = ctx.coset_count()
     if _generator_sweep(chi).ok:
         return VerifyResult(True, "pairs", count**2, None)
+    low = ctx.q ** _last_row(chi) - 1
     for code1 in range(count):
         w1 = decode(ctx, code1)
         walk = _parent_walk(chi, w1.entries, -1, lambda m, a: [(m, a)])
-        code2 = _first_failure(chi, walk, evaluate(chi, w1))
+        code2 = _first_failure(chi, islice(walk, low), evaluate(chi, w1))
         if code2 is not None:
             checked = code1 * count + code2 + 1
             return VerifyResult(False, "pairs", checked, (w1, decode(ctx, code2)))
@@ -348,9 +367,10 @@ def verify_homomorphism(
     module docstring; "pairs" takes that verdict, since every pair check
     is a sum of generator checks, and walks the pairs in code order to
     the first failing one.  `table_sweep` and `table_pairs` in the tests
-    are the oracles of both.  "sample" draws seeded random pairs; "auto"
-    picks generators when the coset count is at most 2**20 and falls
-    back to sampling.  The two sweeps refuse more than 2**20 cosets or
+    are the oracles of both.  "sample" draws seeded random pairs and
+    multiplies them cut after chi's last nonzero row; "auto" picks
+    generators when the coset count is at most 2**20 and falls back to
+    sampling.  The two sweeps refuse more than 2**20 cosets or
     pairs up front, before any collection.
     """
     ctx = chi.context
@@ -375,11 +395,13 @@ def verify_homomorphism(
         if seed is None:
             seed = int(os.environ.get("SHALLOW_CHARS_SEED", "0"))
         rng = random.Random(seed)
-        p = ctx.field.p
+        p, r = ctx.field.p, _last_row(chi)
+        zeros = (0,) * (ctx.n_roots - 1 - r)
         for k in range(samples):
             w1 = decode(ctx, rng.randrange(count))
             w2 = decode(ctx, rng.randrange(count))
-            lhs = evaluate(chi, multiply(ctx, w1, w2))
+            heads = (CosetWord(w.entries[: r + 1] + zeros) for w in (w1, w2))
+            lhs = evaluate(chi, multiply(ctx, *heads))
             rhs = (evaluate(chi, w1) + evaluate(chi, w2)) % p
             if lhs != rhs:
                 return VerifyResult(False, mode, k + 1, (w1, w2))

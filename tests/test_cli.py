@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from shallow_chars import chevalley
+from shallow_chars import chevalley, cli
 from shallow_chars.cli import main
 
 EXAMPLE = "1,0,0,1,1,0,1,1"
@@ -402,3 +406,61 @@ PINNED_OUTPUTS = [
 def test_json_output_is_pinned(capsys, argv, rc, digest):
     got_rc, out = _run(capsys, argv + ["--json"])
     assert (got_rc, hashlib.sha256(out.encode()).hexdigest()) == (rc, digest)
+
+
+# Exit code and sha256 of stdout + stderr at 80 columns for the help
+# screens and three usage errors: no subcommand, solve without --type, and
+# an unknown --mode.  argparse lays out help differently across Python
+# minor versions, so the digests hold on the version they were taken on.
+HELP_PYTHON = (3, 11)
+HELP_OUTPUTS = [
+    (["--help"], 0, "90576990d218a2c5d6118c344a7f440a7ad787e6221a6162b45f9de029e15685"),
+    (["shallow", "--help"], 0,
+     "f3d66297bed11ece8c5066e1b80d2e965d617c28206ede50588201e8b97b03c2"),
+    (["classify", "--help"], 0,
+     "356a426dbe4d2604cbfdb0cdde359b32e61d5f64a793dbe9259fa031bc847531"),
+    (["solve", "--help"], 0,
+     "e44fa919f57e4dd0cf4abea376145b4f8a060735cde54a03439e0abe38876a9c"),
+    (["verify-hom", "--help"], 0,
+     "c1f3ac7536b5c79ede2bb1a781100e8fe2949d05ffff5725a85f9b95ce1f93ea"),
+    (["check-star", "--help"], 0,
+     "bc15490f1fa5b538cd2a3a22625b443abd432108e47a90d2cdd10edf6a2f9393"),
+    (["intertwine", "--help"], 0,
+     "585690eb162b99bcbd42c87483aaf8e30e6d38487ba307175ef46d61f1af765a"),
+    (["reproduce-sp4", "--help"], 0,
+     "57457de1b9edd3e05ba4e10aa9ae9c3c2f1c3c233f75fb15353c3e8ae3a606fd"),
+    ([], 64, "2f2b026b3d32483af1d01ef0e3cf9f2604119ec9016047eca84010af9b634ad6"),
+    (["solve"], 64, "00e4dead922e364bc947e7a355b9d2abe002ac65039d8f0b4f4bf84dc6032a01"),
+    (["verify-hom", "--type", "C2", "--mode", "x"], 64,
+     "42e8932646609e61c1c539f8cdaaaf26d0a68cca0cbb0b18c106c82ed6dd2bc2"),
+]
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != HELP_PYTHON, reason="help digests are taken on Python 3.11"
+)
+@pytest.mark.parametrize(
+    "argv, rc, digest", HELP_OUTPUTS, ids=[" ".join(a) or "(none)" for a, _, _ in HELP_OUTPUTS]
+)
+def test_help_and_usage_are_pinned(capsys, monkeypatch, argv, rc, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    got_rc = main(argv)
+    out, err = capsys.readouterr()
+    assert (got_rc, hashlib.sha256((out + err).encode()).hexdigest()) == (rc, digest)
+
+
+def test_parser_is_built_by_the_first_main_call_only(capsys):
+    # a fresh interpreter that imports the module has built no parser
+    code = "import shallow_chars.cli as cli; print(cli._build_parser.cache_info().misses)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "0\n"
+    cli._build_parser.cache_clear()
+    assert main(["shallow", "--type", "A1"]) == 0
+    assert main(["shallow", "--type", "C2", "--json"]) == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    capsys.readouterr()

@@ -459,6 +459,56 @@ def test_defect_reads_only_the_suffix_below_its_last_row(cartan_type, q, facet, 
         assert moved > 0
 
 
+
+def whole_sample(chi, samples, seed):
+    """Oracle: sample mode multiplying the whole normal forms it draws."""
+    ctx = chi.context
+    rng, p = random.Random(seed), ctx.field.p
+    for k in range(samples):
+        w1 = decode(ctx, rng.randrange(ctx.coset_count()))
+        w2 = decode(ctx, rng.randrange(ctx.coset_count()))
+        if evaluate(chi, multiply(ctx, w1, w2)) != (evaluate(chi, w1) + evaluate(chi, w2)) % p:
+            return VerifyResult(False, "sample", k + 1, (w1, w2))
+    return VerifyResult(True, "sample", samples, None)
+
+
+@pytest.mark.parametrize("cartan_type", ["C2", "G2", "B3", "F4"])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_truncated_products_agree_up_to_the_cut(cartan_type, q):
+    """The entries up to r of w1 * w2 depend only on those of w1 and w2,
+    since the entries above r form a normal subgroup.  So sample mode,
+    which multiplies the truncations at chi's last nonzero row, gives the
+    verdict, count and witness of multiplying the whole forms."""
+    ctx = _context(cartan_type, q)
+    n = ctx.n_roots
+    rng = random.Random(f"cut-{cartan_type}{q}")
+    for _ in range(10):
+        w1, w2 = (decode(ctx, rng.randrange(ctx.coset_count())) for _ in range(2))
+        whole = multiply(ctx, w1, w2).entries
+        for r in (-1, *rng.sample(range(n), 3)):
+            heads = (CosetWord(w.entries[: r + 1] + (0,) * (n - 1 - r)) for w in (w1, w2))
+            assert multiply(ctx, *heads).entries[: r + 1] == whole[: r + 1], (w1, w2, r)
+    chars = _sample_characters(ctx, rng, valid=1, broken=2, random_=1)
+    chars.append(ShallowCharacter.from_vector(ctx, [0] * n))
+    failing = 0
+    for seed, chi in enumerate(chars):
+        want = whole_sample(chi, 30, seed)
+        assert verify_homomorphism(chi, mode="sample", samples=30, seed=seed) == want, chi
+        failing += not want.ok
+    assert failing > 0
+
+
+def test_e8_sample_mode_ends_with_the_default_samples():
+    """The E8 barycenter has 2**240 cosets, so auto picks sample mode.  On
+    the sum of the solver's basis, zero above row 8, its 1,000 products
+    of truncated forms take well under a second."""
+    ctx = _context("E8", 2)
+    vec = [0] * ctx.n_roots
+    for chi in solve_space(ctx, cross_check=False).basis:
+        vec = [ctx.field.add(a, b) for a, b in zip(vec, chi.vector)]
+    chi = ShallowCharacter.from_vector(ctx, vec)
+    assert verify_homomorphism(chi) == (True, "sample", 1000, None)
+
 # (type, q, facet) for the pairs sweep against the table oracle
 PAIRS_MATRIX = [
     ("A1", 2, None), ("A1", 4, None), ("A1", 8, None), ("A2", 2, None),
@@ -502,6 +552,55 @@ def test_pair_sweep_builds_no_table(monkeypatch):
     res = verify_homomorphism(bad, mode="pairs")
     assert not res.ok and res.checked > 1
     assert ctx._cayley is None
+
+
+# the contexts of PAIRS_MATRIX that have characters that are not homomorphisms
+NONABELIAN_PAIRS = [
+    ("A2", 2, None), ("A2", 3, None), ("C2", 2, None), ("B2", 2, None),
+    ("G2", 2, {1, 2}), ("C2", 2, {0, 1}),
+]
+
+
+@pytest.mark.parametrize("cartan_type, q, facet", NONABELIAN_PAIRS)
+def test_pair_walks_stop_below_the_last_row(monkeypatch, cartan_type, q, facet):
+    """Each pairs walk collects the q^r - 1 suffixes w2 below chi's last
+    nonzero row r, and no more.  So once the generator sweep has failed,
+    the first failing pair (w1, w2) costs code1 * (q^r - 1) + code2
+    collections, and it is the table oracle's.  The cut rests on the
+    defect of a pair being unchanged when w2's entries from r on are set
+    to 0, checked here on random pairs."""
+    ctx = _context(cartan_type, q, facet)
+    n, p = ctx.n_roots, ctx.field.p
+    rng = random.Random(f"pairs-cut-{cartan_type}{q}{facet}")
+    chars = _sample_characters(ctx, rng, valid=0, broken=3, random_=3)
+    chars = [chi for chi in chars if not validate(chi).ok]
+    assert chars
+
+    def defect(chi, w1, w2):
+        return (evaluate(chi, multiply(ctx, w1, w2)) - evaluate(chi, w1) - evaluate(chi, w2)) % p
+
+    calls = []
+    collect = group_model._collect
+
+    def counting(*args):
+        calls.append(None)
+        return collect(*args)
+
+    for chi in chars:
+        r = group_model._last_row(chi)
+        for _ in range(20):
+            w1, w2 = (decode(ctx, rng.randrange(ctx.coset_count())) for _ in range(2))
+            low = CosetWord(w2.entries[:r] + (0,) * (n - r))
+            assert defect(chi, w1, w2) == defect(chi, w1, low), (chi, w1, w2)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(group_model, "_collect", counting)
+            m.setattr(group_model, "_generator_sweep",
+                      lambda chi: VerifyResult(False, "generators", 1, None))
+            res = verify_homomorphism(chi, mode="pairs")
+        assert res == table_pairs(chi), chi
+        code1, code2 = (encode(ctx, w) for w in res.witness)
+        assert len(calls) == code1 * (q**r - 1) + code2, chi
 
 
 @pytest.mark.parametrize("cartan_type, q", [("C2", 3), ("A3", 2), ("G2", 2)])
