@@ -15,12 +15,16 @@ parent by the rows and columns one reflection changes.
 The condition-star search is exact whenever its witness polytope is
 bounded.  Fourier-Motzkin elimination in integers projects it onto each
 coroot coordinate once per character, with the finite orbit point kept
-symbolic, and boundedness is read off those projections.  They bound
-the translations tried at each orbit point, and in the bounded case
-every orbit point inside the polytope is tried.  Otherwise the search is
-a bounded translation sweep and a negative outcome is reported as
-inconclusive, never extrapolated.  The search stops at its first
-witness.
+symbolic, and boundedness is read off those projections.  A bounded
+polytope is scanned first: its lattice points in lambda + Q^vee / n,
+which hold its whole orbit, are listed by nested Fourier-Motzkin bounds
+and each is folded into the closed fundamental alcove.  If none but
+lambda folds to lambda's fold, the verdict is "holds" with no walk.
+Otherwise the finite Weyl group is walked: the projections bound the
+translations tried at each orbit point, and in the bounded case every
+orbit point inside the polytope is tried.  An unbounded polytope gets a
+bounded translation sweep, and a negative outcome is reported as
+inconclusive, never extrapolated.  The walk stops at its first witness.
 """
 
 from __future__ import annotations
@@ -520,6 +524,23 @@ def _coroot_projections(
     return out
 
 
+def _solutions(rows: Sequence[ProjectedRow], fixed: Sequence[int], lo, hi) -> range:
+    """The integers x in [lo, hi] with c * x + b . fixed <= rhs for every row.
+
+    Unless a row with c = 0 fails, the rows must bound x on each side
+    that lo and hi leave infinite.
+    """
+    for c, b, rhs in rows:
+        rhs -= _dot(b, fixed)
+        if c > 0:
+            hi = min(hi, rhs // c)
+        elif c < 0:
+            lo = max(lo, -(rhs // -c))
+        elif rhs < 0:
+            return range(0)
+    return range(lo, hi + 1) if lo <= hi else range(0)
+
+
 def _orbit_witness_ranges(
     nu: Sequence[int], projections: List[List[ProjectedRow]], radius: Optional[int]
 ) -> List[range]:
@@ -528,22 +549,79 @@ def _orbit_witness_ranges(
     Without a radius each projection must bound k_j on both sides.  All
     ranges are empty as soon as one of them is.
     """
+    lo, hi = (-math.inf, math.inf) if radius is None else (-radius, radius)
     ranges = []
     for rows in projections:
-        lo, hi = (-math.inf, math.inf) if radius is None else (-radius, radius)
-        for c, b, rhs in rows:
-            rhs -= _dot(b, nu)
-            if c > 0:
-                hi = min(hi, rhs // c)
-            elif c < 0:
-                lo = max(lo, -(rhs // -c))
-            elif rhs < 0:
-                hi = -math.inf
-                break
-        if lo > hi:
+        ranges.append(_solutions(rows, nu, lo, hi))
+        if not ranges[-1]:
             return [range(0)] * len(projections)
-        ranges.append(range(lo, hi + 1))
     return ranges
+
+
+def _fold(rs: RootSystem, n: int, mu: Sequence[int]) -> Tuple[int, ...]:
+    """n * the point of the closed fundamental alcove in the orbit of mu / n.
+
+    While mu / n lies strictly across a wall of the alcove, a_i(mu) < 0
+    or theta(mu) > n, it is reflected in that wall.  Each reflection
+    takes one affine hyperplane off those strictly between the point and
+    the alcove, so the loop ends, and as the closed alcove is a
+    fundamental domain for the affine Weyl group (Humphreys, Reflection
+    Groups and Coxeter Groups, ch. 4) two points share an orbit exactly
+    when they fold to the same point.
+    """
+    theta = rs.highest_root
+    theta_vee = _translation_pairing(rs, rs.coroot(theta))
+    mu = list(mu)
+    while True:
+        # a_i^vee has the coordinates cartan[i]
+        i = next((i for i, x in enumerate(mu) if x < 0), None)
+        if i is not None:
+            a, wall = mu[i], rs.cartan[i]
+        else:
+            a, wall = _dot(theta, mu) - n, theta_vee
+            if a <= 0:
+                return tuple(mu)
+        mu = [x - a * c for x, c in zip(mu, wall)]
+
+
+def _scan_holds(rs: RootSystem, n: int, point: Tuple[int, ...],
+                bounds: Sequence[Tuple[Root, int]], limit: int) -> bool:
+    """No orbit point but lambda in the bounded polytope, by its lattice points?
+
+    Every orbit point lies in lambda + Q^vee / n, so the scan runs over
+    n * mu = point + sum k_j a_j^vee with the integer rows g . (n * mu) <= b
+    of bounds.  One chain of eliminations, k_(l-1) down to k_1, bounds
+    each k_m once k_0..k_(m-1) are fixed (Ancourt-Irigoin, Scanning
+    polyhedra with DO loops, PPoPP 1991); the last link is the rows
+    themselves, so each point reached lies in the polytope.  Each one
+    other than lambda is folded and compared with lambda's fold.  False
+    when one matches, or when the scan would visit more than limit
+    points, counting the partial k's; the caller then walks.
+    """
+    l = rs.rank
+    rows = [_reduced(tuple(_dot(g, row) for row in rs.cartan), b - _dot(g, point))
+            for g, b in bounds]
+    chain = [[(c[l - 1], c[: l - 1], rhs) for c, rhs in rows]]
+    for var in range(l - 1, 0, -1):
+        rows = _fm_eliminate(rows, var)
+        chain.append([(c[var - 1], c[: var - 1], rhs) for c, rhs in rows])
+    chain.reverse()  # chain[m] bounds k_m by k_0..k_(m-1)
+    target = _fold(rs, n, point)
+    stack: List[Tuple[int, ...]] = [()]
+    visited = 1
+    while stack:
+        k = stack.pop()
+        if len(k) == l:
+            mu = [x + y for x, y in zip(point, _translation_pairing(rs, k))]
+            if any(k) and _fold(rs, n, mu) == target:
+                return False
+            continue
+        span = _solutions(chain[len(k)], k, -math.inf, math.inf)
+        visited += len(span)
+        if visited > limit:
+            return False
+        stack.extend(k + (x,) for x in span)
+    return True
 
 
 def condition_star(chi: ShallowCharacter, radius: int = 4) -> StarVerdict:
@@ -551,11 +629,15 @@ def condition_star(chi: ShallowCharacter, radius: int = 4) -> StarVerdict:
 
     A witness is an orbit point mu = w(lambda) with alpha(mu) <= depth(chi)
     for every shallow alpha carrying a nontrivial parameter.  If the
-    polytope those inequalities cut out is bounded, the whole orbit
-    inside it is enumerated and the verdict is exact; otherwise only
-    translations up to the radius are swept.  The finite Weyl group is
-    walked lazily and the search stops at its first witness, but a type
-    whose group is too large to walk in full is refused.
+    polytope those inequalities cut out is bounded, its lattice points
+    are scanned first: when none but lambda folds to lambda's point of
+    the alcove, the verdict is "holds" without a walk.  Otherwise, or
+    when the scan would visit more points than W has elements, the whole
+    orbit inside the polytope is enumerated and the verdict is exact;
+    for an unbounded polytope only translations up to the radius are
+    swept.  The finite Weyl group is walked lazily and the search stops
+    at its first witness, but a type whose group is too large to walk in
+    full is refused.
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
@@ -580,6 +662,8 @@ def condition_star(chi: ShallowCharacter, radius: int = 4) -> StarVerdict:
     )
     sweep = None if bounded else radius
     bounds = [(a.gradient, math.floor(n * (r - a.level))) for a in supp]
+    if bounded and _scan_holds(rs, n, point, bounds, order):
+        return StarVerdict("holds", None, True, None)
     # k -> n * sum k_j a_j^vee, in the coordinates of points
     shift = tuple(zip(*((n * x for x in row) for row in rs.cartan)))
     for word, images, minv, _ in _shortlex_walk(rs, range(1, rs.rank + 1)):

@@ -366,6 +366,14 @@ PINNED_OUTPUTS = [
      "80999ae12142d0a4d3d0ca6c6945b5d90240522d52131690a20623d419f702bb"),
     (["check-star", "--type", "E6", "--q", "2", "--params", "0,1,1,1,1,1,1," + E6_ZEROS], 1,
      "2d20eee93aa0c11f88f265878549cebc83dec0857a0dcdbbaad739099d60ad2f"),
+    # bounded B3 characters at a weighted point inside the alcove (n = 11):
+    # one holds, one fails at a finite witness
+    (["check-star", "--type", "B3", "--point", "2/11,1/11,3/11",
+      "--params", "0,0,1,1,0,1,1,0,0,1,1,1,1,1,0,1,0,0"], 0,
+     "80999ae12142d0a4d3d0ca6c6945b5d90240522d52131690a20623d419f702bb"),
+    (["check-star", "--type", "B3", "--point", "2/11,1/11,3/11",
+      "--params", "0,1,1,1,1,0,0,0,0,0,0,0,1,0,0,1,0,0"], 1,
+     "245e7a3dbd9f71b14c38f616a00471767c51c41e0c8b359648b90ed66330c130"),
     # generators sweeps: invalid C2 and A2 characters whose first witness
     # lies past the first coset (A2 past the first generator block), and a
     # valid G2 character on a facet

@@ -16,15 +16,20 @@ from shallow_chars.affine_roots import (
 from shallow_chars.characters import ShallowCharacter, char_depth
 from shallow_chars.context import Context
 from shallow_chars.root_system import build_root_system
+from shallow_chars import weyl
 from shallow_chars.weyl import (
     _FINITE_WALK_LIMIT,
     AffineWeylElement,
+    StarVerdict,
     _ball,
     _ball_size,
     _coroot_projections,
     _finite_elements,
+    _fold,
+    _move_point,
     _on_coroots,
     _orbit_witness_ranges,
+    _scaled,
     _shortlex_walk,
     _weyl_group_order,
     barycenter_criterion,
@@ -273,11 +278,12 @@ def test_ball_size_lower_bound():
         _ball(build_root_system("C2"), 40_000)
 
 
-@pytest.mark.parametrize("cartan_type", WALKED_TYPES)
-def test_condition_star_boundedness_matches_recession_cone(cartan_type):
-    # boundedness read off the projections agrees with the recession-cone
-    # test, at the barycenter and at random facets; rank 4 gets fewer
-    # points and characters, as each bounded search walks all of W
+def _boundedness_characters(cartan_type):
+    """Random characters at the barycenter and at random facets.
+
+    Rank 4 gets fewer points and characters, as a bounded search that
+    holds may walk all of W.
+    """
     rs = build_root_system(cartan_type)
     small = rs.rank < 4
     rng = random.Random(f"bounded/{cartan_type}")
@@ -285,7 +291,6 @@ def test_condition_star_boundedness_matches_recession_cone(cartan_type):
     while len(points) < (4 if small else 2):
         facet = rng.sample(range(rs.rank + 1), rng.randrange(1, rs.rank + 1))
         points.append(facet_point(rs, facet))
-    seen = set()
     for point in points:
         ctx = Context(rs, point, q=2)
         if not ctx.roots:
@@ -293,10 +298,19 @@ def test_condition_star_boundedness_matches_recession_cone(cartan_type):
         for density in (0.15, 0.8, 0.3, 0.5) * (2 if small else 1):
             vec = [int(rng.random() < density) for _ in ctx.roots]
             vec[rng.randrange(ctx.n_roots)] = 1
-            supp = [a.gradient for a, c in zip(ctx.roots, vec) if c]
-            bounded = polytope_bounded(supp, rs.rank)
-            assert condition_star(_chi(ctx, vec), radius=0).bounded == bounded
-            seen.add(bounded)
+            yield ctx, vec
+
+
+@pytest.mark.parametrize("cartan_type", WALKED_TYPES)
+def test_condition_star_boundedness_matches_recession_cone(cartan_type):
+    # boundedness read off the projections agrees with the recession-cone
+    # test, at the barycenter and at random facets
+    seen = set()
+    for ctx, vec in _boundedness_characters(cartan_type):
+        supp = [a.gradient for a, c in zip(ctx.roots, vec) if c]
+        bounded = polytope_bounded(supp, ctx.rs.rank)
+        assert condition_star(_chi(ctx, vec), radius=0).bounded == bounded
+        seen.add(bounded)
     assert seen == {True, False}
 
 
@@ -343,30 +357,40 @@ def _star_by_orbit_sweep(chi, radius):
     return first
 
 
-ORBIT_SWEEP_CASES = [(t, None, 3, 0.4) for t in ("A2", "C2", "G2", "A3", "B3", "C3")] + [
-    ("C2", (1,), 3, 0.4),
-    ("G2", (1, 2), 5, 0.4),  # bounded polytopes at this facet reach k_j = +-5
-    ("A3", (0, 2), 3, 0.4),
-    ("B3", (0, 1), 3, 0.4),
+# (type, facet, weights, radius, density); weights make n, the point's
+# denominator, larger than at the facet's own point
+ORBIT_SWEEP_CASES = [(t, None, None, 3, 0.4) for t in ("A2", "C2", "G2", "A3", "B3", "C3")] + [
+    ("C2", (1,), None, 3, 0.4),
+    ("G2", (1, 2), None, 5, 0.4),  # bounded polytopes at this facet reach k_j = +-5
+    ("A3", (0, 2), None, 3, 0.4),
+    ("B3", (0, 1), None, 3, 0.4),
+    # weighted points inside the alcove and on a facet
+    ("G2", (0, 1, 2), {0: 1, 1: 3, 2: 4}, 5, 0.4),  # bounded ones reach k_j = +-5
+    ("B3", (0, 1, 2, 3), {0: 1, 1: 1, 2: 2, 3: 5}, 3, 0.4),
+    ("C3", (0, 1, 2, 3), {0: 2, 1: 1, 2: 1, 3: 2}, 3, 0.4),
+    ("C3", (0, 2), {0: 3, 2: 1}, 3, 0.4),
     # dense supports cut out small polytopes, all bounded here
-    ("F4", None, 1, 0.9),
+    ("F4", None, None, 1, 0.9),
 ]
 
 
-@pytest.mark.parametrize(
-    "cartan_type, facet, radius, density",
-    ORBIT_SWEEP_CASES,
-    ids=[t + (f"-facet{''.join(map(str, f))}" if f else "") + ("-dense" if d > 0.5 else "")
-         for t, f, _, d in ORBIT_SWEEP_CASES],
-)
-def test_condition_star_matches_orbit_sweep(cartan_type, facet, radius, density):
-    # bounded characters are searched exactly; unbounded ones are swept
-    # at the oracle's radius, and both must give its first witness
+def _case_id(cartan_type, facet, weights, density):
+    facet_id = f"-facet{''.join(map(str, facet))}" if facet else ""
+    weights_id = f"-w{''.join(str(weights[j]) for j in sorted(weights))}" if weights else ""
+    return cartan_type + facet_id + weights_id + ("-dense" if density > 0.5 else "")
+
+
+def _orbit_sweep_characters(cartan_type, facet, weights, density):
+    """The context of one case and its characters, keyed by boundedness.
+
+    Four bounded characters and two unbounded ones; two bounded ones for
+    a dense support.  At the barycenter the first bounded one is the
+    character on the simple affine roots.
+    """
     rs = build_root_system(cartan_type)
-    ctx = Context(rs, facet_point(rs, facet) if facet else barycenter(rs), q=2)
-    rng = random.Random(cartan_type if facet is None else f"{cartan_type}/{facet}")
-    # four bounded characters and two unbounded ones, keyed by boundedness;
-    # two bounded ones for a dense support
+    ctx = Context(rs, facet_point(rs, facet, weights) if facet else barycenter(rs), q=2)
+    seed = cartan_type if facet is None else f"{cartan_type}/{facet}"
+    rng = random.Random(seed if weights is None else f"{seed}/{sorted(weights.items())}")
     wanted = {True: 4, False: 2} if density < 0.5 else {True: 2, False: 0}
     chars = {True: [], False: []}
     if facet is None:
@@ -378,6 +402,18 @@ def test_condition_star_matches_orbit_sweep(cartan_type, facet, radius, density)
         bounded = polytope_bounded([a.gradient for a, c in zip(ctx.roots, vec) if c], rs.rank)
         if len(chars[bounded]) < wanted[bounded]:
             chars[bounded].append(vec)
+    return ctx, chars
+
+
+@pytest.mark.parametrize(
+    "cartan_type, facet, weights, radius, density",
+    ORBIT_SWEEP_CASES,
+    ids=[_case_id(t, f, w, d) for t, f, w, _, d in ORBIT_SWEEP_CASES],
+)
+def test_condition_star_matches_orbit_sweep(cartan_type, facet, weights, radius, density):
+    # bounded characters are searched exactly; unbounded ones are swept
+    # at the oracle's radius, and both must give its first witness
+    ctx, chars = _orbit_sweep_characters(cartan_type, facet, weights, density)
     for bounded, vecs in chars.items():
         for vec in vecs:
             chi = _chi(ctx, vec)
@@ -391,6 +427,100 @@ def test_condition_star_matches_orbit_sweep(cartan_type, facet, radius, density)
                 assert (star.witness.word, star.witness.word_translation) == first
     if facet is None:
         assert condition_star(_chi(ctx, chars[True][0])).status == "holds"
+
+
+def _verdict(star):
+    """Every field of a StarVerdict, its witness as a word and an element."""
+    w = star.witness
+    return star.to_json(), w and (w.word, w.word_translation, w.key())
+
+
+def test_scan_matches_walk(monkeypatch):
+    # the whole verdict with the lattice scan and with the walk alone, on
+    # the characters of the orbit-sweep and boundedness matrices
+    scan = weyl._scan_holds
+    outcomes = set()
+
+    def both_ways(chi, radius):
+        decided = []
+        monkeypatch.setattr(weyl, "_scan_holds",
+                            lambda *args: decided.append(scan(*args)) or decided[-1])
+        star = condition_star(chi, radius=radius)
+        monkeypatch.setattr(weyl, "_scan_holds", lambda *args: False)
+        assert _verdict(star) == _verdict(condition_star(chi, radius=radius))
+        if decided:
+            outcomes.add((decided[0], star.status))
+
+    for cartan_type, facet, weights, radius, density in ORBIT_SWEEP_CASES:
+        ctx, chars = _orbit_sweep_characters(cartan_type, facet, weights, density)
+        for vec in chars[True] + chars[False]:
+            both_ways(_chi(ctx, vec), radius)
+    for cartan_type in WALKED_TYPES:
+        for ctx, vec in _boundedness_characters(cartan_type):
+            both_ways(_chi(ctx, vec), 0)
+    # the scan decided holding characters; it left bounded ones that fail
+    # to the walk, and some that hold, where it gave up at |W| points
+    assert outcomes == {(True, "holds"), (False, "fails"), (False, "holds")}
+
+
+def test_scan_guard_falls_back_to_the_walk(monkeypatch):
+    # at n = 43 the lattice lambda + Q^vee / n is so fine that the full
+    # character's polytope holds more than |W(C2)| = 8 of its points: the
+    # scan gives up, though with no limit it finds no other orbit point,
+    # and the walk gives the same verdict as the walk alone
+    rs = build_root_system("C2")
+    ctx = Context(rs, facet_point(rs, (0, 1, 2), {2: 40}), q=2)
+    assert _scaled(ctx.point)[0] == 43
+    chi = _chi(ctx, (1,) * ctx.n_roots)
+    scan, calls = weyl._scan_holds, []
+    monkeypatch.setattr(weyl, "_scan_holds", lambda *args: calls.append(args) or scan(*args))
+    star = condition_star(chi)
+    (args,) = calls
+    assert args[-1] == _weyl_group_order(rs) == 8
+    assert not scan(*args) and scan(*args[:-1], math.inf)
+    monkeypatch.setattr(weyl, "_scan_holds", lambda *args: False)
+    assert _verdict(star) == _verdict(condition_star(chi))
+    assert star == StarVerdict("holds", None, True, None)
+
+
+@pytest.mark.parametrize("cartan_type", ("C2", "G2", "B3"))
+def test_fold_is_constant_on_orbits(cartan_type):
+    # every element of the radius-4 ball moves lambda to a point that
+    # folds back to lambda's fold, inside the closed alcove, at the
+    # barycenter, a weighted interior point and a weighted facet point
+    rs = build_root_system(cartan_type)
+    l, theta = rs.rank, rs.highest_root
+    ball = _ball(rs, 4)
+    points = [barycenter(rs), facet_point(rs, range(l + 1), {j: j + 1 for j in range(l + 1)}),
+              facet_point(rs, (0, l), {0: 3})]
+    for point in points:
+        n, scaled = _scaled(point)
+        target = _fold(rs, n, scaled)
+        assert target == scaled  # lambda lies in the closed alcove
+        for w in ball:
+            folded = _fold(rs, n, _move_point(w, n, scaled))
+            assert folded == target, (point, w)
+            assert min(folded) >= 0 and sum(a * x for a, x in zip(theta, folded)) <= n
+
+
+def test_scan_decides_stable_epipelagic_characters_without_a_walk(monkeypatch):
+    # the polytope of a stable epipelagic character is {lambda}, so the
+    # scan alone gives "holds" on E6 and F4
+    def no_walk(*args):
+        raise AssertionError("condition (*) walked the Weyl group")
+
+    for cartan_type, q in (("E6", 2), ("F4", 3)):
+        rs = build_root_system(cartan_type)
+        ctx = Context(rs, barycenter(rs), q=q)
+        vec = [0] * ctx.n_roots
+        for i, a in enumerate(simple_affine_roots(rs)):
+            vec[ctx.index[a]] = 1 + i % (q - 1)
+        chi = _chi(ctx, vec)
+        monkeypatch.setattr(weyl, "_shortlex_walk", no_walk)
+        assert condition_star(chi) == StarVerdict("holds", None, True, None)
+        monkeypatch.undo()
+        vec[ctx.index[simple_affine_roots(rs)[0]]] = 0  # unstable: the walk finds a witness
+        assert condition_star(_chi(ctx, vec)).status == "fails"
 
 
 # (type, facet, densities): the integer projections against the rational
