@@ -13,26 +13,26 @@ parabolics and the affine ball alike, building each child from its
 parent by the rows and columns one reflection changes.
 
 The condition-star search is exact whenever its witness polytope is
-bounded.  Fourier-Motzkin elimination in integers projects it onto each
-coroot coordinate once per character, with the finite orbit point kept
-symbolic, and boundedness is read off those projections.  A bounded
-polytope is scanned first: its lattice points in lambda + Q^vee / n,
-which hold its whole orbit, are listed by nested Fourier-Motzkin bounds
-and each is folded into the closed fundamental alcove.  If none but
-lambda folds to lambda's fold, the verdict is "holds" with no walk.
-Otherwise the finite Weyl group is walked: the projections bound the
-translations tried at each orbit point, and in the bounded case every
-orbit point inside the polytope is tried.  An unbounded polytope gets a
-bounded translation sweep, and a negative outcome is reported as
-inconclusive, never extrapolated.  The walk stops at its first witness.
+bounded.  One chain of Fourier-Motzkin eliminations in integers per
+character, with the base point's coordinates kept as variables, gives
+nested bounds on the coroot coordinates of the polytope's points, and
+boundedness is read off the chain.  A bounded polytope is scanned
+first: its lattice points in lambda + Q^vee / n, which hold its whole
+orbit, are listed from the chain and each is folded into the closed
+fundamental alcove.  If none but lambda folds to lambda's fold, the
+verdict is "holds" with no walk.  Otherwise the finite Weyl group is
+walked, and the same chain lists the points w(lambda) + k of the
+polytope at each orbit point, all of them in the bounded case.  An
+unbounded polytope gets a bounded translation sweep, and a negative
+outcome is reported as inconclusive, never extrapolated.  The walk
+stops at its first witness.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .affine_roots import (
@@ -480,52 +480,43 @@ class StarVerdict(NamedTuple):
                 "polytope_bounded": self.bounded, "radius": self.radius}
 
 
-# (coefficient of k_j, coefficients of nu, right-hand side), in integers
-ProjectedRow = Tuple[int, Tuple[int, ...], int]
+# (coefficient of x_m, coefficients of x_0..x_(m-1) then of the base, rhs)
+ChainRow = Tuple[int, Tuple[int, ...], int]
 
 
-def _coroot_projections(
-    rs: RootSystem, rows_mu: Sequence[Tuple[Root, Fraction]], n: int
-) -> List[List[ProjectedRow]]:
-    """Bounds on each k_j for the points nu / n + sum_i k_i a_i^vee.
+def _chain(rs: RootSystem, bounds: Sequence[Tuple[Root, int]]) -> List[List[ChainRow]]:
+    """Nested bounds on the points mu = base + sum x_j a_j^vee of a polytope.
 
-    Each row a(mu) <= rhs of rows_mu becomes, once, an integer row in
-    k and nu.  Fourier-Motzkin runs once per character: the coordinates
-    of nu are extra variables that are never eliminated, so a finite
-    Weyl element only substitutes its own nu = n * w(lambda).  Entry j
-    holds the rows c * k_j + b . nu <= rhs left after eliminating every
-    other k_i.  The projections share their eliminations by halving:
-    one half of the k's is eliminated and the other half recursed on,
-    and vice versa, about l log2 l eliminations in all.
+    bounds holds the polytope's integer rows g . mu <= b.  The coordinates
+    of the base are extra variables that are never eliminated, so one
+    chain serves every base.  Eliminating x_(l-1) down to x_1 leaves
+    chain[m] bounding x_m by x_0..x_(m-1) and the base (Ancourt-Irigoin,
+    Scanning polyhedra with DO loops, PPoPP 1991); the last link is the
+    rows themselves.
     """
     l = rs.rank
-    rows: List[IntegerRow] = []
-    for gradient, rhs in rows_mu:
-        # n * a(nu / n + sum k_j a_j^vee) <= n * rhs; a_j^vee has coordinates cartan[j]
-        kc = tuple(n * _dot(gradient, row) for row in rs.cartan)
-        b = n * Fraction(rhs)
-        d = b.denominator
-        rows.append(_reduced(tuple(d * x for x in kc + tuple(gradient)), b.numerator))
-    out: List[List[ProjectedRow]] = [[] for _ in range(l)]
-
-    def project(rows: List[IntegerRow], keep: Sequence[int]) -> None:
-        if len(keep) == 1:
-            j = keep[0]
-            out[j] = [(c[j], c[l:], rhs) for c, rhs in rows]
-            return
-        half = len(keep) // 2
-        for kept, dropped in ((keep[:half], keep[half:]), (keep[half:], keep[:half])):
-            proj = rows
-            for var in dropped:
-                proj = _fm_eliminate(proj, var)
-            project(proj, kept)
-
-    project(rows, range(l))
-    return out
+    # a_j^vee has the coordinates cartan[j]
+    rows = [_reduced(tuple(_dot(g, row) for row in rs.cartan) + tuple(g), b) for g, b in bounds]
+    chain = []
+    for var in range(l - 1, -1, -1):
+        chain.append([(c[var], c[:var] + c[l:], rhs) for c, rhs in rows])
+        if var:
+            rows = _fm_eliminate(rows, var)
+    return chain[::-1]
 
 
-def _solutions(rows: Sequence[ProjectedRow], fixed: Sequence[int], lo, hi) -> range:
-    """The integers x in [lo, hi] with c * x + b . fixed <= rhs for every row.
+def _chain_bounded(chain: Sequence[Sequence[ChainRow]]) -> bool:
+    """Does every link bound its coordinate on both sides?
+
+    For a nonempty polytope this is boundedness: a link with no row of
+    one sign lets its coordinate run off to that side.
+    """
+    return all(any(c > 0 for c, _, _ in link) and any(c < 0 for c, _, _ in link)
+               for link in chain)
+
+
+def _solutions(rows: Sequence[ChainRow], fixed: Sequence[int], lo, hi, stride: int) -> range:
+    """The multiples x of stride in [lo, hi] with c * x + b . fixed <= rhs for every row.
 
     Unless a row with c = 0 fails, the rows must bound x on each side
     that lo and hi leave infinite.
@@ -538,24 +529,34 @@ def _solutions(rows: Sequence[ProjectedRow], fixed: Sequence[int], lo, hi) -> ra
             lo = max(lo, -(rhs // -c))
         elif rhs < 0:
             return range(0)
-    return range(lo, hi + 1) if lo <= hi else range(0)
+    lo = -(-lo // stride) * stride
+    return range(lo, hi + 1, stride) if lo <= hi else range(0)
 
 
-def _orbit_witness_ranges(
-    nu: Sequence[int], projections: List[List[ProjectedRow]], radius: Optional[int]
-) -> List[range]:
-    """Integer k-ranges with nu / n + k of possible interest.
+def _chain_points(chain: Sequence[Sequence[ChainRow]], base: Tuple[int, ...], stride: int = 1,
+                  radius: Optional[int] = None,
+                  limit: float = math.inf) -> Iterator[Optional[Tuple[int, ...]]]:
+    """The chain's points x at the base, lazily, in lexicographic order.
 
-    Without a radius each projection must bound k_j on both sides.  All
-    ranges are empty as soon as one of them is.
+    Every x_j is a multiple of stride, and at most radius in size if a
+    radius is given; without one the polytope must be bounded.  Once more
+    than limit coordinates were visited, partial prefixes counted, None is
+    yielded and the points stop.
     """
     lo, hi = (-math.inf, math.inf) if radius is None else (-radius, radius)
-    ranges = []
-    for rows in projections:
-        ranges.append(_solutions(rows, nu, lo, hi))
-        if not ranges[-1]:
-            return [range(0)] * len(projections)
-    return ranges
+    stack: List[Tuple[int, ...]] = [()]
+    visited = 1
+    while stack:
+        x = stack.pop()
+        if len(x) == len(chain):
+            yield x
+            continue
+        span = _solutions(chain[len(x)], x + base, lo, hi, stride)
+        visited += len(span)
+        if visited > limit:
+            yield None
+            return
+        stack.extend(x + (v,) for v in reversed(span))
 
 
 def _fold(rs: RootSystem, n: int, mu: Sequence[int]) -> Tuple[int, ...]:
@@ -585,42 +586,22 @@ def _fold(rs: RootSystem, n: int, mu: Sequence[int]) -> Tuple[int, ...]:
 
 
 def _scan_holds(rs: RootSystem, n: int, point: Tuple[int, ...],
-                bounds: Sequence[Tuple[Root, int]], limit: int) -> bool:
+                chain: Sequence[Sequence[ChainRow]], limit: int) -> bool:
     """No orbit point but lambda in the bounded polytope, by its lattice points?
 
     Every orbit point lies in lambda + Q^vee / n, so the scan runs over
-    n * mu = point + sum k_j a_j^vee with the integer rows g . (n * mu) <= b
-    of bounds.  One chain of eliminations, k_(l-1) down to k_1, bounds
-    each k_m once k_0..k_(m-1) are fixed (Ancourt-Irigoin, Scanning
-    polyhedra with DO loops, PPoPP 1991); the last link is the rows
-    themselves, so each point reached lies in the polytope.  Each one
-    other than lambda is folded and compared with lambda's fold.  False
-    when one matches, or when the scan would visit more than limit
-    points, counting the partial k's; the caller then walks.
+    the chain's points n * mu = point + sum x_j a_j^vee.  Each one other
+    than lambda is folded and compared with lambda's fold.  False when one
+    matches, or when the scan would visit more than limit points,
+    counting the partial x's; the caller then walks.
     """
-    l = rs.rank
-    rows = [_reduced(tuple(_dot(g, row) for row in rs.cartan), b - _dot(g, point))
-            for g, b in bounds]
-    chain = [[(c[l - 1], c[: l - 1], rhs) for c, rhs in rows]]
-    for var in range(l - 1, 0, -1):
-        rows = _fm_eliminate(rows, var)
-        chain.append([(c[var - 1], c[: var - 1], rhs) for c, rhs in rows])
-    chain.reverse()  # chain[m] bounds k_m by k_0..k_(m-1)
     target = _fold(rs, n, point)
-    stack: List[Tuple[int, ...]] = [()]
-    visited = 1
-    while stack:
-        k = stack.pop()
-        if len(k) == l:
-            mu = [x + y for x, y in zip(point, _translation_pairing(rs, k))]
-            if any(k) and _fold(rs, n, mu) == target:
-                return False
-            continue
-        span = _solutions(chain[len(k)], k, -math.inf, math.inf)
-        visited += len(span)
-        if visited > limit:
+    for x in _chain_points(chain, point, limit=limit):
+        if x is None:
             return False
-        stack.extend(k + (x,) for x in span)
+        mu = tuple(map(add, point, _translation_pairing(rs, x)))
+        if mu != point and _fold(rs, n, mu) == target:
+            return False
     return True
 
 
@@ -628,16 +609,17 @@ def condition_star(chi: ShallowCharacter, radius: int = 4) -> StarVerdict:
     """Search for w with w(lambda) != lambda avoiding chi's deep supports.
 
     A witness is an orbit point mu = w(lambda) with alpha(mu) <= depth(chi)
-    for every shallow alpha carrying a nontrivial parameter.  If the
-    polytope those inequalities cut out is bounded, its lattice points
-    are scanned first: when none but lambda folds to lambda's point of
-    the alcove, the verdict is "holds" without a walk.  Otherwise, or
-    when the scan would visit more points than W has elements, the whole
-    orbit inside the polytope is enumerated and the verdict is exact;
-    for an unbounded polytope only translations up to the radius are
-    swept.  The finite Weyl group is walked lazily and the search stops
-    at its first witness, but a type whose group is too large to walk in
-    full is refused.
+    for every shallow alpha carrying a nontrivial parameter.  One chain
+    of eliminations bounds the points of the polytope those inequalities
+    cut out.  If it is bounded, its lattice points are scanned first:
+    when none but lambda folds to lambda's point of the alcove, the
+    verdict is "holds" without a walk.  Otherwise, or when the scan would
+    visit more points than W has elements, the chain lists the points of
+    the polytope at each finite orbit point in turn and the verdict is
+    exact; for an unbounded polytope only translations up to the radius
+    are swept.  The finite Weyl group is walked lazily and the search
+    stops at its first witness, but a type whose group is too large to
+    walk in full is refused.
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
@@ -653,24 +635,20 @@ def condition_star(chi: ShallowCharacter, radius: int = 4) -> StarVerdict:
     r = char_depth(chi)
     # points are scaled by n, so lambda and its finite orbit are integral
     n, point = _scaled(ctx.point)
-    projections = _coroot_projections(rs, [(a.gradient, r - a.level) for a in supp], n)
-    # lambda satisfies every row, so the polytope is nonempty, and it is
-    # bounded exactly when each projection bounds k_j on both sides
-    bounded = all(
-        any(c > 0 for c, _, _ in rows) and any(c < 0 for c, _, _ in rows)
-        for rows in projections
-    )
+    chain = _chain(rs, [(a.gradient, math.floor(n * (r - a.level))) for a in supp])
+    # lambda satisfies every row, so the polytope is nonempty and the
+    # chain reads its boundedness
+    bounded = _chain_bounded(chain)
     sweep = None if bounded else radius
-    bounds = [(a.gradient, math.floor(n * (r - a.level))) for a in supp]
-    if bounded and _scan_holds(rs, n, point, bounds, order):
+    if bounded and _scan_holds(rs, n, point, chain, order):
         return StarVerdict("holds", None, True, None)
-    # k -> n * sum k_j a_j^vee, in the coordinates of points
-    shift = tuple(zip(*((n * x for x in row) for row in rs.cartan)))
+    # the orbit points nu + sum x_j a_j^vee of the polytope have x = n * k
     for word, images, minv, _ in _shortlex_walk(rs, range(1, rs.rank + 1)):
         nu = tuple(_dot(col, point) for col in zip(*minv))
-        for k in itertools.product(*_orbit_witness_ranges(nu, projections, sweep)):
-            mu = tuple(x + y for x, y in zip(nu, _apply(shift, k)))
-            if mu != point and all(_dot(g, mu) <= b for g, b in bounds):
+        for x in _chain_points(chain, nu, n, None if bounded else n * radius):
+            # a translation can undo a nontrivial w, so mu is compared, not x
+            if tuple(map(add, nu, _translation_pairing(rs, x))) != point:
+                k = tuple(v // n for v in x)
                 w = AffineWeylElement(rs, tuple(zip(*images)), minv, k, word, k)
                 return StarVerdict("fails", w, bounded, sweep)
     return StarVerdict("holds" if bounded else "inconclusive", None, bounded, sweep)

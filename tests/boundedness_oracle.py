@@ -1,8 +1,11 @@
 """Fourier-Motzkin over rationals, the reference for `weyl.condition_star`.
 
-`reference_projections` is the projection condition (*) searches with,
-computed the slow way: every row is normalised by division into
-`Fraction`s, and each coroot coordinate gets its own l - 1 eliminations.
+`reference_projections` projects the witness polytope onto each coroot
+coordinate, computed the slow way: every row is normalised by division
+into `Fraction`s, and each coordinate gets its own l - 1 eliminations.
+`orbit_witness_ranges` reads the integer ranges those projections leave
+at one finite orbit point, the box whose points condition (*) may meet
+there.
 
 `polytope_bounded` is recession-cone boundedness.  The witness polytope
 {mu : a(mu) <= const for each support gradient a} is bounded exactly
@@ -15,7 +18,8 @@ per character, and it shares no code with condition (*).
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from operator import mul
+from typing import Dict, List, Optional, Sequence, Tuple
 
 InequalityRows = List[Tuple[Tuple[Fraction, ...], Fraction]]
 
@@ -56,8 +60,7 @@ def reference_projections(rs, rows_mu, n: int):
     """Rows (c, b, rhs) meaning c * k_j + b . nu <= rhs, for each j.
 
     The points are nu / n + sum_i k_i a_i^vee, and rows_mu holds the rows
-    (gradient, rhs) of the polytope a(mu) <= rhs, as `weyl._coroot_projections`
-    takes them.
+    (gradient, rhs) of the polytope a(mu) <= rhs.
     """
     l = rs.rank
     rows: InequalityRows = []
@@ -79,6 +82,30 @@ def reference_projections(rs, rows_mu, n: int):
             projected.append((int(c * scale), tuple(int(x * scale) for x in b), int(rhs * scale)))
         out.append(projected)
     return out
+
+
+def orbit_witness_ranges(nu: Sequence[int], projections, radius: Optional[int]) -> List[range]:
+    """Integer k-ranges of the projections at the orbit point nu.
+
+    Without a radius each projection must bound k_j on both sides.  All
+    ranges are empty as soon as one of them is.
+    """
+    empty = [range(0)] * len(projections)
+    ranges = []
+    for rows in projections:
+        lo, hi = (-math.inf, math.inf) if radius is None else (-radius, radius)
+        for c, b, rhs in rows:
+            rhs -= sum(map(mul, b, nu))
+            if c > 0:
+                hi = min(hi, rhs // c)
+            elif c < 0:
+                lo = max(lo, -(rhs // -c))
+            elif rhs < 0:
+                return empty
+        if lo > hi:
+            return empty
+        ranges.append(range(lo, hi + 1))
+    return ranges
 
 
 def fm_feasible(rows: InequalityRows, nvars: int) -> bool:

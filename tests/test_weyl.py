@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -23,12 +24,13 @@ from shallow_chars.weyl import (
     StarVerdict,
     _ball,
     _ball_size,
-    _coroot_projections,
+    _chain,
+    _chain_bounded,
+    _chain_points,
     _finite_elements,
     _fold,
     _move_point,
     _on_coroots,
-    _orbit_witness_ranges,
     _scaled,
     _shortlex_walk,
     _weyl_group_order,
@@ -40,7 +42,7 @@ from shallow_chars.weyl import (
     support,
 )
 
-from boundedness_oracle import polytope_bounded, reference_projections
+from boundedness_oracle import orbit_witness_ranges, polytope_bounded, reference_projections
 from conftest import SP4_PARAMS
 from intertwining_oracle import reference_reduction
 from weyl_walk_oracle import bfs
@@ -303,7 +305,7 @@ def _boundedness_characters(cartan_type):
 
 @pytest.mark.parametrize("cartan_type", WALKED_TYPES)
 def test_condition_star_boundedness_matches_recession_cone(cartan_type):
-    # boundedness read off the projections agrees with the recession-cone
+    # boundedness read off the chain agrees with the recession-cone
     # test, at the barycenter and at random facets
     seen = set()
     for ctx, vec in _boundedness_characters(cartan_type):
@@ -344,7 +346,7 @@ def _star_by_orbit_sweep(chi, radius):
     first = None
     for w_fin in _finite_elements(rs):
         nu = [int(x * n) for x in w_fin.act_on_point(ctx.point)]
-        ranges = _orbit_witness_ranges(nu, projections, sweep)
+        ranges = orbit_witness_ranges(nu, projections, sweep)
         assert all(set(rg) <= set(box) for rg in ranges)
         for k, shift in shifts:
             mu = [x + y for x, y in zip(nu, shift)]
@@ -523,8 +525,8 @@ def test_scan_decides_stable_epipelagic_characters_without_a_walk(monkeypatch):
         assert condition_star(_chi(ctx, vec)).status == "fails"
 
 
-# (type, facet, densities): the integer projections against the rational
-# reference, on supports from sparse to dense
+# (type, facet, densities): the chain of integer projections against the
+# rational reference, on supports from sparse to dense
 PROJECTION_CASES = [
     ("A2", None, (0.2, 0.5, 0.9)),
     ("C2", (1,), (0.2, 0.5, 0.9)),
@@ -542,13 +544,13 @@ PROJECTION_CASES = [
     ids=[t + (f"-facet{''.join(map(str, f))}" if f else "") for t, f, _ in PROJECTION_CASES],
 )
 def test_integer_projections_match_reference(cartan_type, facet, densities):
-    # any complete description of the projection bounds each k_j alike, so
-    # the ranges searched at every orbit point and the boundedness agree
+    # at every finite orbit point nu the chain's points of stride n are,
+    # in order, the points of the reference's box that pass every row,
+    # and the chain and the reference read boundedness alike
     rs = build_root_system(cartan_type)
     ctx = Context(rs, facet_point(rs, facet) if facet else barycenter(rs), q=2)
     rng = random.Random(f"projections/{cartan_type}")
-    n = math.lcm(*(x.denominator for x in ctx.point))
-    point = [int(x * n) for x in ctx.point]
+    n, point = _scaled(ctx.point)
     orbit = [
         tuple(sum(minv[p][i] * point[p] for p in range(rs.rank)) for i in range(rs.rank))
         for _, _, minv, _ in _shortlex_walk(rs, range(1, rs.rank + 1))
@@ -558,18 +560,21 @@ def test_integer_projections_match_reference(cartan_type, facet, densities):
             vec = [int(rng.random() < density) for _ in ctx.roots]
             vec[rng.randrange(ctx.n_roots)] = 1
             supp = [a for a, c in zip(ctx.roots, vec) if c]
-            rows = [(a.gradient, char_depth(_chi(ctx, vec)) - a.level) for a in supp]
-            got = _coroot_projections(rs, rows, n)
-            want = reference_projections(rs, rows, n)
+            r = char_depth(_chi(ctx, vec))
+            bounds = [(a.gradient, int(n * (r - a.level))) for a in supp]
+            # g . (nu + n * sum k_j a_j^vee) <= b, with a_j^vee = cartan[j]
+            k_rows = [([n * sum(map(mul, g, row)) for row in rs.cartan], g, b) for g, b in bounds]
+            chain = _chain(rs, bounds)
+            want = reference_projections(rs, [(a.gradient, r - a.level) for a in supp], n)
             bounded = polytope_bounded([a.gradient for a in supp], rs.rank)
-            for proj in (got, want):
-                assert bounded == all(
-                    any(c > 0 for c, _, _ in p) and any(c < 0 for c, _, _ in p) for p in proj
-                )
+            assert _chain_bounded(chain) == _chain_bounded(want) == bounded
             for radius in (None, 2) if bounded else (2,):
                 for nu in orbit:
-                    assert (_orbit_witness_ranges(nu, got, radius)
-                            == _orbit_witness_ranges(nu, want, radius)), (vec, nu, radius)
+                    cuts = [(kc, b - sum(map(mul, g, nu))) for kc, g, b in k_rows]
+                    box = itertools.product(*orbit_witness_ranges(nu, want, radius))
+                    inside = [k for k in box if all(sum(map(mul, kc, k)) <= b for kc, b in cuts)]
+                    got = _chain_points(chain, nu, n, None if radius is None else n * radius)
+                    assert [tuple(x // n for x in p) for p in got] == inside, (vec, nu, radius)
 
 
 def _random_valid(space, rng):
