@@ -18,12 +18,14 @@ basis vector that vanishes past it, and dim V_r counts the free columns
 of depth at most r.  An exhaustive oracle, independent of the rows,
 cross-checks the solver on small contexts: a depth-first search over
 parameter vectors that cuts a prefix as soon as a pair relation whose
-targets it already fixes fails.
+targets it already fixes fails.  It stops past the last position any
+relation reads and yields cylinders, which the check compares with the basis.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -249,24 +251,6 @@ class CharacterSpace(NamedTuple):
     def epipelagic_dimension(self) -> int:
         return self.filtration[0][1] if self.filtration else 0
 
-    def elements(self) -> Iterator[ShallowCharacter]:
-        """All F_p-combinations of the basis, coefficients in lexicographic order."""
-        ctx = self.context
-        f = ctx.field
-        multiples = [
-            [tuple(f.mul(f.from_int(c), v) for v in chi.vector) for c in range(f.p)]
-            for chi in self.basis
-        ]
-
-        def combine(k: int, vec: Tuple[int, ...]) -> Iterator[ShallowCharacter]:
-            if k == len(multiples):
-                yield ShallowCharacter.from_vector(ctx, vec)
-                return
-            for step in multiples[k]:
-                yield from combine(k + 1, tuple(map(f.add, vec, step)))
-
-        yield from combine(0, (0,) * ctx.n_roots)
-
     def to_json(self) -> Dict:
         return {
             "context": self.context.to_json(),
@@ -324,37 +308,46 @@ def _vector_from_coords(ctx: Context, coords: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def enumerate_valid(ctx: Context) -> Iterator[ShallowCharacter]:
-    """Exhaustive oracle: every valid parameter vector, in lexicographic order.
+def _valid_prefixes(ctx: Context) -> Tuple[int, Iterator[Tuple[int, ...]]]:
+    """Exhaustive oracle: (k, the valid prefixes of length k), in lexicographic order.
 
-    A pair relation reads chi only at its commutator targets, and every
-    target lies after both generators, so each relation is filed under
-    its last target.  Positions are assigned in order, values ascending,
-    and once position k is set the relations filed under k have their
-    verdict fixed: a failure there fails every extension of the prefix,
-    so the branch is cut.  A vector reaching full length passes every
-    relation, and the search yields exactly the vectors that validate
-    accepts, without reading the relation rows.
+    A pair relation reads chi only at its commutator targets, so it is
+    filed under its last target.  Positions are set in order, values
+    ascending, and a relation filed under t that fails cuts the branch.
+    k is one past the last position with a relation (0 if none), so each
+    prefix stands for a cylinder: the prefix followed by any tail.
     """
     n, f = ctx.n_roots, ctx.field
     checks: List[List[Tuple[Factor, ...]]] = [[] for _ in range(n)]
     for terms in ctx.relations.values():
         checks[max(pos for pos, _, _, _ in terms)].append(terms)
-    vec = [0] * n
+    k = max((t + 1 for t in range(n) if checks[t]), default=0)
+    vec = [0] * k
 
-    def extend(k: int) -> Iterator[ShallowCharacter]:
-        if k == n:
-            yield ShallowCharacter.from_vector(ctx, vec)
+    def extend(t: int) -> Iterator[Tuple[int, ...]]:
+        if t == k:
+            yield tuple(vec)
             return
         for v in range(f.q):
-            vec[k] = v
+            vec[t] = v
             if all(
                 char_product_trivial(f, [(vec[pos], (i, j), c) for pos, i, j, c in terms])
-                for terms in checks[k]
+                for terms in checks[t]
             ):
-                yield from extend(k + 1)
+                yield from extend(t + 1)
 
-    yield from extend(0)
+    return k, extend(0)
+
+
+def enumerate_valid(ctx: Context) -> Iterator[ShallowCharacter]:
+    """Exhaustive oracle: every valid parameter vector, in lexicographic order.
+
+    The cylinders of `_valid_prefixes` in turn; no relation row is read.
+    """
+    k, prefixes = _valid_prefixes(ctx)
+    for prefix in prefixes:
+        for tail in itertools.product(range(ctx.q), repeat=ctx.n_roots - k):
+            yield ShallowCharacter.from_vector(ctx, prefix + tail)
 
 
 def solve_space(ctx: Context, cross_check: Optional[bool] = None) -> CharacterSpace:
@@ -365,19 +358,22 @@ def solve_space(ctx: Context, cross_check: Optional[bool] = None) -> CharacterSp
     vector of free column c vanishes past c, and the vectors whose free
     columns have depth at most r span V_r.  Hence dim V_r is the number
     of free columns of depth at most r, and the first dim V_r basis
-    vectors span V_r.  cross_check=None runs the exhaustive oracle
-    (enumerate_valid) when q^N is at most 2**12; True forces it (error
+    vectors span V_r.  cross_check=None checks the basis against the
+    exhaustive oracle when q^N is at most 2**12; True forces it (error
     above 2**20); False skips it.  The thresholds count the vectors the
     oracle is exhaustive over, not the fewer prefixes its search visits.
+    The check asserts that each prefix of `_valid_prefixes`, padded with
+    zeros, and each F_p unit vector at a tail position lies in the span,
+    and that the cylinders hold p^dim vectors, as many as the span.
     """
     f = ctx.field
-    m = f.m
-    total = ctx.q**ctx.n_roots
+    p, m = f.p, f.m
+    ncols = ctx.n_roots * m
     if cross_check is None:
-        cross_check = total <= 2**12
-    elif cross_check and total > 2**20:
+        cross_check = ctx.coset_count() <= 2**12
+    elif cross_check and ctx.coset_count() > 2**20:
         raise ValueError("context too large for the exhaustive oracle")
-    null, free = _nullspace(relation_rows(ctx), ctx.n_roots * m, f.p)
+    null, free = _nullspace(relation_rows(ctx), ncols, p)
     free_depths = [ctx.depths[c // m] for c in free]
     filtration = tuple(
         (level, sum(d <= level for d in free_depths))
@@ -391,15 +387,19 @@ def solve_space(ctx: Context, cross_check: Optional[bool] = None) -> CharacterSp
     for chi in basis:
         assert validate(chi).ok, "solver produced an invalid character"
 
-    checked = False
     if cross_check:
-        space = CharacterSpace(ctx, basis, len(basis), filtration, False)
-        spanned = sorted(chi.vector for chi in space.elements())
-        brute = sorted(chi.vector for chi in enumerate_valid(ctx))
-        assert spanned == brute, "linear solver disagrees with the oracle"
-        checked = True
+        def in_span(v: List[int]) -> bool:  # RREF: v = sum of v_c * b_c over free c
+            return v == [sum(v[c] * b[i] for c, b in zip(free, null)) % p for i in range(ncols)]
 
-    return CharacterSpace(ctx, basis, len(basis), filtration, checked)
+        k, prefixes = _valid_prefixes(ctx)
+        pad = [0] * (ncols - k * m)
+        found = [in_span([d for x in prefix for d in f.coeffs(x)] + pad) for prefix in prefixes]
+        assert all(found), "the oracle accepts a vector outside the solved space"
+        units = ([int(i == col) for i in range(ncols)] for col in range(k * m, ncols))
+        assert all(map(in_span, units)), "the oracle frees a coordinate that the solver binds"
+        assert len(found) * ctx.q ** (ctx.n_roots - k) == p ** len(null), "the sizes differ"
+
+    return CharacterSpace(ctx, basis, len(basis), filtration, bool(cross_check))
 
 
 def scalar_act(z: int, chi: ShallowCharacter) -> ShallowCharacter:

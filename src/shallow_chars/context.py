@@ -35,17 +35,12 @@ class Context:
         self,
         rs: RootSystem,
         point,
-        q: Optional[int] = None,
-        field: Optional[FiniteField] = None,
+        q: int,
         pinning: Optional[Pinning] = None,
     ):
-        if field is None:
-            if q is None:
-                raise ValueError("provide q or an explicit field")
-            field = FiniteField(q)
         self.rs = rs
         self.point: Point = parse_point(point)
-        self.field = field
+        self.field = FiniteField(q)
         self.pinning = pinning if pinning is not None else Pinning(rs)
         self.roots = shallow_roots(rs, self.point)
         self.index = {r: k for k, r in enumerate(self.roots)}

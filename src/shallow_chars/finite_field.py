@@ -23,29 +23,16 @@ from typing import Dict, List, Sequence, Tuple
 Element = int  # encoded field element, 0 <= value < q
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _factor_prime_power(q: int) -> Tuple[int, int]:
-    for p in range(2, q + 1):
-        if _is_prime(p) and q % p == 0:
-            m = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                m += 1
-            if n != 1:
-                raise ValueError(f"q = {q} is not a prime power")
-            return p, m
-    raise ValueError(f"q = {q} is not a prime power")
+    # the least divisor p >= 2 of q is prime; q is a power of p or of no prime
+    p = next((d for d in range(2, q + 1) if q % d == 0), None)
+    m, n = 0, q
+    while p and n % p == 0:
+        n //= p
+        m += 1
+    if p is None or n != 1:
+        raise ValueError(f"q = {q} is not a prime power")
+    return p, m
 
 
 def _to_coeffs(x: int, p: int, m: int) -> List[int]:

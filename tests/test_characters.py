@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from shallow_chars import characters
 from shallow_chars.affine_roots import AffineRoot, barycenter, facet_point
 from shallow_chars.characters import (
     ShallowCharacter,
@@ -20,6 +21,7 @@ from shallow_chars.root_system import build_root_system
 
 from brute_oracle import brute_valid
 from conftest import SP4_PARAMS
+from span_oracle import span_elements
 
 
 def _flip_a12(ctx):
@@ -70,7 +72,7 @@ def test_c2_q2_solution_space(c2_ctx):
     for chi in space.basis[:3]:
         assert char_depth(chi) == Fraction(1, 4)
     seen = set()
-    for chi in space.elements():
+    for chi in span_elements(space):
         v = chi.vector
         assert v[4] == v[7] and v[3] == v[6] and v[5] == 0
         assert validate(chi).ok
@@ -180,10 +182,57 @@ def test_cross_check_flag(c2_ctx):
         solve_space(big, cross_check=True)  # 4^12 vectors is past the cap
 
 
+def test_valid_prefixes_stop_past_the_last_relation():
+    # k is one past the last relation target; B3 {0,1} has no relations
+    for cartan_type, facet, q in ORACLE_CONTEXTS:
+        rs = build_root_system(cartan_type)
+        point = barycenter(rs) if facet is None else facet_point(rs, facet)
+        ctx = Context(rs, point, q=q)
+        targets = {t for terms in ctx.relations.values() for t, _, _, _ in terms}
+        k, prefixes = characters._valid_prefixes(ctx)
+        assert k == max(targets, default=-1) + 1
+        assert all(len(prefix) == k for prefix in prefixes)
+
+
+def _outside(ctx, k, prefixes):
+    """The first prefix of length k that the search cut."""
+    kept = set(prefixes)
+    return next(v for v in itertools.product(range(ctx.q), repeat=k) if v not in kept)
+
+
+# name: (the assertion that must fire, (ctx, k, prefixes) -> mutated (k, prefixes))
+CROSS_CHECK_MUTATIONS = {
+    "drop": ("the sizes differ", lambda ctx, k, pre: (k, pre[1:])),
+    "add": ("outside the solved space",
+            lambda ctx, k, pre: (k, pre + [_outside(ctx, k, pre)])),
+    # the count stays right, so only the span membership catches it
+    "swap": ("outside the solved space",
+             lambda ctx, k, pre: (k, pre[1:] + [_outside(ctx, k, pre)])),
+    # one more free tail position: the prefixes ending in 0, cut one short.  On
+    # C2 q=2 position k - 1 repeats an earlier one, so the count stays right.
+    "widen": ("frees a coordinate",
+              lambda ctx, k, pre: (k - 1, [v[:-1] for v in pre if not v[-1]])),
+}
+
+
+@pytest.mark.parametrize("name", CROSS_CHECK_MUTATIONS)
+def test_cross_check_catches_a_wrong_oracle(monkeypatch, c2_ctx, name):
+    message, mutate = CROSS_CHECK_MUTATIONS[name]
+    search = characters._valid_prefixes
+
+    def mutated(ctx):
+        k, prefixes = search(ctx)
+        return mutate(ctx, k, list(prefixes))
+
+    monkeypatch.setattr(characters, "_valid_prefixes", mutated)
+    with pytest.raises(AssertionError, match=message):
+        solve_space(c2_ctx, cross_check=True)
+
+
 def test_valid_set_closed_under_addition(c2_ctx):
     space = solve_space(c2_ctx, cross_check=False)
     f = c2_ctx.field
-    members = {chi.vector for chi in space.elements()}
+    members = {chi.vector for chi in span_elements(space)}
     for u in list(members)[:8]:
         for w in list(members)[:8]:
             s = tuple(f.add(a, b) for a, b in zip(u, w))

@@ -322,6 +322,9 @@ PINNED_OUTPUTS = [
     # the forced exhaustive oracle on 5**8 = 390,625 vectors
     (["solve", "--type", "C2", "--q", "5", "--cross-check"], 0,
      "5f34a25e2b98ea751fafd5be64400c1efce0b5d42c635b917db8eed4bbf642ca"),
+    # the forced oracle where all 4**10 = 2**20 vectors are valid
+    (["solve", "--type", "B3", "--q", "4", "--facet", "0,1", "--cross-check"], 0,
+     "c631a57a5b1c00e2e7d4164c3e416a0c36f022f713cc4494bd60552293b43d7f"),
     (["solve", "--type", "G2", "--q", "2", "--facet", "1,2"], 0,
      "b6c225a71701cfb8a6e2eb9e4390a92900fe9885d767e3dd2367a8baa39c0398"),
     (["solve", "--type", "A3", "--q", "2", "--facet", "0,2"], 0,

@@ -27,7 +27,6 @@ MAX_COSETS = 2**14
 MAX_PAIR_COSETS = 2**8  # the table oracle takes every pair of a valid character
 MAX_TABLE_COSETS = 2**10  # the Cayley tables take N * (q - 1) * q^N collections
 MAX_VECTORS = 2**20  # the most q^N vectors solve_space will cross-check
-MAX_VALID = 2**14  # each side of the cross-check lists every valid vector
 
 
 @st.composite
@@ -84,17 +83,14 @@ def test_pair_sweep_matches_table_pairs(chi):
 @st.composite
 def contexts(draw):
     """A random point of a random facet, weighted as in `characters`, and
-    any field whose q^N vectors the oracle accepts, with at most
-    MAX_VALID valid characters."""
+    any field whose q^N vectors the oracle accepts."""
     rs = build_root_system(draw(st.sampled_from(SMALL_TYPES)))
     facet = draw(st.sets(st.integers(0, rs.rank), min_size=1))
     weights = {j: draw(st.integers(1, 5)) for j in sorted(facet)}
     point = facet_point(rs, facet, weights)
     n = len(shallow_roots(rs, point))
     q = draw(st.sampled_from([q for q in FIELDS if q**n <= MAX_VECTORS]))
-    ctx = Context(rs, point, q=q)
-    assume(ctx.field.p ** solve_space(ctx, cross_check=False).dimension <= MAX_VALID)
-    return ctx
+    return Context(rs, point, q=q)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None,

@@ -45,6 +45,7 @@ from shallow_chars.weyl import (
 from boundedness_oracle import orbit_witness_ranges, polytope_bounded, reference_projections
 from conftest import SP4_PARAMS
 from intertwining_oracle import reference_reduction
+from span_oracle import span_elements
 from weyl_walk_oracle import bfs
 
 
@@ -675,7 +676,7 @@ def test_intertwining_scan_edge_cases(c2_ctx, sp4_example):
 def test_star_holds_implies_no_compatible_mover(c2_ctx):
     from shallow_chars.characters import solve_space
 
-    for chi in solve_space(c2_ctx, cross_check=False).elements():
+    for chi in span_elements(solve_space(c2_ctx, cross_check=False)):
         if chi.is_trivial():
             continue
         star = condition_star(chi)
