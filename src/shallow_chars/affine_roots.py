@@ -20,6 +20,7 @@ whose simple affine value is strictly positive.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -76,6 +77,12 @@ def parse_point(coords: Iterable) -> Point:
         except ZeroDivisionError:
             raise ValueError(f"coordinate {c!r} has a zero denominator") from None
     return tuple(out)
+
+
+def scale_point(point: Point) -> Tuple[int, Tuple[int, ...]]:
+    """(n, n * point) for the least n that makes the point integral."""
+    n = math.lcm(*(x.denominator for x in point))
+    return n, tuple(int(x * n) for x in point)
 
 
 def point_to_json(point: Point) -> List[str]:

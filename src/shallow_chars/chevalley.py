@@ -53,7 +53,7 @@ from functools import cached_property
 from math import factorial
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .affine_roots import AffineRoot, Point, affine_combination, is_shallow
+from .affine_roots import AffineRoot, Point, affine_combination, is_shallow, simple_affine_roots
 from .root_system import Root, RootSystem, _parallel, add, negate
 
 Matrix = Tuple[Tuple[int, ...], ...]
@@ -291,7 +291,6 @@ class Pinning:
         self.rs = rs
         self.kind = kind
         self._expansions: Dict[Tuple[Root, Root], Tuple] = {}
-        self._signs: Dict[Tuple[Root, Root], int] = {}
 
     @cached_property
     def _entries(self) -> Dict[Root, Entries]:
@@ -368,20 +367,30 @@ class Pinning:
         So h = (-1)^p times the signs of N(r, b + i*r) for i between p
         and q (Carter, §6.4).
         """
-        key = (r, s)
-        if key not in self._signs:
-            if s == r or s == negate(r):
-                h = -1
-            else:
-                p = self.constants.p_down(r, s)
-                q = p - self.rs.pairing(s, r)
-                h = (-1) ** p
-                for i in range(min(p, q), max(p, q)):
-                    link = tuple(y + (i - p) * x for x, y in zip(r, s))
-                    if self.structure_constant(r, link) < 0:
-                        h = -h
-            self._signs[key] = h
-        return self._signs[key]
+        if s == r or s == negate(r):
+            return -1
+        p = self.constants.p_down(r, s)
+        q = p - self.rs.pairing(s, r)
+        h = (-1) ** p
+        for i in range(min(p, q), max(p, q)):
+            link = tuple(y + (i - p) * x for x, y in zip(r, s))
+            if self.structure_constant(r, link) < 0:
+                h = -h
+        return h
+
+    @cached_property
+    def letter_tables(self) -> Tuple[Dict[Root, Tuple[int, Root]], ...]:
+        """Per affine letter j, each root a -> (h, s_r(a)), with h = `reflection_sign(r, a)`.
+
+        r is the gradient of the simple affine root A_j (-theta for j = 0),
+        so s_r is the linear part of the affine simple reflection s_j.
+        Built on first use, with one `reflection_sign` per (letter, root).
+        """
+        rs = self.rs
+        return tuple(
+            {a: (self.reflection_sign(r, a), rs.reflect(a, r)) for a in rs.roots}
+            for r, _ in simple_affine_roots(rs)
+        )
 
     # ------------------------------------------------------------------
     # reporting

@@ -21,6 +21,7 @@ from .affine_roots import (
     facet_of,
     parse_point,
     point_to_json,
+    scale_point,
     shallow_roots,
 )
 from .chevalley import Pinning, commutator_expansion
@@ -60,6 +61,11 @@ class Context:
 
     def coset_count(self) -> int:
         return self.field.q ** len(self.roots)
+
+    @cached_property
+    def scaled_point(self) -> Tuple[int, Tuple[int, ...]]:
+        """(n, n * point) for the least n that makes the point integral."""
+        return scale_point(self.point)
 
     @cached_property
     def relations(self) -> Dict[Tuple[int, int], Tuple[Factor, ...]]:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from operator import add, mul
 from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -41,12 +42,13 @@ from .affine_roots import (
     barycenter,
     depth,
     is_positive_affine,
+    scale_point,
     simple_affine_roots,
 )
 from .characters import ShallowCharacter, char_depth, validate
 from .chevalley import Matrix
 from .context import Context
-from .root_system import RootSystem, Root, negate
+from .root_system import RootSystem, Root
 
 
 def _identity(n: int) -> Matrix:
@@ -68,8 +70,7 @@ def _mat_mul(A: Matrix, B: Matrix) -> Matrix:
 
 
 def _apply(m: Matrix, v: Sequence[int]) -> Tuple[int, ...]:
-    n = len(m)
-    return tuple(sum(m[i][j] * v[j] for j in range(n)) for i in range(n))
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 def _on_coroots(rs: RootSystem, m: Matrix, k: Sequence[int]) -> Tuple[int, ...]:
@@ -91,12 +92,6 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
 
 
-def _scaled(point: Point) -> Tuple[int, Tuple[int, ...]]:
-    """(n, n * point) for the least n that makes the point integral."""
-    n = math.lcm(*(x.denominator for x in point))
-    return n, tuple(int(x * n) for x in point)
-
-
 def _translation_pairing(rs: RootSystem, k: Sequence[int]) -> Tuple[int, ...]:
     """The values of the simple roots on sum k_j a_j^vee.
 
@@ -108,17 +103,14 @@ def _translation_pairing(rs: RootSystem, k: Sequence[int]) -> Tuple[int, ...]:
 
 def _move_point(w: "AffineWeylElement", n: int, point: Sequence[int]) -> Tuple[int, ...]:
     """n * w(point / n) for a point scaled to integers by n."""
-    pairing = _translation_pairing(w.rs, w.translation)
     return tuple(
-        _dot(column, point) + n * t for column, t in zip(zip(*w.root_map_inv), pairing)
+        _dot(column, point) + n * t for column, t in zip(zip(*w.root_map_inv), w.pairing)
     )
 
 
 def _letter_root(rs: RootSystem, letter: int) -> Root:
     """The root whose reflection is the linear part of a letter."""
-    if letter == 0:
-        return negate(rs.highest_root)
-    return rs.simple_roots[letter - 1]
+    return simple_affine_roots(rs)[letter].gradient
 
 
 class AffineWeylElement:
@@ -187,6 +179,11 @@ class AffineWeylElement:
         return AffineWeylElement(self.rs, self.root_map_inv, self.root_map, back(self.translation),
                                  tuple(reversed(self.word)), back(self.word_translation))
 
+    @cached_property
+    def pairing(self) -> Tuple[int, ...]:
+        """The values of the simple roots on the translation part."""
+        return _translation_pairing(self.rs, self.translation)
+
     def key(self) -> Tuple:
         return (self.root_map, self.translation)
 
@@ -198,27 +195,27 @@ class AffineWeylElement:
     def act_on_root(self, alpha: AffineRoot) -> AffineRoot:
         a = _apply(self.root_map, alpha.gradient)
         assert self.rs.is_root(a)
-        shift = _dot(a, _translation_pairing(self.rs, self.translation))
-        return AffineRoot(a, alpha.level - shift)
+        return AffineRoot(a, alpha.level - _dot(a, self.pairing))
 
     def act_on_point(self, mu: Point) -> Point:
-        n, scaled = _scaled(tuple(Fraction(x) for x in mu))
+        n, scaled = scale_point(tuple(Fraction(x) for x in mu))
         return tuple(Fraction(x, n) for x in _move_point(self, n, scaled))
 
     def sign(self, pinning, alpha: AffineRoot) -> int:
         """Sign of the conjugation u_alpha(x) -> u_{w alpha}(eta x).
 
-        Computed from this element's word, folding one reflection at a
-        time; the translation part acts by +1.  The value depends on the
-        chosen word and lift convention, not just on the group element.
+        Computed from this element's word, one letter at a time from the
+        right: the pinning's `letter_tables` give each letter's reflection
+        sign at the current gradient and the gradient it moves to.  The
+        translation part acts by +1.  The value depends on the chosen word
+        and lift convention, not just on the group element.
         """
-        rs = self.rs
+        tables = pinning.letter_tables
         gradient = alpha.gradient
         eta = 1
         for letter in reversed(self.word):
-            r = _letter_root(rs, letter)
-            eta *= pinning.reflection_sign(r, gradient)
-            gradient = rs.simple_reflect(letter - 1, gradient) if letter else rs.reflect(gradient, r)
+            h, gradient = tables[letter][gradient]
+            eta *= h
         return eta
 
     def to_json(self) -> Dict:
@@ -634,7 +631,7 @@ def condition_star(chi: ShallowCharacter, radius: int = 4) -> StarVerdict:
         raise ValueError("condition (*) is degenerate for the trivial character")
     r = char_depth(chi)
     # points are scaled by n, so lambda and its finite orbit are integral
-    n, point = _scaled(ctx.point)
+    n, point = ctx.scaled_point
     chain = _chain(rs, [(a.gradient, math.floor(n * (r - a.level))) for a in supp])
     # lambda satisfies every row, so the polytope is nonempty and the
     # chain reads its boundedness
@@ -703,20 +700,23 @@ def intertwining_reduction(chi: ShallowCharacter, w: AffineWeylElement) -> Reduc
     """
     ctx = chi.context
     f = ctx.field
-    n, point = _scaled(ctx.point)
-    pairing = _translation_pairing(ctx.rs, w.translation)
+    n, point = ctx.scaled_point
+    root_map, root_map_inv, pairing = w.root_map, w.root_map_inv, w.pairing
     # beta -> w beta for every beta that w moves off or onto chi's support;
-    # for any other beta both parameters are zero and nothing can fail
+    # for any other beta both parameters are zero and nothing can fail.
+    # Shallow roots are positive at lambda, so only the other side is tested.
     images: Dict[AffineRoot, AffineRoot] = {}
     for alpha, c in zip(ctx.roots, chi.vector):
         if c:
-            a = _apply(w.root_map, alpha.gradient)
-            images[alpha] = AffineRoot(a, alpha.level - _dot(a, pairing))
-            b = _apply(w.root_map_inv, alpha.gradient)
-            images[AffineRoot(b, alpha.level + _dot(alpha.gradient, pairing))] = alpha
-
-    def positive(alpha: AffineRoot) -> bool:
-        return _dot(alpha.gradient, point) + n * alpha.level > 0
+            gradient, level = alpha
+            a = _apply(root_map, gradient)
+            up = level - _dot(a, pairing)
+            if _dot(a, point) + n * up > 0:
+                images[alpha] = AffineRoot(a, up)
+            b = _apply(root_map_inv, gradient)
+            down = level + _dot(gradient, pairing)
+            if _dot(b, point) + n * down > 0:
+                images[AffineRoot(b, down)] = alpha
 
     def param(alpha: AffineRoot) -> int:
         pos = ctx.index.get(alpha)
@@ -724,8 +724,6 @@ def intertwining_reduction(chi: ShallowCharacter, w: AffineWeylElement) -> Reduc
 
     for beta in sorted(images):
         image = images[beta]
-        if not (positive(beta) and positive(image)):
-            continue
         eta = w.sign(ctx.pinning, beta)
         if param(image) != f.mul(f.from_int(eta), param(beta)):
             return ReductionVerdict(False, beta)
@@ -759,7 +757,7 @@ def intertwining_scan(chi: ShallowCharacter, radius: int = 8) -> ScanResult:
     ctx = chi.context
     if not validate(chi).ok:
         raise ValueError("scan requires a character satisfying the relations")
-    n, point = _scaled(ctx.point)
+    n, point = ctx.scaled_point
     stabilizer = []
     moved = 0
     for w in _ball(ctx.rs, radius):

@@ -365,6 +365,16 @@ PINNED_OUTPUTS = [
     (["intertwine", "--type", "C3", "--q", "3", "--params",
       "1,1,2,2,0,0,0,0,0,0,0,0,0,0,0,0,0,0", "--radius", "6"], 0,
      "51a7ecc0d4345af41411a304167b8059bdfef31dae912d475d65a6d7c089bdc7"),
+    # stable scans in A3 (matrix pinning) and B3 and F4 (adjoint pinnings)
+    (["intertwine", "--type", "A3", "--q", "3", "--params",
+      "1,2,1,1,0,0,0,0,0,0,0,0", "--radius", "6"], 0,
+     "6141125e5a1581286e73a739e3a9f0a44c05bef2e302b44aa857b77f9349f7a4"),
+    (["intertwine", "--type", "B3", "--q", "3", "--params",
+      "1,1,2,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0", "--radius", "6"], 0,
+     "51a7ecc0d4345af41411a304167b8059bdfef31dae912d475d65a6d7c089bdc7"),
+    (["intertwine", "--type", "F4", "--q", "3", "--params", "1,1,2,1,2," + F4_ZEROS,
+      "--radius", "6"], 0,
+     "1ad50db1109a4ac77a360ba970929af0022333c240a8884f2e4cf9b336faa149"),
     (["check-star", "--type", "E6", "--q", "2", "--params", "1,1,1,1,1,1,1," + E6_ZEROS], 0,
      "80999ae12142d0a4d3d0ca6c6945b5d90240522d52131690a20623d419f702bb"),
     (["check-star", "--type", "E6", "--q", "2", "--params", "0,1,1,1,1,1,1," + E6_ZEROS], 1,

@@ -12,9 +12,11 @@ from shallow_chars.affine_roots import (
     depth,
     facet_point,
     negate_affine,
+    scale_point,
     simple_affine_roots,
 )
 from shallow_chars.characters import ShallowCharacter, char_depth
+from shallow_chars.chevalley import Pinning
 from shallow_chars.context import Context
 from shallow_chars.root_system import build_root_system
 from shallow_chars import weyl
@@ -31,7 +33,6 @@ from shallow_chars.weyl import (
     _fold,
     _move_point,
     _on_coroots,
-    _scaled,
     _shortlex_walk,
     _weyl_group_order,
     barycenter_criterion,
@@ -44,7 +45,7 @@ from shallow_chars.weyl import (
 
 from boundedness_oracle import orbit_witness_ranges, polytope_bounded, reference_projections
 from conftest import SP4_PARAMS
-from intertwining_oracle import reference_reduction
+from intertwining_oracle import reference_reduction, reference_sign
 from span_oracle import span_elements
 from weyl_walk_oracle import bfs
 
@@ -473,7 +474,7 @@ def test_scan_guard_falls_back_to_the_walk(monkeypatch):
     # and the walk gives the same verdict as the walk alone
     rs = build_root_system("C2")
     ctx = Context(rs, facet_point(rs, (0, 1, 2), {2: 40}), q=2)
-    assert _scaled(ctx.point)[0] == 43
+    assert ctx.scaled_point[0] == 43
     chi = _chi(ctx, (1,) * ctx.n_roots)
     scan, calls = weyl._scan_holds, []
     monkeypatch.setattr(weyl, "_scan_holds", lambda *args: calls.append(args) or scan(*args))
@@ -497,7 +498,7 @@ def test_fold_is_constant_on_orbits(cartan_type):
     points = [barycenter(rs), facet_point(rs, range(l + 1), {j: j + 1 for j in range(l + 1)}),
               facet_point(rs, (0, l), {0: 3})]
     for point in points:
-        n, scaled = _scaled(point)
+        n, scaled = scale_point(point)
         target = _fold(rs, n, scaled)
         assert target == scaled  # lambda lies in the closed alcove
         for w in ball:
@@ -551,7 +552,7 @@ def test_integer_projections_match_reference(cartan_type, facet, densities):
     rs = build_root_system(cartan_type)
     ctx = Context(rs, facet_point(rs, facet) if facet else barycenter(rs), q=2)
     rng = random.Random(f"projections/{cartan_type}")
-    n, point = _scaled(ctx.point)
+    n, point = ctx.scaled_point
     orbit = [
         tuple(sum(minv[p][i] * point[p] for p in range(rs.rank)) for i in range(rs.rank))
         for _, _, minv, _ in _shortlex_walk(rs, range(1, rs.rank + 1))
@@ -589,7 +590,9 @@ def _random_valid(space, rng):
 
 REDUCTION_CASES = [("C2", None, 8), ("C3", None, 6), ("A3", None, 6),
                    # facets put affine roots at depth 0, on both sides of the test
-                   ("C2", (1,), 8), ("A3", (0, 2), 6)]
+                   ("C2", (1,), 8), ("A3", (0, 2), 6),
+                   # adjoint pinnings
+                   ("G2", None, 8), ("B3", None, 5), ("F4", None, 3)]
 
 
 @pytest.mark.parametrize(
@@ -620,6 +623,25 @@ def test_intertwining_reduction_matches_reference(cartan_type, facet, radius):
         chi = _chi(ctx, vec)
         for w in ball:
             assert intertwining_reduction(chi, w) == reference_reduction(chi, w), (vec, w)
+
+
+SIGN_CASES = [("C2", 8), ("C3", 5), ("A3", 5), ("G2", 8), ("B3", 5), ("F4", 4)]
+
+
+@pytest.mark.parametrize(
+    "cartan_type, radius", SIGN_CASES, ids=[f"{t}-r{r}" for t, r in SIGN_CASES]
+)
+def test_sign_matches_refolding_reference(cartan_type, radius):
+    # the pinning's letter tables give the sign of every word of the ball
+    # at every finite root as refolding the word does; A and C have matrix
+    # pinnings, G2, B3 and F4 adjoint ones
+    rs = build_root_system(cartan_type)
+    pinning = Pinning(rs)
+    ball = _ball(rs, radius)
+    assert any(0 in w.word for w in ball)
+    for w in ball:
+        for a in rs.roots:
+            assert w.sign(pinning, AffineRoot(a, 0)) == reference_sign(pinning, w, a), (w, a)
 
 
 def test_barycenter_criterion_all_cases(c2_ctx, sp4_example):
