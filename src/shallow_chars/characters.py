@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .affine_roots import AffineRoot, is_indecomposable, parse_point, point_to_json
 from .context import Context, Factor
@@ -196,44 +196,43 @@ def indecomposable_extension(
 # ----------------------------------------------------------------------
 # linear algebra mod p
 
-def _rref(rows: List[List[int]], p: int) -> Tuple[List[List[int]], List[int]]:
-    mat = [row[:] for row in rows]
-    pivots: List[int] = []
-    r = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = next((k for k in range(r, len(mat)) if mat[k][col] % p), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = pow(mat[r][col], -1, p)
-        mat[r] = [(v * inv) % p for v in mat[r]]
-        for k in range(len(mat)):
-            if k != r and mat[k][col]:
-                factor = mat[k][col]
-                mat[k] = [(a - factor * b) % p for a, b in zip(mat[k], mat[r])]
-        pivots.append(col)
-        r += 1
-    return mat[:r], pivots
-
-
 def _nullspace(
-    rows: List[List[int]], ncols: int, p: int
+    rows: Iterable[Dict[int, int]], ncols: int, p: int
 ) -> Tuple[List[Tuple[int, ...]], List[int]]:
     """RREF nullspace basis, one vector per free column, and those columns.
 
-    The vector of free column c has a 1 at c, a 0 at every other free
+    One Gauss-Jordan pass over the rows, dicts from column to nonzero
+    coefficient mod p, keeps the pivots in RREF, each keyed by its least
+    column.  The RREF is unique, so the row order does not matter.  The
+    vector of free column c has a 1 at c, a 0 at every other free
     column, and a 0 at every column after c.
     """
-    reduced, pivots = _rref(rows, p)
+    pivots: Dict[int, Dict[int, int]] = {}
+
+    def subtract(row: Dict[int, int], a: int, pivot: Dict[int, int]) -> None:
+        for c, v in pivot.items():  # row -= a * pivot, dropping zeros
+            row[c] = (row.get(c, 0) - a * v) % p
+            if not row[c]:
+                del row[c]
+
+    for row in rows:
+        row = dict(row)
+        for col in [c for c in row if c in pivots]:
+            subtract(row, row[col], pivots[col])
+        if not row:
+            continue
+        lead = min(row)
+        inv = pow(row[lead], -1, p)
+        row = {c: v * inv % p for c, v in row.items()}
+        for pivot in pivots.values():
+            if lead in pivot:
+                subtract(pivot, pivot[lead], row)
+        pivots[lead] = row
     free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for row, pc in zip(reduced, pivots):
-            vec[pc] = (-row[fc]) % p
-        basis.append(tuple(vec))
+    basis = [
+        tuple(-pivots[i].get(fc, 0) % p if i in pivots else int(i == fc) for i in range(ncols))
+        for fc in free
+    ]
     return basis, free
 
 
@@ -266,18 +265,18 @@ def _reduce_exponent(k: int, q: int) -> int:
     return (k - 1) % (q - 1) + 1 if q > 2 else 1
 
 
-def relation_rows(ctx: Context) -> List[List[int]]:
+def relation_rows(ctx: Context) -> List[Dict[int, int]]:
     """F_p-linear rows cutting out the valid parameter vectors.
 
     Variables are the F_p-coordinates of the parameters, m per shallow
     root.  For each pair relation, each Frobenius twist of each term is
     binned by its reduced monomial; a bin must vanish as an element of
-    F_q, giving m rows.
+    F_q, giving m rows.  Each row is a dict from column to nonzero
+    coefficient, and rows with none are left out.
     """
     f = ctx.field
     p, m, q = f.p, f.m, f.q
-    nvars = ctx.n_roots * m
-    rows: List[List[int]] = []
+    rows: List[Dict[int, int]] = []
     for terms in ctx.relations.values():
         bins: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
         for pos, i, j, c in terms:
@@ -288,14 +287,14 @@ def relation_rows(ctx: Context) -> List[List[int]]:
                 )
                 bins.setdefault(mono, []).append((pos, e, c))
         for contributions in bins.values():
-            block = [[0] * nvars for _ in range(m)]
+            block: List[Dict[int, int]] = [{} for _ in range(m)]
             for pos, e, c in contributions:
                 for d in range(m):
                     image = f.mul(c, f.pow(p**d, p**e))
                     for r, coeff in enumerate(f.coeffs(image)):
                         col = pos * m + d
-                        block[r][col] = (block[r][col] + coeff) % p
-            rows.extend(row for row in block if any(row))
+                        block[r][col] = (block[r].get(col, 0) + coeff) % p
+            rows.extend(filter(None, ({c: v for c, v in row.items() if v} for row in block)))
     return rows
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from shallow_chars.characters import (
     character_from_json,
     enumerate_valid,
     indecomposable_extension,
+    relation_rows,
     scalar_act,
     solve_space,
     validate,
@@ -111,13 +113,14 @@ def test_solver_basis_is_rref_adapted():
     The free column of a vector is its last nonzero coordinate.  It holds
     a 1, every other vector vanishes there, the free columns increase,
     and dim V_r counts the free columns of depth at most r.  Barycenter
-    and every 1-node facet, 75 contexts in all.
+    and every 1-node facet, 125 contexts in all; q = 8 and q = 9 bring
+    the fields with m = 3 and with p = 3, m = 2.
     """
     for cartan_type in ("A1", "A2", "A3", "C2", "C3", "G2"):
         rs = build_root_system(cartan_type)
         pinning = Pinning(rs)
         points = [barycenter(rs)] + [facet_point(rs, {j}) for j in range(rs.rank + 1)]
-        for point, q in itertools.product(points, (2, 3, 4)):
+        for point, q in itertools.product(points, (2, 3, 4, 8, 9)):
             ctx = Context(rs, point, q=q, pinning=pinning)
             f = ctx.field
             space = solve_space(ctx, cross_check=False)
@@ -135,6 +138,27 @@ def test_solver_basis_is_rref_adapted():
             assert space.dimension == len(free)
             if space.filtration:
                 assert space.filtration[-1][1] == space.dimension
+
+
+@pytest.mark.parametrize(
+    "cartan_type,q,n_rows,nonzeros",
+    [("E8", 16, 53760, 84000), ("E8", 4, 13440, 16800), ("G2", 4, 76, 100),
+     ("B3", 8, 270, 330), ("F4", 9, 960, 960)],
+)
+def test_relation_row_counts_are_pinned(cartan_type, q, n_rows, nonzeros):
+    """Rows and nonzero coefficients at the barycenter, as the dense rows
+    counted them; perfbench's `characters.rows` is the row count."""
+    pinning = _pinning(cartan_type)
+    ctx = Context(pinning.rs, barycenter(pinning.rs), q=q, pinning=pinning)
+    rows = relation_rows(ctx)
+    assert (len(rows), sum(map(len, rows))) == (n_rows, nonzeros)
+    assert all(0 < v < ctx.field.p for row in rows for v in row.values())
+    assert all(0 <= c < ctx.n_roots * ctx.field.m for row in rows for c in row)
+
+
+@functools.cache
+def _pinning(cartan_type):
+    return Pinning(build_root_system(cartan_type))
 
 
 @pytest.mark.parametrize(

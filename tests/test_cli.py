@@ -311,6 +311,8 @@ def test_bad_usage(capsys, tmp_path):
 F4_ZEROS = ",".join(["0"] * 43)  # the 43 shallow F4 roots after the simple ones
 E6_ZEROS = ",".join(["0"] * 65)
 A4_ZEROS = ",".join(["0"] * 15)  # q**20 = 2**20 cosets, the sweep limit
+E8_Q16 = ["solve", "--type", "E8", "--q", "16"]
+E8_Q16_DIGEST = "7d92bcc5d669d56e81e7029d88ae90ece32acd42f7a2ecdba5e5ee40b9acfb31"
 
 PINNED_OUTPUTS = [
     (["solve", "--type", "C2", "--q", "2"], 0,
@@ -329,6 +331,8 @@ PINNED_OUTPUTS = [
      "b6c225a71701cfb8a6e2eb9e4390a92900fe9885d767e3dd2367a8baa39c0398"),
     (["solve", "--type", "A3", "--q", "2", "--facet", "0,2"], 0,
      "1548975decb5482af90e4bbb6e22ab0a878b7481a06ad8cc551dd80426c35612"),
+    # 53,760 relation rows over 960 columns, 84,000 nonzeros in all
+    (E8_Q16, 0, E8_Q16_DIGEST),
     (["classify", "--type", "C2", "--params", EXAMPLE], 0,
      "9597c7f39c0c88e511b9fe554cea0b146a43f3392d14c9aac7d34d98b01e4081"),
     (["check-star", "--type", "C2", "--params", EXAMPLE], 1,
@@ -468,6 +472,30 @@ def test_help_and_usage_are_pinned(capsys, monkeypatch, argv, rc, digest):
     got_rc = main(argv)
     out, err = capsys.readouterr()
     assert (got_rc, hashlib.sha256((out + err).encode()).hexdigest()) == (rc, digest)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB")
+def test_e8_q16_solve_peak_rss():
+    """A fresh interpreter solves E8 at q=16 with the pinned bytes and a
+    peak RSS under 200 MB; dense relation rows and a dense RREF took
+    885 MB.  The child reports its own ru_maxrss: RUSAGE_CHILDREN would
+    read the largest child this test process has ever run."""
+    code = (
+        "import resource, sys\n"
+        "from shallow_chars.cli import main\n"
+        f"rc = main({E8_Q16 + ['--json']!r})\n"
+        "sys.stdout.flush()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(rc)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == E8_Q16_DIGEST
+    assert int(done.stderr.split()[-1]) < 200 * 1024
 
 
 def test_parser_is_built_by_the_first_main_call_only(capsys):

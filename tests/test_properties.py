@@ -1,10 +1,13 @@
 """Seeded property tests: the relation rows against the group model, both
-sweeps against the Cayley tables, and the linear solver against the
-exhaustive oracle.
+sweeps against the Cayley tables, the linear solver against the
+exhaustive oracle, and its sparse elimination against the dense RREF.
 
 hypothesis is a test-only dependency; `derandomize` makes every run draw
 the same examples.
 """
+
+import itertools
+import random
 
 import pytest
 
@@ -13,12 +16,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from shallow_chars.affine_roots import facet_point, shallow_roots
-from shallow_chars.characters import ShallowCharacter, solve_space, validate
+from shallow_chars.affine_roots import barycenter, facet_point, shallow_roots
+from shallow_chars.characters import (
+    ShallowCharacter, _nullspace, relation_rows, solve_space, validate,
+)
+from shallow_chars.chevalley import Pinning
 from shallow_chars.context import Context
 from shallow_chars.group_model import verify_homomorphism
 from shallow_chars.root_system import build_root_system
 
+from span_oracle import dense, nullspace
 from test_group_model import table_pairs, table_sweep
 
 SMALL_TYPES = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2")
@@ -98,3 +105,47 @@ def contexts(draw):
 @given(contexts())
 def test_solver_matches_oracle(ctx):
     assert solve_space(ctx, cross_check=True).cross_checked
+
+
+def _contexts_of(cartan_type, fields, facets=True):
+    """Contexts of one type over the fields: at every facet of the closed
+    alcove, or at the barycenter alone."""
+    rs = build_root_system(cartan_type)
+    pinning = Pinning(rs)
+    nodes = range(rs.rank + 1)
+    points = [
+        facet_point(rs, set(J)) for k in range(1, rs.rank + 2)
+        for J in itertools.combinations(nodes, k)
+    ] if facets else [barycenter(rs)]
+    for point, q in itertools.product(points, fields):
+        yield Context(rs, point, q=q, pinning=pinning)
+
+
+# every facet of the small types over every field (456 contexts), and
+# the barycenters of E6 and E7 at q = 2, 4 and of E8 at q = 2
+NULLSPACE_CASES = [(t, FIELDS, True) for t in SMALL_TYPES] + [
+    ("E6", (2, 4), False), ("E7", (2, 4), False), ("E8", (2,), False),
+]
+
+
+@pytest.mark.parametrize(
+    "cartan_type,fields,facets", NULLSPACE_CASES, ids=[t for t, _, _ in NULLSPACE_CASES]
+)
+def test_sparse_nullspace_matches_dense_rref(cartan_type, fields, facets):
+    """`_nullspace` gives the dense reference's basis and free columns on
+    the relation rows as built, and again with the rows shuffled and a
+    seeded sample of them repeated, each times a unit of F_p: the RREF of
+    a row space does not depend on the rows that span it."""
+    rng = random.Random(f"{cartan_type} nullspace")
+    for ctx in _contexts_of(cartan_type, fields, facets):
+        p = ctx.field.p
+        ncols = ctx.n_roots * ctx.field.m
+        rows = relation_rows(ctx)
+        expected = nullspace(dense(rows, ncols), ncols, p)
+        assert _nullspace(rows, ncols, p) == expected
+        mixed = list(rows)
+        for row in rng.choices(rows, k=len(rows) // 3 + 1) if rows else ():
+            a = rng.randrange(1, p)
+            mixed.append({c: v * a % p for c, v in row.items()})
+        rng.shuffle(mixed)
+        assert _nullspace(mixed, ncols, p) == expected
