@@ -3,8 +3,8 @@
 An affine root is a pair ``(gradient, level)`` acting on a point ``x`` by
 ``<gradient, x> + level``.  Apartment points are stored in fundamental
 coweight coordinates: the i-th coordinate of ``x`` is the value ``a_i(x)``
-of the i-th simple root, so evaluating any gradient is a dot product and
-everything stays in exact rationals.
+of the i-th simple root, so evaluating any gradient is a dot product.  The
+census works in integers at n * x (`scale_point`); `depth` is rational.
 
 The simple affine roots are ``A_0 = -theta + 1`` and ``A_i = a_i + 0``.
 Every affine root has a unique integer coordinate vector over them
@@ -145,8 +145,22 @@ def n_J(rs: RootSystem, alpha: AffineRoot, J: Iterable[int]) -> int:
 # ----------------------------------------------------------------------
 # alcove geometry
 
+def _alcove(rs: RootSystem, point: Point) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+    """(n, x, values): x = n * point (`scale_point`), values = n * A_j(point)."""
+    if len(point) != rs.rank:
+        raise ValueError("rank mismatch between root and point")
+    n, x = scale_point(point)
+    return n, x, (n - sum(c * y for c, y in zip(rs.highest_root, x)),) + x
+
+
 def in_closed_alcove(rs: RootSystem, point: Point) -> bool:
-    return all(depth(a, point) >= 0 for a in simple_affine_roots(rs))
+    return min(_alcove(rs, point)[2]) >= 0
+
+
+def _facet(values: Tuple[int, ...]) -> FrozenSet[int]:
+    if min(values) < 0:
+        raise ValueError("point lies outside the closed fundamental alcove")
+    return frozenset(j for j, v in enumerate(values) if v > 0)
 
 
 def facet_of(rs: RootSystem, point: Point) -> FrozenSet[int]:
@@ -156,11 +170,7 @@ def facet_of(rs: RootSystem, point: Point) -> FrozenSet[int]:
     cannot occur since the simple affine values sum against the marks
     to 1.
     """
-    if not in_closed_alcove(rs, point):
-        raise ValueError("point lies outside the closed fundamental alcove")
-    return frozenset(
-        j for j, a in enumerate(simple_affine_roots(rs)) if depth(a, point) > 0
-    )
+    return _facet(_alcove(rs, point)[2])
 
 
 def facet_point(
@@ -195,25 +205,28 @@ def barycenter(rs: RootSystem) -> Point:
 # ----------------------------------------------------------------------
 # shallow roots
 
+def _census(rs: RootSystem, point: Point):
+    """(n, x, facet, census) at x = n * point, the census holding
+    (n * depth, root) for each shallow root in census order."""
+    n, x, values = _alcove(rs, point)
+    facet = _facet(values)
+    found = []
+    for a in rs.roots:
+        v = sum(c * y for c, y in zip(a, x))
+        if v % n:
+            found.append((v % n, a, -(v // n)))
+    found.sort()
+    return n, x, facet, [(r, AffineRoot(a, k)) for r, a, k in found]
+
+
 def shallow_roots(rs: RootSystem, point: Point) -> Tuple[AffineRoot, ...]:
     """All affine roots with value in (0, 1), sorted by (depth, gradient).
 
-    For each gradient a there is at most one admissible level (an open
-    unit interval contains at most one integer), so the enumeration is
-    a single pass over the finite root system.
+    With x = n * point integral, a gradient a takes the value v = a.x;
+    a + k is shallow for exactly one level, k = -(v // n), when n does
+    not divide v, and for no level otherwise.  Its depth is (v mod n) / n.
     """
-    if not in_closed_alcove(rs, point):
-        raise ValueError("point lies outside the closed fundamental alcove")
-    found = []
-    for a in rs.roots:
-        v = depth(AffineRoot(a, 0), point)
-        low = -v  # need low < n < low + 1
-        n0 = low.numerator // low.denominator  # floor
-        for n in (n0, n0 + 1):
-            if 0 < v + n < 1:
-                found.append(AffineRoot(a, n))
-    found.sort(key=lambda al: (depth(al, point), al.gradient))
-    return tuple(found)
+    return tuple(alpha for _, alpha in _census(rs, point)[3])
 
 
 def is_indecomposable(rs: RootSystem, alpha: AffineRoot, J: Iterable[int]) -> bool:

@@ -15,15 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Optional, Tuple
 
-from .affine_roots import (
-    Point,
-    depth,
-    facet_of,
-    parse_point,
-    point_to_json,
-    scale_point,
-    shallow_roots,
-)
+from .affine_roots import Point, _census, parse_point, point_to_json
 from .chevalley import Pinning, commutator_expansion
 from .finite_field import FiniteField
 from .root_system import RootSystem, _parallel
@@ -43,12 +35,11 @@ class Context:
         self.point: Point = parse_point(point)
         self.field = FiniteField(q)
         self.pinning = pinning if pinning is not None else Pinning(rs)
-        self.roots = shallow_roots(rs, self.point)
+        n, x, self.facet, census = _census(rs, self.point)
+        self.scaled_point: Tuple[int, Tuple[int, ...]] = (n, x)  # as `scale_point`
+        self.roots = tuple(alpha for _, alpha in census)
         self.index = {r: k for k, r in enumerate(self.roots)}
-        self.depths: Tuple[Fraction, ...] = tuple(
-            depth(r, self.point) for r in self.roots
-        )
-        self.facet = facet_of(rs, self.point)
+        self.depths: Tuple[Fraction, ...] = tuple(Fraction(r, n) for r, _ in census)
         self._cayley = None
 
     @property
@@ -61,11 +52,6 @@ class Context:
 
     def coset_count(self) -> int:
         return self.field.q ** len(self.roots)
-
-    @cached_property
-    def scaled_point(self) -> Tuple[int, Tuple[int, ...]]:
-        """(n, n * point) for the least n that makes the point integral."""
-        return scale_point(self.point)
 
     @cached_property
     def relations(self) -> Dict[Tuple[int, int], Tuple[Factor, ...]]:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from shallow_chars.context import Context
 from shallow_chars.root_system import build_root_system
 from shallow_chars.affine_roots import (
     AffineRoot,
@@ -76,6 +77,30 @@ def test_shallow_requires_alcove_point():
         shallow_roots(rs, parse_point([1, 1]))
     assert not in_closed_alcove(rs, parse_point([1, 1]))
     assert in_closed_alcove(rs, barycenter(rs))
+
+
+# C2 points of the wrong length, and points outside the closed alcove:
+# past the wall of A_0 (theta = 2a_1 + a_2), and on the wrong side of a_1
+SHORT_AND_LONG = ("1/4", "1/4,1/4,1/4")
+OUTSIDE = ("1/2,1/4", "-1/4,1/2")
+
+
+@pytest.mark.parametrize(
+    "coords,message",
+    [(c, "rank mismatch between root and point") for c in SHORT_AND_LONG]
+    + [(c, "point lies outside the closed fundamental alcove") for c in OUTSIDE],
+)
+def test_census_refusals(coords, message):
+    rs = build_root_system("C2")
+    point = parse_point(coords.split(","))
+    for build in (shallow_roots, facet_of, lambda rs, point: Context(rs, point, q=2)):
+        with pytest.raises(ValueError, match=message):
+            build(rs, point)
+    if coords in OUTSIDE:
+        assert not in_closed_alcove(rs, point)
+    else:
+        with pytest.raises(ValueError, match=message):
+            in_closed_alcove(rs, point)
 
 
 @pytest.mark.parametrize("cartan_type", ["A2", "C2", "G2", "B3"])

@@ -265,6 +265,16 @@ def test_bad_usage(capsys, tmp_path):
     # parameter that is not an integer (a bool included), a repeated root
     assert main(["shallow", "--type", "C2", "--point", "1/0,1/2"]) == 64
     assert "zero denominator" in capsys.readouterr().err
+    # a point of the wrong length, short or long, and points outside the
+    # closed alcove: past the wall of A_0, and on the wrong side of a_1
+    for point, message in (
+        ("1/4", "rank mismatch between root and point"),
+        ("1/4,1/4,1/4", "rank mismatch between root and point"),
+        ("1/2,1/4", "outside the closed fundamental alcove"),
+        ("-1/4,1/2", "outside the closed fundamental alcove"),
+    ):
+        assert main(["shallow", "--type", "C2", f"--point={point}"]) == 64, point
+        assert message in capsys.readouterr().err, point
     _, payload = _run_json(capsys, ["classify", "--type", "C2", "--params", EXAMPLE])
     good = payload["character"]
     entry = good["params"][0]
@@ -422,6 +432,19 @@ PINNED_OUTPUTS = [
      "23d57c9fd347342a68be1e820eb11543d8559d3b6fa5f9bd1cd3a2e1637d95d4"),
     (["reproduce-sp4", "--q", "3"], 1,
      "add8b8a5a33a9d24ba7393d96a42b9d599dde0f4da37886085ac3114ccca483e"),
+    # shallow censuses: the 240 roots of the E8 barycenter, a weighted B3
+    # point (n = 11), a C3 facet, the C2 facet {1,2} on the wall of A_0
+    # (n - theta.x = 0) and the G2 vertex, which has no shallow roots
+    (["shallow", "--type", "E8"], 0,
+     "dfe966a37825d9dd60cf950acd7e1f3730af48435d4d4b5e0e09edc80dbb8ce3"),
+    (["shallow", "--type", "B3", "--point", "2/11,1/11,3/11"], 0,
+     "c725a6b6e45750a590290558a746e49bfbeb1da181965d16c9458eb7010794a0"),
+    (["shallow", "--type", "C3", "--facet", "0,2"], 0,
+     "9b1eb04347f54e0244cd41f63777181cd6e1f9869f8987830f6d542fbff42f91"),
+    (["shallow", "--type", "C2", "--facet", "1,2"], 0,
+     "68b50aab246400c0c96cccad29c446e96f601efb92a585e2917540ff2d29bb13"),
+    (["shallow", "--type", "G2", "--facet", "0"], 0,
+     "b5554e1f54e54acc18be116d7fe18722bb157ec84e393565e51cf4ca58624d02"),
 ]
 
 

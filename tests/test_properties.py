@@ -1,13 +1,16 @@
-"""Seeded property tests: the relation rows against the group model, both
-sweeps against the Cayley tables, the linear solver against the
-exhaustive oracle, and its sparse elimination against the dense RREF.
+"""Seeded property tests: the integer shallow census against the rational
+one, the relation rows against the group model, both sweeps against the
+Cayley tables, the linear solver against the exhaustive oracle, and its
+sparse elimination against the dense RREF.
 
 hypothesis is a test-only dependency; `derandomize` makes every run draw
 the same examples.
 """
 
+import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +19,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from shallow_chars.affine_roots import barycenter, facet_point, shallow_roots
+from shallow_chars.affine_roots import (
+    barycenter, facet_of, facet_point, in_closed_alcove, scale_point, shallow_roots,
+)
 from shallow_chars.characters import (
     ShallowCharacter, _nullspace, relation_rows, solve_space, validate,
 )
@@ -25,6 +30,7 @@ from shallow_chars.context import Context
 from shallow_chars.group_model import verify_homomorphism
 from shallow_chars.root_system import build_root_system
 
+import census_oracle
 from span_oracle import dense, nullspace
 from test_group_model import table_pairs, table_sweep
 
@@ -34,6 +40,83 @@ MAX_COSETS = 2**14
 MAX_PAIR_COSETS = 2**8  # the table oracle takes every pair of a valid character
 MAX_TABLE_COSETS = 2**10  # the Cayley tables take N * (q - 1) * q^N collections
 MAX_VECTORS = 2**20  # the most q^N vectors solve_space will cross-check
+
+
+@functools.cache
+def _pinning(cartan_type):
+    return Pinning(build_root_system(cartan_type))
+
+
+def _outcome(build, *args):
+    """What `build` returns, or the message of the ValueError it raises."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _context_census(rs, point):
+    ctx = Context(rs, point, q=2, pinning=_pinning(rs.cartan_type))
+    assert ctx.scaled_point == scale_point(ctx.point)
+    return ctx.roots, ctx.depths, ctx.facet
+
+
+def _oracle_census(rs, point):
+    return (census_oracle.shallow_roots(rs, point), census_oracle.depths(rs, point),
+            census_oracle.facet_of(rs, point))
+
+
+def assert_census_matches_oracle(rs, point):
+    """The census, the depths, the facet and the alcove test, refusals
+    included, agree with the rational reference."""
+    for fast, slow in (
+        (shallow_roots, census_oracle.shallow_roots),
+        (facet_of, census_oracle.facet_of),
+        (in_closed_alcove, census_oracle.in_closed_alcove),
+        (_context_census, _oracle_census),
+    ):
+        assert _outcome(fast, rs, point) == _outcome(slow, rs, point), fast
+
+
+@st.composite
+def census_points(draw):
+    """A rational point of a small type with denominator at most 60: inside
+    the closed alcove, on one of its walls, just outside one wall (its
+    simple affine value -1/n), or of the wrong length.  Inside the alcove
+    the point is drawn through its simple affine values c_j / n, with
+    n = sum of m_j * c_j over the marks m_j."""
+    rs = build_root_system(draw(st.sampled_from(SMALL_TYPES)))
+    kind = draw(st.sampled_from(("inside", "wall", "outside", "length")))
+    if kind == "length":
+        size = draw(st.sampled_from([k for k in range(rs.rank + 3) if k != rs.rank]))
+        coords = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 60))
+        return rs, tuple(draw(coords) for _ in range(size))
+    c = [draw(st.integers(0, 12)) for _ in range(rs.rank + 1)]
+    if kind != "inside":
+        c[draw(st.integers(0, rs.rank))] = 0 if kind == "wall" else -1
+    n = sum(m * v for m, v in zip(rs.marks, c))
+    assume(1 <= n <= 60)
+    return rs, tuple(Fraction(v, n) for v in c[1:])
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(census_points())
+def test_census_matches_oracle(case):
+    assert_census_matches_oracle(*case)
+
+
+@pytest.mark.parametrize("cartan_type", ["E6", "E7", "E8"])
+def test_census_matches_oracle_on_exceptional_types(cartan_type):
+    """At the barycenters of E6, E7 and E8, and at every facet point of E6."""
+    rs = build_root_system(cartan_type)
+    points = [barycenter(rs)]
+    if cartan_type == "E6":
+        points += [
+            facet_point(rs, J) for k in range(1, rs.rank + 1)
+            for J in itertools.combinations(range(rs.rank + 1), k)
+        ]
+    for point in points:
+        assert_census_matches_oracle(rs, point)
 
 
 @st.composite
