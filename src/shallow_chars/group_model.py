@@ -52,9 +52,10 @@ So the defect chi(w1 * w2) - chi(w1) - chi(w2) reads only the entries
 below r.  Each pairs walk stops after the q^r - 1 suffixes w2 with no
 entry from r on: a failing w2 still fails once those entries are set to
 0, and its code gets smaller, so the first failing pair and its count
-stay the same.  The seeded sampling mode draws whole normal forms,
-multiplies them with their entries above r set to 0, and keeps the
-whole pair as its witness.
+stay the same.  Every product is taken modulo U_(r+1), as `_collect`
+drops each token past the end of the form it starts from: the walks
+start from w1 cut after row r, and the seeded sampling mode multiplies
+the forms it draws cut there, and keeps the whole pair as its witness.
 
 A block needs only its low suffixes.  Collecting s * g commutes g or a
 correction past entries of s, never two entries of s past each other,
@@ -68,12 +69,12 @@ the last reached row on which chi is nonzero, so it reads only the
 entries of s below r.  The suffixes below q^(r - 1 - pos) meet every
 value it takes, and a failing suffix still fails, with a smaller code,
 once its entries from r on are set to 0.  So the sweep walks only those
-low suffixes, q^cut - 1 collections for a block that spans cut entries
-below r, and (q - 1) * (q^cut_pos - 1) summed over pos in all: its
-verdict, and not only its first witness, rests on this argument.  The
-first failure among them, in block order, is the first failure of the
-whole sweep.  `table_sweep` and `table_pairs` in the tests read every
-check off materialised Cayley tables and stay as its oracles.
+low suffixes, from g cut after row r, q^cut - 1 collections for a block
+that spans cut entries below r, and (q - 1) * (q^cut_pos - 1) summed
+over pos in all: its verdict, and not only its first witness, rests on
+this argument.  The first failure among them, in block order, is the
+first failure of the whole sweep.  The tests' `table_sweep` and
+`table_pairs` read every check off materialised Cayley tables as oracles.
 """
 
 from __future__ import annotations
@@ -132,9 +133,9 @@ def _commutator(ctx: Context, early: int, x: int, late: int, y: int) -> List[Tok
     ]
 
 
-# tokens taken off the stack in one collection.  A product of two random
-# normal forms takes about 4 * 10**6 on E8 at q = 16, so reaching this
-# means the rewriting does not terminate.
+# tokens taken off the stack in one collection: about 4 * 10**6 for two
+# random whole normal forms on E8 at q = 16, at most 45 for the same forms
+# cut after row 8, so reaching this means the rewriting does not terminate.
 _STEP_LIMIT = 10**8
 
 
@@ -143,16 +144,19 @@ def _collect(
 ) -> List[int]:
     """Collection from the left: the entries of start * tokens in normal form.
 
-    start is a normal form given by its entries, the identity by
+    start is a normal form given by its entries, the whole identity by
     default.  The tokens are multiplied on one at a time from a stack.
     u_p(v) commutes past the entries above p at the cost of their
     commutator factors, so those entries are taken off, v is added at p,
     and each taken u_t(x) goes back on the stack followed by the factors
-    of [u_t(x), u_p(v)].
+    of [u_t(x), u_p(v)].  The product is taken modulo the normal subgroup
+    U_cut, cut = len(start): a token at p >= cut, given or a commutator
+    factor, is dropped, as x * n * y = x * y * (y^-1 n y) for n in U_cut.
     """
     f = ctx.field
     entries = [0] * ctx.n_roots if start is None else list(start)
-    top = len(entries) - 1  # the highest nonzero entry, -1 for the identity
+    cut = len(entries)
+    top = cut - 1  # the highest nonzero entry, -1 for the identity
     while top >= 0 and not entries[top]:
         top -= 1
     stack = list(tokens)
@@ -160,7 +164,7 @@ def _collect(
     steps = 0
     while stack:
         p, v = stack.pop()
-        if not v:
+        if not v or p >= cut:
             continue
         steps += 1
         assert steps < _STEP_LIMIT, "collection failed to terminate"
@@ -257,14 +261,14 @@ def _parent_walk(
     """(code of s, chi(s) mod p, F(s)) for each nonzero suffix s above lo.
 
     The suffixes come in code order, the code counting entries from
-    lo + 1.  F(0) = start and F(s) = F(s') * step(m, a), collected, where
-    s = s' * u_m(a) with m the top entry of s.  A parent's top entry is
-    below the last row, so its code is below q^(L - 1), with L = N - 1 -
-    lo entries above lo.  Only those forms are kept, as N bytes each in
-    `forms`, with chi(s') in `chis`.
+    lo + 1.  F(0) = start and F(s) = F(s') * step(m, a), collected modulo
+    U_n, n = len(start), where s = s' * u_m(a) with m the top entry of s.
+    A parent's top entry is below row n - 1, so its code is below
+    q^(L - 1), with L = n - 1 - lo entries above lo.  Only those forms
+    are kept, as n bytes each in `forms`, with chi(s') in `chis`.
     """
     ctx = chi.context
-    q, n, p = ctx.q, ctx.n_roots, ctx.field.p
+    q, n, p = ctx.q, len(start), ctx.field.p
     width = n - 1 - lo
     forms, chis = bytearray(start), bytearray(1)
     for k in range(width):
@@ -298,27 +302,24 @@ def _generator_sweep(chi) -> VerifyResult:
     """chi(w * g) = chi(w) + chi(g) for every coset w and generator g.
 
     One collection per nonzero low suffix decides a block of q^N checks:
-    the walk from g whose step is u_m(a) * [u_m(a), g], cut at the
-    suffixes below the last nonzero row that u_pos can reach.  They meet
-    every value of the defect, so the verdict rests on the module
-    docstring's argument; `table_sweep` in the tests is its oracle.
+    the walk from g cut after r, the last nonzero row that u_pos can
+    reach, whose step is u_m(a) * [u_m(a), g], over the suffixes below
+    row r, collected modulo U_(r+1).  They meet every value of the
+    defect, so the verdict rests on the module docstring's argument;
+    `table_sweep` in the tests is its oracle.
     """
     ctx = chi.context
-    q, n = ctx.q, ctx.n_roots
-    count = ctx.coset_count()
-    nonzero = [any(row) for row in chi.table]
-    # per pos, how many top entries the low suffixes, those below row r, span
-    cuts = [
-        max(max((r for r in rows if nonzero[r]), default=pos) - 1 - pos, 0)
-        for pos, rows in enumerate(_reach(ctx))
-    ]
+    q, n, count = ctx.q, ctx.n_roots, ctx.coset_count()
+    reach, nonzero = _reach(ctx), {t for t, row in enumerate(chi.table) if any(row)}
     blocks = [(pos, val) for pos in range(n) for val in range(1, q)]
     for k, (pos, val) in enumerate(blocks):
         def step(m: int, a: int) -> List[Token]:
             return [(m, a)] + _commutator(ctx, pos, val, m, a)
 
-        walk = _parent_walk(chi, generator_word(ctx, pos, val).entries, pos, step)
-        suffix = _first_failure(chi, islice(walk, q ** cuts[pos] - 1), chi.table[pos][val])
+        last = max(reach[pos] & nonzero, default=pos)
+        walk = _parent_walk(chi, generator_word(ctx, pos, val).entries[: last + 1], pos, step)
+        low = q ** max(last - 1 - pos, 0) - 1
+        suffix = _first_failure(chi, islice(walk, low), chi.table[pos][val])
         if suffix is not None:
             stride = q ** (pos + 1)
             checked = k * count + suffix * stride + 1
@@ -339,11 +340,11 @@ def _pair_sweep(chi) -> VerifyResult:
     count = ctx.coset_count()
     if _generator_sweep(chi).ok:
         return VerifyResult(True, "pairs", count**2, None)
-    low = ctx.q ** _last_row(chi) - 1
+    r = _last_row(chi)
     for code1 in range(count):
         w1 = decode(ctx, code1)
-        walk = _parent_walk(chi, w1.entries, -1, lambda m, a: [(m, a)])
-        code2 = _first_failure(chi, islice(walk, low), evaluate(chi, w1))
+        walk = _parent_walk(chi, w1.entries[: r + 1], -1, lambda m, a: [(m, a)])
+        code2 = _first_failure(chi, islice(walk, ctx.q**r - 1), evaluate(chi, w1))
         if code2 is not None:
             checked = code1 * count + code2 + 1
             return VerifyResult(False, "pairs", checked, (w1, decode(ctx, code2)))
@@ -368,10 +369,10 @@ def verify_homomorphism(
     is a sum of generator checks, and walks the pairs in code order to
     the first failing one.  `table_sweep` and `table_pairs` in the tests
     are the oracles of both.  "sample" draws seeded random pairs and
-    multiplies them cut after chi's last nonzero row; "auto" picks
-    generators when the coset count is at most 2**20 and falls back to
-    sampling.  The two sweeps refuse more than 2**20 cosets or
-    pairs up front, before any collection.
+    multiplies them cut after chi's last nonzero row r, modulo U_(r+1);
+    "auto" picks generators when the coset count is at most 2**20 and
+    falls back to sampling.  The two sweeps refuse more than 2**20
+    cosets or pairs up front, before any collection.
     """
     ctx = chi.context
     count = ctx.coset_count()
@@ -396,11 +397,10 @@ def verify_homomorphism(
             seed = int(os.environ.get("SHALLOW_CHARS_SEED", "0"))
         rng = random.Random(seed)
         p, r = ctx.field.p, _last_row(chi)
-        zeros = (0,) * (ctx.n_roots - 1 - r)
         for k in range(samples):
             w1 = decode(ctx, rng.randrange(count))
             w2 = decode(ctx, rng.randrange(count))
-            heads = (CosetWord(w.entries[: r + 1] + zeros) for w in (w1, w2))
+            heads = (CosetWord(w.entries[: r + 1]) for w in (w1, w2))
             lhs = evaluate(chi, multiply(ctx, *heads))
             rhs = (evaluate(chi, w1) + evaluate(chi, w2)) % p
             if lhs != rhs:

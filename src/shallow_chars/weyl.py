@@ -614,9 +614,12 @@ def condition_star(chi: ShallowCharacter, radius: int = 4) -> StarVerdict:
     visit more points than W has elements, the chain lists the points of
     the polytope at each finite orbit point in turn and the verdict is
     exact; for an unbounded polytope only translations up to the radius
-    are swept.  The finite Weyl group is walked lazily and the search
-    stops at its first witness, but a type whose group is too large to
-    walk in full is refused.
+    are swept.  An unbounded polytope always fails: its recession cone
+    is rational and nonzero, so it holds a nonzero coroot k, and t_k
+    moves lambda to lambda + k inside it.  So "inconclusive" means
+    "fails, with no witness within the radius".  The finite Weyl group
+    is walked lazily and the search stops at its first witness, but a
+    type whose group is too large to walk in full is refused.
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")

@@ -14,8 +14,15 @@ coordinate direction at a time: the cone meets the half-space mu_i >= 1
 (or mu_i <= -1) exactly when a Fourier-Motzkin elimination of every
 variable leaves no contradictory row.  That costs 2·l feasibility tests
 per character, and it shares no code with condition (*).
+
+`cone_lattice_point` searches the same cone by brute force for a
+nonzero coroot lattice point in a box.  Each one is a translation t_k
+that moves lambda to lambda + k != lambda inside the polytope, so an
+unbounded polytope always has a witness to condition (*), even where
+the search reports "inconclusive" for want of radius.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from operator import mul
@@ -127,3 +134,15 @@ def polytope_bounded(gradients: List[Sequence[int]], rank: int) -> bool:
             if fm_feasible(ray, rank):
                 return False
     return True
+
+
+def cone_lattice_point(gradients: List[Sequence[int]], cartan, bound: int):
+    """A nonzero k with |k_j| <= bound and g(sum k_j a_j^vee) <= 0 for
+    every listed gradient g, or None; a_j^vee is row j of the Cartan
+    matrix in the point's coordinates."""
+    l = len(cartan)
+    rows = [[sum(g[i] * cartan[j][i] for i in range(l)) for j in range(l)] for g in gradients]
+    for k in itertools.product(range(-bound, bound + 1), repeat=l):
+        if any(k) and all(sum(map(mul, row, k)) <= 0 for row in rows):
+            return k
+    return None

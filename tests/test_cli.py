@@ -322,6 +322,8 @@ F4_ZEROS = ",".join(["0"] * 43)  # the 43 shallow F4 roots after the simple ones
 E6_ZEROS = ",".join(["0"] * 65)
 A4_ZEROS = ",".join(["0"] * 15)  # q**20 = 2**20 cosets, the sweep limit
 E8_Q16 = ["solve", "--type", "E8", "--q", "16"]
+E8_EPIPELAGIC = ",".join(["1"] * 9 + ["0"] * 231)  # the 9 simple affine roots first
+E8_ROW_9 = ",".join(["0"] * 9 + ["1"] + ["0"] * 230)
 E8_Q16_DIGEST = "7d92bcc5d669d56e81e7029d88ae90ece32acd42f7a2ecdba5e5ee40b9acfb31"
 
 PINNED_OUTPUTS = [
@@ -428,6 +430,13 @@ PINNED_OUTPUTS = [
     (["verify-hom", "--type", "A2", "--q", "3", "--params", "0,0,0,0,1,0",
       "--mode", "pairs"], 1,
      "5dff77910e9f4f4e469c2262360706c994d24de7f1f33f11c2a61c251911936e"),
+    # E8 at q=16, 2**960 cosets, so auto samples: the epipelagic character
+    # passes the default 1,000 samples, each product taken modulo U_9, and
+    # one with a single 1 at row 9 fails at its second sample
+    (["verify-hom", "--type", "E8", "--q", "16", "--params", E8_EPIPELAGIC], 0,
+     "10ae58ccd82536100a3ce01a87adc202b996f24b166b57d293fece0c7cfa3fac"),
+    (["verify-hom", "--type", "E8", "--q", "16", "--params", E8_ROW_9], 1,
+     "3e15566ad87d4a024457be4acfda8e652dd109c624c51062f0f39a8eb01417c5"),
     (["reproduce-sp4", "--q", "2"], 0,
      "23d57c9fd347342a68be1e820eb11543d8559d3b6fa5f9bd1cd3a2e1637d95d4"),
     (["reproduce-sp4", "--q", "3"], 1,

@@ -313,17 +313,20 @@ def test_generator_sweep_matches_table_sweep():
     assert late_witnesses >= 3  # failures past the first generator block
 
 
+def _last_reached_rows(chi):
+    """Per pos, the last nonzero row of chi that u_pos reaches, else pos."""
+    reach = group_model._reach(chi.context)
+    return [max((t for t in rows if any(chi.table[t])), default=pos)
+            for pos, rows in enumerate(reach)]
+
+
 def _low_suffix_collections(chi):
     """(q - 1) * (q^cut - 1) summed over pos: the collections of a valid
     generators sweep, with cut the entries of the suffix below the last
     nonzero row of chi that u_pos reaches."""
-    ctx = chi.context
-    q = ctx.q
-    total = 0
-    for pos, rows in enumerate(group_model._reach(ctx)):
-        r = max((t for t in rows if any(chi.table[t])), default=pos)
-        total += (q - 1) * (q ** max(r - 1 - pos, 0) - 1)
-    return total
+    q = chi.context.q
+    return sum((q - 1) * (q ** max(r - 1 - pos, 0) - 1)
+               for pos, r in enumerate(_last_reached_rows(chi)))
 
 
 def test_generator_sweep_collects_once_per_suffix(monkeypatch):
@@ -355,12 +358,15 @@ def test_generator_sweep_collects_once_per_suffix(monkeypatch):
     # suffix, against 2**8 - 1 - 8 = 247 for every suffix
     assert len(calls) == _low_suffix_collections(chi) == 31 + 31 + 15
     assert ctx._cayley is None
-    # parents only: codes below q^(N - 2 - lo), met with equality at
-    # pos 1 and 2; the blocks whose cut is 0 walk nothing
+    # parents only, codes below q^(last - 1 - lo), all met, with last the
+    # block's last reached nonzero row; each is collected modulo
+    # U_(last + 1) and kept as last + 1 bytes, and the blocks whose cut is
+    # 0 walk nothing
     assert sorted(kept) == [(0, 1), (1, 1), (2, 1)]
+    lasts = _last_reached_rows(chi)
     for (lo, _), (forms, chis) in kept.items():
-        assert chis <= 2 ** (n - 2 - lo)
-        assert forms == chis * n
+        assert chis == 2 ** (lasts[lo] - 1 - lo)
+        assert forms == chis * (lasts[lo] + 1)
 
 
 def _walk_to_the_end(walk, q, width, n):
@@ -472,13 +478,20 @@ def whole_sample(chi, samples, seed):
     return VerifyResult(True, "sample", samples, None)
 
 
-@pytest.mark.parametrize("cartan_type", ["C2", "G2", "B3", "F4"])
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_truncated_products_agree_up_to_the_cut(cartan_type, q):
+# (q, type) for products of truncated forms against whole ones
+TRUNCATION_MATRIX = [
+    *((q, t) for q in (2, 3, 4) for t in ("C2", "G2", "B3", "F4")), (2, "E6"), (3, "E6"),
+]
+
+
+@pytest.mark.parametrize("q, cartan_type", TRUNCATION_MATRIX)
+def test_truncated_products_agree_up_to_the_cut(q, cartan_type):
     """The entries up to r of w1 * w2 depend only on those of w1 and w2,
-    since the entries above r form a normal subgroup.  So sample mode,
-    which multiplies the truncations at chi's last nonzero row, gives the
-    verdict, count and witness of multiplying the whole forms."""
+    since the entries above r form a normal subgroup U_(r+1).  So the
+    product of the forms cut after row r, collected modulo U_(r+1), is
+    the whole product cut there, and sample mode, which multiplies the
+    forms cut after chi's last nonzero row, gives the verdict, count and
+    witness of multiplying the whole forms."""
     ctx = _context(cartan_type, q)
     n = ctx.n_roots
     rng = random.Random(f"cut-{cartan_type}{q}")
@@ -486,8 +499,8 @@ def test_truncated_products_agree_up_to_the_cut(cartan_type, q):
         w1, w2 = (decode(ctx, rng.randrange(ctx.coset_count())) for _ in range(2))
         whole = multiply(ctx, w1, w2).entries
         for r in (-1, *rng.sample(range(n), 3)):
-            heads = (CosetWord(w.entries[: r + 1] + (0,) * (n - 1 - r)) for w in (w1, w2))
-            assert multiply(ctx, *heads).entries[: r + 1] == whole[: r + 1], (w1, w2, r)
+            heads = (CosetWord(w.entries[: r + 1]) for w in (w1, w2))
+            assert multiply(ctx, *heads).entries == whole[: r + 1], (w1, w2, r)
     chars = _sample_characters(ctx, rng, valid=1, broken=2, random_=1)
     chars.append(ShallowCharacter.from_vector(ctx, [0] * n))
     failing = 0

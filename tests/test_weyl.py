@@ -43,7 +43,9 @@ from shallow_chars.weyl import (
     support,
 )
 
-from boundedness_oracle import orbit_witness_ranges, polytope_bounded, reference_projections
+from boundedness_oracle import (
+    cone_lattice_point, orbit_witness_ranges, polytope_bounded, reference_projections,
+)
 from conftest import SP4_PARAMS
 from intertwining_oracle import reference_reduction, reference_sign
 from span_oracle import span_elements
@@ -431,6 +433,36 @@ def test_condition_star_matches_orbit_sweep(cartan_type, facet, weights, radius,
                 assert (star.witness.word, star.witness.word_translation) == first
     if facet is None:
         assert condition_star(_chi(ctx, chars[True][0])).status == "holds"
+
+
+def test_unbounded_polytopes_fail_by_a_translation():
+    """An unbounded witness polytope always fails condition (*).
+
+    Its recession cone is rational and nonzero, so it holds a nonzero
+    coroot lattice point k, and the translation t_k moves lambda to
+    lambda + k != lambda inside the polytope.  On every character of the
+    boundedness and orbit-sweep matrices, a brute search of the box
+    |k_j| <= 7 finds such a k exactly when the chain reads the polytope
+    as unbounded, and a search whose radius reaches k fails at w = 1: an
+    "inconclusive" verdict is a failure with no witness within its
+    radius.
+    """
+    cases = [case for t in WALKED_TYPES for case in _boundedness_characters(t)]
+    for cartan_type, facet, weights, _, density in ORBIT_SWEEP_CASES:
+        ctx, chars = _orbit_sweep_characters(cartan_type, facet, weights, density)
+        cases += [(ctx, vec) for vec in chars[True] + chars[False]]
+    seen = set()
+    for ctx, vec in cases:
+        chi = _chi(ctx, vec)
+        supp = [a.gradient for a, c in zip(ctx.roots, vec) if c]
+        k = cone_lattice_point(supp, ctx.rs.cartan, 7)
+        bounded = condition_star(chi, radius=0).bounded
+        assert (k is None) == bounded, (ctx, vec, k)
+        if k is not None:
+            star = condition_star(chi, radius=max(map(abs, k)))
+            assert (star.status, star.bounded, star.witness.word) == ("fails", False, ()), k
+        seen.add(bounded)
+    assert seen == {True, False}
 
 
 def _verdict(star):
