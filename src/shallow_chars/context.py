@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple
 from .affine_roots import Point, _census, parse_point, point_to_json
 from .chevalley import Pinning, commutator_expansion
 from .finite_field import FiniteField
-from .root_system import RootSystem, _parallel
+from .root_system import RootSystem, add
 
 Factor = Tuple[int, int, int, int]  # (target position, i, j, C in F_p)
 
@@ -60,20 +60,22 @@ class Context:
         Keys (early, late) with early < late, in ascending order; values
         the factors (target, i, j, C) of [u_late(y), u_early(x)], ordered
         by (i+j, i), that carry u_target(C x^i y^j) with target shallow
-        and C a nonzero element of F_p.  Pairs of parallel gradients
-        and pairs with no such factor are absent.  Built on first use.
-        A target i*alpha + j*beta has depth at least d(alpha) + d(beta),
-        and depths ascend, so the scan of late stops at the first pair
-        whose depths sum to 1 or more.
+        and C a nonzero element of F_p.  Pairs with no such factor are
+        absent.  Built on first use.  A target i*alpha + j*beta has depth
+        at least d(alpha) + d(beta), and depths ascend, so the scan of
+        late stops at the first pair whose depths sum to 1 or more.  A
+        pair whose gradients do not sum to a root has no factor in a
+        reduced root system, so it is skipped without an expansion; that
+        covers the parallel pairs too.
         """
-        p = self.field.p
+        p, is_root = self.field.p, self.rs.is_root
         table: Dict[Tuple[int, int], Tuple[Factor, ...]] = {}
         for early, alpha in enumerate(self.roots):
             for late in range(early + 1, len(self.roots)):
                 if self.depths[early] + self.depths[late] >= 1:
                     break
                 beta = self.roots[late]
-                if _parallel(alpha.gradient, beta.gradient):
+                if not is_root(add(alpha.gradient, beta.gradient)):
                     continue
                 factors = []
                 for target, term in commutator_expansion(self.pinning, alpha, beta):

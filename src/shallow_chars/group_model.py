@@ -115,10 +115,11 @@ def encode(ctx: Context, word: CosetWord) -> int:
     return code
 
 
-def decode(ctx: Context, code: int) -> CosetWord:
+def decode(ctx: Context, code: int, length: Optional[int] = None) -> CosetWord:
+    """The form of a code, cut after its first length entries (all by default)."""
     q = ctx.q
     entries = []
-    for _ in range(ctx.n_roots):
+    for _ in range(ctx.n_roots if length is None else length):
         entries.append(code % q)
         code //= q
     return CosetWord(tuple(entries))
@@ -398,13 +399,13 @@ def verify_homomorphism(
         rng = random.Random(seed)
         p, r = ctx.field.p, _last_row(chi)
         for k in range(samples):
-            w1 = decode(ctx, rng.randrange(count))
-            w2 = decode(ctx, rng.randrange(count))
-            heads = (CosetWord(w.entries[: r + 1]) for w in (w1, w2))
-            lhs = evaluate(chi, multiply(ctx, *heads))
-            rhs = (evaluate(chi, w1) + evaluate(chi, w2)) % p
+            code1, code2 = rng.randrange(count), rng.randrange(count)
+            # chi is zero past row r, so only the heads up to r are decoded
+            h1, h2 = decode(ctx, code1, r + 1), decode(ctx, code2, r + 1)
+            lhs = evaluate(chi, multiply(ctx, h1, h2))
+            rhs = (evaluate(chi, h1) + evaluate(chi, h2)) % p
             if lhs != rhs:
-                return VerifyResult(False, mode, k + 1, (w1, w2))
+                return VerifyResult(False, mode, k + 1, (decode(ctx, code1), decode(ctx, code2)))
         return VerifyResult(True, mode, samples, None)
 
     raise ValueError(f"unknown mode {mode!r}")

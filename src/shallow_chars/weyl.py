@@ -16,7 +16,10 @@ The condition-star search is exact whenever its witness polytope is
 bounded.  One chain of Fourier-Motzkin eliminations in integers per
 character, with the base point's coordinates kept as variables, gives
 nested bounds on the coroot coordinates of the polytope's points, and
-boundedness is read off the chain.  A bounded polytope is scanned
+boundedness is read off the chain.  The chain is pruned by Chernikov's
+rule, which keeps dense supports small but may read a bounded polytope
+as unbounded; unless a ray of the polytope confirms that reading, the
+chain is rebuilt unpruned.  A bounded polytope is scanned
 first: its lattice points in lambda + Q^vee / n, which hold its whole
 orbit, are listed from the chain and each is folded into the closed
 fundamental alcove.  If none but lambda folds to lambda's fold, the
@@ -434,35 +437,63 @@ def _reduced(coeffs: Tuple[int, ...], rhs: int) -> IntegerRow:
     return coeffs, rhs
 
 
-def _fm_eliminate(rows: List[IntegerRow], var: int) -> List[IntegerRow]:
+# coefficients . x <= rhs in integers, and the bit mask of the polytope's
+# rows it was combined from
+SourcedRow = Tuple[Tuple[int, ...], int, int]
+
+
+def _fm_eliminate(rows: List[SourcedRow], var: int, most: float) -> List[SourcedRow]:
     """Project out one variable, keeping the tightest row per direction.
 
     A pair of rows with opposite signs at var is combined with the least
-    integer multipliers that cancel it.  Of rows whose coefficients are
-    positive multiples of one primitive direction d, say g * d . x <= b,
-    only the least b / g is kept.  The others are implied, so the
-    projection is unchanged, but the row count no longer compounds.
+    integer multipliers that cancel it, and is built from the union of
+    their sources.  A combination built from more than `most` of the
+    polytope's rows is dropped (Chernikov's rule, below).  Of rows whose
+    coefficients are positive multiples of one primitive direction d,
+    say g * d . x <= b, only the least b / g is kept, and of equal bounds
+    the one built from fewer rows.  Every row kept is a nonnegative
+    combination of the polytope's rows, so it holds on the polytope.
+
+    Without the rule (most = inf) the rows the direction step drops are
+    implied, so the projection is exact, but on dense supports the row
+    count compounds.  After k eliminations a row built from more than
+    k + 1 of the polytope's rows is implied by the other rows of plain FM
+    (Chernikov, The convolution of finite systems of linear inequalities,
+    USSR Comput. Math. Math. Phys. 5, 1965), but not always by the rows
+    the direction step keeps: with most = k + 1 a projection can come out
+    looser than the exact one, never tighter.
     """
     zero, pos, neg = [], [], []
     for row in rows:
         c = row[0][var]
         (zero if c == 0 else pos if c > 0 else neg).append(row)
     out = zero
-    for cp, bp in pos:
+    for cp, bp, sp in pos:
         a = cp[var]
-        for cn, bn in neg:
+        for cn, bn, sn in neg:
+            sources = sp | sn
+            if sources.bit_count() > most:
+                continue
             c = -cn[var]
             g = math.gcd(a, c)
             x, y = c // g, a // g
-            out.append(_reduced(tuple(x * u + y * v for u, v in zip(cp, cn)), x * bp + y * bn))
-    tightest: Dict[Tuple[int, ...], Tuple[int, int, Tuple[int, ...]]] = {}
-    for coeffs, rhs in out:
+            coeffs, rhs = _reduced(tuple(x * u + y * v for u, v in zip(cp, cn)), x * bp + y * bn)
+            out.append((coeffs, rhs, sources))
+    # direction -> (rhs, g, source count, row) of its tightest row
+    tightest: Dict[Tuple[int, ...], Tuple[int, int, int, SourcedRow]] = {}
+    for row in out:
+        coeffs, rhs, sources = row
         g = math.gcd(*coeffs) or 1
         direction = tuple(c // g for c in coeffs)
+        count = sources.bit_count()
         best = tightest.get(direction)
-        if best is None or rhs * best[1] < best[0] * g:
-            tightest[direction] = (rhs, g, coeffs)
-    return [(coeffs, rhs) for rhs, _, coeffs in tightest.values()]
+        if best is not None:
+            # rhs / g against best_rhs / best_g, then the source counts
+            looser = rhs * best[1] - best[0] * g
+            if looser > 0 or looser == 0 and count >= best[2]:
+                continue
+        tightest[direction] = (rhs, g, count, row)
+    return [best[3] for best in tightest.values()]
 
 
 class StarVerdict(NamedTuple):
@@ -481,7 +512,8 @@ class StarVerdict(NamedTuple):
 ChainRow = Tuple[int, Tuple[int, ...], int]
 
 
-def _chain(rs: RootSystem, bounds: Sequence[Tuple[Root, int]]) -> List[List[ChainRow]]:
+def _chain(rs: RootSystem, bounds: Sequence[Tuple[Root, int]],
+           pruned: bool = True) -> List[List[ChainRow]]:
     """Nested bounds on the points mu = base + sum x_j a_j^vee of a polytope.
 
     bounds holds the polytope's integer rows g . mu <= b.  The coordinates
@@ -489,27 +521,51 @@ def _chain(rs: RootSystem, bounds: Sequence[Tuple[Root, int]]) -> List[List[Chai
     chain serves every base.  Eliminating x_(l-1) down to x_1 leaves
     chain[m] bounding x_m by x_0..x_(m-1) and the base (Ancourt-Irigoin,
     Scanning polyhedra with DO loops, PPoPP 1991); the last link is the
-    rows themselves.
+    rows themselves, so every point listed lies in the polytope.  Pruned,
+    the k-th elimination keeps only rows built from at most k + 1 of the
+    polytope's rows, which keeps dense supports small; a link may then
+    be looser than the exact projection (see `_fm_eliminate`), so it may
+    list prefixes that lead to no point, and read as unbounded a bounded
+    polytope.  Unpruned, every link is the exact projection.
     """
     l = rs.rank
     # a_j^vee has the coordinates cartan[j]
-    rows = [_reduced(tuple(_dot(g, row) for row in rs.cartan) + tuple(g), b) for g, b in bounds]
+    rows = [_reduced(tuple(_dot(g, row) for row in rs.cartan) + tuple(g), b) + (1 << i,)
+            for i, (g, b) in enumerate(bounds)]
     chain = []
-    for var in range(l - 1, -1, -1):
-        chain.append([(c[var], c[:var] + c[l:], rhs) for c, rhs in rows])
+    for k, var in enumerate(range(l - 1, -1, -1), 1):
+        chain.append([(c[var], c[:var] + c[l:], rhs) for c, rhs, _ in rows])
         if var:
-            rows = _fm_eliminate(rows, var)
+            rows = _fm_eliminate(rows, var, k + 1 if pruned else math.inf)
     return chain[::-1]
 
 
 def _chain_bounded(chain: Sequence[Sequence[ChainRow]]) -> bool:
     """Does every link bound its coordinate on both sides?
 
-    For a nonempty polytope this is boundedness: a link with no row of
-    one sign lets its coordinate run off to that side.
+    If so the polytope is bounded, as every link holds on it.  For a
+    nonempty polytope and an unpruned chain the converse holds too: a
+    link with no row of one sign lets its coordinate run off to that side.
     """
     return all(any(c > 0 for c, _, _ in link) and any(c < 0 for c, _, _ in link)
                for link in chain)
+
+
+def _recedes(rs: RootSystem, chain: Sequence[Sequence[ChainRow]]) -> bool:
+    """Is a nonzero coroot point of the polytope's recession cone found?
+
+    With the right-hand sides and the base at 0, the chain's rows bound
+    the points d of the cone {g . d <= 0}, and its last link is exact, so
+    a nonzero point listed is a ray: the polytope is unbounded.  Only the
+    box of radius h is searched, which on E6-E8 holds a coroot multiple
+    of each fundamental coweight and of its images under W, the rays
+    such a cone may have, over at most _FINITE_WALK_LIMIT coordinates;
+    so False means only that no ray was found.
+    """
+    cone = [[(c, b, 0) for c, b, _ in link] for link in chain]
+    points = _chain_points(cone, (0,) * rs.rank, radius=rs.coxeter_number,
+                           limit=_FINITE_WALK_LIMIT)
+    return any(x is not None and any(x) for x in points)
 
 
 def _solutions(rows: Sequence[ChainRow], fixed: Sequence[int], lo, hi, stride: int) -> range:
@@ -607,50 +663,60 @@ def condition_star(chi: ShallowCharacter, radius: int = 4) -> StarVerdict:
 
     A witness is an orbit point mu = w(lambda) with alpha(mu) <= depth(chi)
     for every shallow alpha carrying a nontrivial parameter.  One chain
-    of eliminations bounds the points of the polytope those inequalities
-    cut out.  If it is bounded, its lattice points are scanned first:
-    when none but lambda folds to lambda's point of the alcove, the
-    verdict is "holds" without a walk.  Otherwise, or when the scan would
-    visit more points than W has elements, the chain lists the points of
+    of eliminations, pruned by Chernikov's rule, bounds the points of the
+    polytope those inequalities cut out.  A pruned chain may read a
+    bounded polytope as unbounded, so that reading stands only once a ray
+    of the polytope is found; otherwise the chain is rebuilt unpruned.
+    If it is bounded, its lattice points are scanned first: when none but
+    lambda folds to lambda's point of the alcove, the verdict is "holds"
+    without a walk.  Otherwise, or when the scan would visit more than
+    min(|W|, _FINITE_WALK_LIMIT) points, the chain lists the points of
     the polytope at each finite orbit point in turn and the verdict is
     exact; for an unbounded polytope only translations up to the radius
     are swept.  An unbounded polytope always fails: its recession cone
     is rational and nonzero, so it holds a nonzero coroot k, and t_k
     moves lambda to lambda + k inside it.  So "inconclusive" means
     "fails, with no witness within the radius".  The finite Weyl group
-    is walked lazily and the search stops at its first witness, but a
-    type whose group is too large to walk in full is refused.
+    is walked lazily and the search stops at its first witness.  No type
+    is refused up front: a walk that would pass the walk limit before a
+    verdict is refused with a ValueError naming condition (*) and the type.
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     ctx = chi.context
     rs = ctx.rs
-    order = _weyl_group_order(rs)
-    if order > _FINITE_WALK_LIMIT:
-        raise ValueError(f"condition (*) walks all of W({rs.cartan_type}), of order "
-                         f"{order:,}; the limit is {_FINITE_WALK_LIMIT:,}")
     supp = [r for r, c in zip(ctx.roots, chi.vector) if c]
     if not supp:
         raise ValueError("condition (*) is degenerate for the trivial character")
     r = char_depth(chi)
     # points are scaled by n, so lambda and its finite orbit are integral
     n, point = ctx.scaled_point
-    chain = _chain(rs, [(a.gradient, math.floor(n * (r - a.level))) for a in supp])
-    # lambda satisfies every row, so the polytope is nonempty and the
-    # chain reads its boundedness
+    bounds = [(a.gradient, math.floor(n * (r - a.level))) for a in supp]
+    chain = _chain(rs, bounds)
     bounded = _chain_bounded(chain)
+    if not bounded and not _recedes(rs, chain):
+        # no ray confirms the pruned chain's reading, which may be wrong;
+        # lambda satisfies every row, so the polytope is nonempty and the
+        # unpruned chain reads its boundedness
+        chain = _chain(rs, bounds, pruned=False)
+        bounded = _chain_bounded(chain)
     sweep = None if bounded else radius
-    if bounded and _scan_holds(rs, n, point, chain, order):
+    budget = min(_weyl_group_order(rs), _FINITE_WALK_LIMIT)
+    if bounded and _scan_holds(rs, n, point, chain, budget):
         return StarVerdict("holds", None, True, None)
     # the orbit points nu + sum x_j a_j^vee of the polytope have x = n * k
-    for word, images, minv, _ in _shortlex_walk(rs, range(1, rs.rank + 1)):
-        nu = tuple(_dot(col, point) for col in zip(*minv))
-        for x in _chain_points(chain, nu, n, None if bounded else n * radius):
-            # a translation can undo a nontrivial w, so mu is compared, not x
-            if tuple(map(add, nu, _translation_pairing(rs, x))) != point:
-                k = tuple(v // n for v in x)
-                w = AffineWeylElement(rs, tuple(zip(*images)), minv, k, word, k)
-                return StarVerdict("fails", w, bounded, sweep)
+    try:
+        for word, images, minv, _ in _shortlex_walk(rs, range(1, rs.rank + 1)):
+            nu = tuple(_dot(col, point) for col in zip(*minv))
+            for x in _chain_points(chain, nu, n, None if bounded else n * radius):
+                # a translation can undo a nontrivial w, so mu is compared, not x
+                if tuple(map(add, nu, _translation_pairing(rs, x))) != point:
+                    k = tuple(v // n for v in x)
+                    w = AffineWeylElement(rs, tuple(zip(*images)), minv, k, word, k)
+                    return StarVerdict("fails", w, bounded, sweep)
+    except ValueError as exc:
+        raise ValueError(f"condition (*) on {rs.cartan_type} reached no verdict "
+                         f"within the walk limit: {exc}") from None
     return StarVerdict("holds" if bounded else "inconclusive", None, bounded, sweep)
 
 

@@ -15,6 +15,10 @@ coordinate direction at a time: the cone meets the half-space mu_i >= 1
 variable leaves no contradictory row.  That costs 2·l feasibility tests
 per character, and it shares no code with condition (*).
 
+`unpruned_eliminate` is `weyl._fm_eliminate` without Chernikov's rule:
+every combined row is kept up to the tightest row per direction.  Put in
+its place, it builds the chain the pruned one must match link by link.
+
 `cone_lattice_point` searches the same cone by brute force for a
 nonzero coroot lattice point in a box.  Each one is a translation t_k
 that moves lambda to lambda + k != lambda inside the polytope, so an
@@ -61,6 +65,36 @@ def fm_eliminate(rows: InequalityRows, var: int) -> InequalityRows:
         if coeffs not in tightest or rhs < tightest[coeffs]:
             tightest[coeffs] = rhs
     return list(tightest.items())
+
+
+def unpruned_eliminate(rows, var: int, most: int):
+    """Rows (coeffs, rhs, sources) with var projected out; most is ignored.
+
+    Pairs are combined with the least integer multipliers that cancel
+    var, and of rows along one primitive direction the first with the
+    least bound is kept.
+    """
+    zero, pos, neg = [], [], []
+    for row in rows:
+        c = row[0][var]
+        (zero if c == 0 else pos if c > 0 else neg).append(row)
+    out = list(zero)
+    for cp, bp, sp in pos:
+        for cn, bn, sn in neg:
+            a, c = cp[var], -cn[var]
+            x, y = c // math.gcd(a, c), a // math.gcd(a, c)
+            coeffs = tuple(x * u + y * v for u, v in zip(cp, cn))
+            rhs = x * bp + y * bn
+            g = math.gcd(*coeffs, rhs) or 1
+            out.append((tuple(u // g for u in coeffs), rhs // g, sp | sn))
+    tightest: Dict[Tuple[int, ...], Tuple[Fraction, tuple]] = {}
+    for row in out:
+        g = math.gcd(*row[0]) or 1
+        direction = tuple(u // g for u in row[0])
+        bound = Fraction(row[1], g)
+        if direction not in tightest or bound < tightest[direction][0]:
+            tightest[direction] = (bound, row)
+    return [row for _, row in tightest.values()]
 
 
 def reference_projections(rs, rows_mu, n: int):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from shallow_chars import chevalley, cli
+from shallow_chars import chevalley, cli, weyl
 from shallow_chars.cli import main
 
 EXAMPLE = "1,0,0,1,1,0,1,1"
@@ -203,7 +203,7 @@ def test_output_is_deterministic(capsys):
     assert out3 == out4
 
 
-def test_bad_usage(capsys, tmp_path):
+def test_bad_usage(capsys, monkeypatch, tmp_path):
     assert main(["frobnicate"]) == 64
     assert main(["shallow"]) == 64  # --type is required
     assert main(["classify", "--type", "C2", "--params", "1,0"]) == 64
@@ -239,11 +239,16 @@ def test_bad_usage(capsys, tmp_path):
     assert main(["intertwine", "--type", "C2", "--params", EXAMPLE, "--radius", "-3"]) == 64
     assert main(["check-star", "--type", "C2", "--params", EXAMPLE, "--radius", "-2"]) == 64
     assert main(["reproduce-sp4", "--radius", "-1"]) == 64
-    # condition (*) walks all of W, so E7 (126 shallow roots at the
-    # barycenter) is refused up front instead of after a long walk
+    # a condition (*) walk that passes the walk limit is refused, naming
+    # condition (*) and the type: E8 without simple affine node 0, whose
+    # witness lies outside the default radius, walks 100,000 elements in
+    # seconds, so a lower limit stands in
     capsys.readouterr()
-    assert main(["check-star", "--type", "E7", "--params", ",".join(["1"] * 126)]) == 64
-    assert "2,903,040" in capsys.readouterr().err
+    with monkeypatch.context() as patch:
+        patch.setattr(weyl, "_FINITE_WALK_LIMIT", 1_000)
+        assert main(["check-star", "--type", "E8", "--params", E8_NODE_0]) == 64
+    err = capsys.readouterr().err
+    assert "condition (*) on E8" in err and "1,000" in err
     # the intertwining ball is built before any check, so one over the
     # walk limit (C2 at radius 300: 120,401 elements) is refused up front
     assert main(["intertwine", "--type", "C2", "--params", EXAMPLE, "--radius", "300"]) == 64
@@ -324,6 +329,9 @@ A4_ZEROS = ",".join(["0"] * 15)  # q**20 = 2**20 cosets, the sweep limit
 E8_Q16 = ["solve", "--type", "E8", "--q", "16"]
 E8_EPIPELAGIC = ",".join(["1"] * 9 + ["0"] * 231)  # the 9 simple affine roots first
 E8_ROW_9 = ",".join(["0"] * 9 + ["1"] + ["0"] * 230)
+E7_EPIPELAGIC = ",".join(["1"] * 8 + ["0"] * 118)  # the 8 simple affine roots first
+E7_NODE_0 = ",".join(["0"] + ["1"] * 7 + ["0"] * 118)
+E8_NODE_0 = ",".join(["0"] + ["1"] * 8 + ["0"] * 231)
 E8_Q16_DIGEST = "7d92bcc5d669d56e81e7029d88ae90ece32acd42f7a2ecdba5e5ee40b9acfb31"
 
 PINNED_OUTPUTS = [
@@ -395,6 +403,20 @@ PINNED_OUTPUTS = [
      "80999ae12142d0a4d3d0ca6c6945b5d90240522d52131690a20623d419f702bb"),
     (["check-star", "--type", "E6", "--q", "2", "--params", "0,1,1,1,1,1,1," + E6_ZEROS], 1,
      "2d20eee93aa0c11f88f265878549cebc83dec0857a0dcdbbaad739099d60ad2f"),
+    # E7 and E8 epipelagic characters, which hold, and the same without
+    # simple affine node 0, which fail by a pure translation (E8's lies
+    # outside the default radius 4); and E6 with all 72 parameters 1,
+    # whose unpruned Fourier-Motzkin chain grew without end
+    (["check-star", "--type", "E7", "--params", E7_EPIPELAGIC], 0,
+     "80999ae12142d0a4d3d0ca6c6945b5d90240522d52131690a20623d419f702bb"),
+    (["check-star", "--type", "E7", "--params", E7_NODE_0], 1,
+     "14b68d41d553391a5c33e0208680672a1d1937dd94593c3367bbfcf5289d1a29"),
+    (["check-star", "--type", "E8", "--params", E8_EPIPELAGIC], 0,
+     "80999ae12142d0a4d3d0ca6c6945b5d90240522d52131690a20623d419f702bb"),
+    (["check-star", "--type", "E8", "--params", E8_NODE_0, "--radius", "6"], 1,
+     "23201d1d3c94adb64902a0dda5cb6037d166091f13c5406ea63d07d2e7853f22"),
+    (["check-star", "--type", "E6", "--params", ",".join(["1"] * 72)], 0,
+     "80999ae12142d0a4d3d0ca6c6945b5d90240522d52131690a20623d419f702bb"),
     # bounded B3 characters at a weighted point inside the alcove (n = 11):
     # one holds, one fails at a finite witness
     (["check-star", "--type", "B3", "--point", "2/11,1/11,3/11",

@@ -11,7 +11,7 @@ from shallow_chars import context
 from shallow_chars.affine_roots import barycenter, facet_point
 from shallow_chars.chevalley import shallow_commutator_expansion
 from shallow_chars.context import Context
-from shallow_chars.root_system import _parallel, build_root_system
+from shallow_chars.root_system import _parallel, add, build_root_system
 
 TABLE_TYPES = ("A2", "C2", "C3", "G2", "B3")
 TABLE_FIELDS = (2, 3, 4, 5, 9)
@@ -61,8 +61,9 @@ def test_relations_match_shallow_expansions(cartan_type, q):
 @pytest.mark.parametrize("q", (2, 3))
 @pytest.mark.parametrize("cartan_type", ("B4", "F4", "E6"))
 def test_relations_expand_only_pairs_shallower_than_one(monkeypatch, cartan_type, q):
-    """The table stops each scan at the first pair whose depths sum to 1
-    or more, and still equals the reference, which expands every pair."""
+    """The table expands only pairs whose depths sum to less than 1 and
+    whose gradients sum to a root, and still equals the reference, which
+    expands every pair of nonparallel gradients."""
     expanded = []
     expand = context.commutator_expansion
 
@@ -83,7 +84,7 @@ def test_relations_expand_only_pairs_shallower_than_one(monkeypatch, cartan_type
             (a, b)
             for a in range(ctx.n_roots)
             for b in range(a + 1, ctx.n_roots)
-            if not _parallel(ctx.roots[a].gradient, ctx.roots[b].gradient)
+            if rs.is_root(add(ctx.roots[a].gradient, ctx.roots[b].gradient))
         ]
         shallow = [(a, b) for a, b in pairs if ctx.depths[a] + ctx.depths[b] < 1]
         assert len(expanded) == len(shallow), ctx

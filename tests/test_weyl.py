@@ -45,6 +45,7 @@ from shallow_chars.weyl import (
 
 from boundedness_oracle import (
     cone_lattice_point, orbit_witness_ranges, polytope_bounded, reference_projections,
+    unpruned_eliminate,
 )
 from conftest import SP4_PARAMS
 from intertwining_oracle import reference_reduction, reference_sign
@@ -213,12 +214,21 @@ def test_condition_star_matches_long_element_construction(c2_ctx, c2):
     assert all(depth(a, mu) <= Fraction(1, 4) for a in supp)
 
 
-def test_condition_star_broad_support_finishes():
+def test_condition_star_broad_support_finishes(monkeypatch):
     # every shallow parameter nonzero: Fourier-Motzkin once kept every
-    # combined row here and did not finish in minutes
-    d4 = build_root_system("D4")
-    ctx = Context(d4, barycenter(d4), q=3)
-    assert condition_star(_chi(ctx, (1,) * ctx.n_roots)).status == "holds"
+    # combined row on D4 and did not finish in minutes, and on E6 the
+    # chain grew 141 -> 709 -> 9,811 rows before Chernikov's rule pruned
+    # it.  E7 and E8 hold without a walk; D4 and E6 hold by the walk too
+    for cartan_type in ("D4", "E6", "E7", "E8"):
+        rs = build_root_system(cartan_type)
+        ctx = Context(rs, barycenter(rs), q=3)
+        chi = _chi(ctx, (1,) * ctx.n_roots)
+        star = condition_star(chi)
+        assert star == StarVerdict("holds", None, True, None), cartan_type
+        if cartan_type in ("D4", "E6"):
+            with monkeypatch.context() as patch:
+                patch.setattr(weyl, "_scan_holds", lambda *args: False)
+                assert _verdict(condition_star(chi)) == _verdict(star), cartan_type
 
 
 # Types whose finite Weyl group a test walks in full, each with |W| <= 1,152.
@@ -560,7 +570,8 @@ def test_scan_decides_stable_epipelagic_characters_without_a_walk(monkeypatch):
 
 
 # (type, facet, densities): the chain of integer projections against the
-# rational reference, on supports from sparse to dense
+# rational reference, on supports from sparse to dense; D5 and B4 take
+# half and full supports
 PROJECTION_CASES = [
     ("A2", None, (0.2, 0.5, 0.9)),
     ("C2", (1,), (0.2, 0.5, 0.9)),
@@ -569,6 +580,8 @@ PROJECTION_CASES = [
     ("C3", (0, 2), (0.2, 0.5, 0.9)),
     ("D4", None, (0.3, 0.9)),
     ("F4", None, (0.3, 0.9, 0.95)),
+    ("D5", None, (0.5, 1)),
+    ("B4", None, (0.5, 1)),
 ]
 
 
@@ -577,10 +590,13 @@ PROJECTION_CASES = [
     PROJECTION_CASES,
     ids=[t + (f"-facet{''.join(map(str, f))}" if f else "") for t, f, _ in PROJECTION_CASES],
 )
-def test_integer_projections_match_reference(cartan_type, facet, densities):
+def test_integer_projections_match_reference(monkeypatch, cartan_type, facet, densities):
     # at every finite orbit point nu the chain's points of stride n are,
     # in order, the points of the reference's box that pass every row,
-    # and the chain and the reference read boundedness alike
+    # and the chain and the reference read boundedness alike.  On every
+    # case here each link of the chain, pruned by Chernikov's rule, lists
+    # the same prefixes as the link of the chain built with no rule; in
+    # general a pruned link may be looser (see the next test)
     rs = build_root_system(cartan_type)
     ctx = Context(rs, facet_point(rs, facet) if facet else barycenter(rs), q=2)
     rng = random.Random(f"projections/{cartan_type}")
@@ -590,7 +606,7 @@ def test_integer_projections_match_reference(cartan_type, facet, densities):
         for _, _, minv, _ in _shortlex_walk(rs, range(1, rs.rank + 1))
     ]
     for density in densities:
-        for _ in range(2):
+        for _ in range(2 if density < 1 else 1):  # a full support is drawn once
             vec = [int(rng.random() < density) for _ in ctx.roots]
             vec[rng.randrange(ctx.n_roots)] = 1
             supp = [a for a, c in zip(ctx.roots, vec) if c]
@@ -599,16 +615,71 @@ def test_integer_projections_match_reference(cartan_type, facet, densities):
             # g . (nu + n * sum k_j a_j^vee) <= b, with a_j^vee = cartan[j]
             k_rows = [([n * sum(map(mul, g, row)) for row in rs.cartan], g, b) for g, b in bounds]
             chain = _chain(rs, bounds)
+            with monkeypatch.context() as patch:
+                patch.setattr(weyl, "_fm_eliminate", unpruned_eliminate)
+                unpruned = _chain(rs, bounds)
             want = reference_projections(rs, [(a.gradient, r - a.level) for a in supp], n)
             bounded = polytope_bounded([a.gradient for a in supp], rs.rank)
             assert _chain_bounded(chain) == _chain_bounded(want) == bounded
+            assert _chain_bounded(unpruned) == bounded
             for radius in (None, 2) if bounded else (2,):
+                stretch = None if radius is None else n * radius
                 for nu in orbit:
                     cuts = [(kc, b - sum(map(mul, g, nu))) for kc, g, b in k_rows]
                     box = itertools.product(*orbit_witness_ranges(nu, want, radius))
                     inside = [k for k in box if all(sum(map(mul, kc, k)) <= b for kc, b in cuts)]
-                    got = _chain_points(chain, nu, n, None if radius is None else n * radius)
+                    got = _chain_points(chain, nu, n, stretch)
                     assert [tuple(x // n for x in p) for p in got] == inside, (vec, nu, radius)
+                    for m in range(1, rs.rank):
+                        assert (list(_chain_points(chain[:m], nu, n, stretch))
+                                == list(_chain_points(unpruned[:m], nu, n, stretch))), (vec, nu, m)
+
+
+# A4 characters whose pruned chain is looser than the exact one: at the
+# barycenter it reads the bounded polytope as unbounded; at the point
+# (0, 1/3, 0, 1/2) it reads it as bounded, but its links list prefixes
+# that lead to no point of the polytope
+LOOSE_CHAIN_CASES = [
+    (None, (1, 0, 1, 1, 1, 1, 1, 0, 0, 1, 1, 0, 1, 1, 0, 0, 0, 0, 1, 0)),
+    ((0, Fraction(1, 3), 0, Fraction(1, 2)), (1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 0)),
+]
+
+
+def test_pruned_chain_is_looser_never_tighter(monkeypatch):
+    # Chernikov's rule next to the tightest-row-per-direction step can
+    # drop a row the projection needs.  Every link still holds on the
+    # polytope, so each lists a superset of the exact link's prefixes,
+    # the points agree, and a pruned chain that reads bounded is right;
+    # condition (*) rebuilds the chain unpruned when it reads unbounded,
+    # so its whole verdict matches the one built with no rule at all
+    rs = build_root_system("A4")
+    outcomes = []
+    for point, vec in LOOSE_CHAIN_CASES:
+        ctx = Context(rs, point or barycenter(rs), q=2)
+        chi = _chi(ctx, vec)
+        n, scaled = ctx.scaled_point
+        r = char_depth(chi)
+        supp = [a for a, c in zip(ctx.roots, vec) if c]
+        bounds = [(a.gradient, math.floor(n * (r - a.level))) for a in supp]
+        chain = _chain(rs, bounds)
+        with monkeypatch.context() as patch:
+            patch.setattr(weyl, "_fm_eliminate", unpruned_eliminate)
+            exact = _chain(rs, bounds)
+            unpruned = [_verdict(condition_star(chi, radius=radius)) for radius in (0, 2)]
+        assert [_verdict(condition_star(chi, radius=radius)) for radius in (0, 2)] == unpruned
+        bounded = polytope_bounded([a.gradient for a in supp], rs.rank)
+        assert bounded and _chain_bounded(exact)
+        stretch = None if _chain_bounded(chain) else 2 * n
+        looser = False
+        for _, _, minv, _ in _shortlex_walk(rs, range(1, rs.rank + 1)):
+            nu = tuple(sum(minv[p][i] * scaled[p] for p in range(rs.rank)) for i in range(rs.rank))
+            for m in range(1, rs.rank + 1):
+                loose = list(_chain_points(chain[:m], nu, n, stretch))
+                tight = list(_chain_points(exact[:m], nu, n, stretch))
+                assert set(tight) <= set(loose) and (m < rs.rank or loose == tight), (nu, m)
+                looser |= loose != tight
+        outcomes.append((_chain_bounded(chain), looser))
+    assert outcomes == [(False, True), (True, True)]
 
 
 def _random_valid(space, rng):
@@ -691,6 +762,29 @@ def test_barycenter_criterion_all_cases(c2_ctx, sp4_example):
     edge = Context(c2_ctx.rs, (Fraction(1, 3), Fraction(1, 3)), q=2)
     with pytest.raises(ValueError):
         barycenter_criterion(_chi(edge, (1,) * edge.n_roots))
+
+
+@pytest.mark.parametrize("cartan_type", ("E7", "E8"))
+def test_barycenter_criterion_on_e7_and_e8(cartan_type):
+    # Reeder-Yu (JAMS 27, 2014): a minimal-depth character at the
+    # barycenter satisfies (*) exactly when every simple affine parameter
+    # is nonzero.  The epipelagic character holds; with one node at zero
+    # it fails by a pure translation.  E8 without node 0 is left out: its
+    # witness lies outside the default radius (a radius-6 pin in the CLI
+    # tests holds it)
+    rs = build_root_system(cartan_type)
+    ctx = Context(rs, barycenter(rs), q=2)
+    simples = [ctx.index[a] for a in simple_affine_roots(rs)]
+    for zero in (None, *range(len(simples))):
+        if (cartan_type, zero) == ("E8", 0):
+            continue
+        vec = [0] * ctx.n_roots
+        for node, pos in enumerate(simples):
+            vec[pos] = int(node != zero)
+        report = barycenter_criterion(_chi(ctx, vec))
+        assert report.all_simple_nontrivial == (zero is None), zero
+        if zero is not None:
+            assert report.star.witness.word == (), zero
 
 
 def test_intertwining_reduction(c2_ctx, sp4_example, c2):
