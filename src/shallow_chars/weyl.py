@@ -10,7 +10,10 @@ simple reflections.
 
 One lazy ShortLex walk enumerates the finite Weyl group, finite
 parabolics and the affine ball alike, building each child from its
-parent by the rows and columns one reflection changes.
+parent by the rows and columns one reflection changes.  The
+intertwining scan tests each step of the walk in place, from its root
+map columns and translation, stops each test at its first mismatch, and
+builds an element only for its witness and its stabilizer.
 
 The condition-star search is exact whenever its witness polytope is
 bounded.  One chain of Fourier-Motzkin eliminations in integers per
@@ -116,6 +119,15 @@ def _letter_root(rs: RootSystem, letter: int) -> Root:
     return simple_affine_roots(rs)[letter].gradient
 
 
+def _word_sign(tables, word: Sequence[int], gradient: Root) -> int:
+    """The conjugation sign of a word at a finite root, from the letter tables."""
+    eta = 1
+    for letter in reversed(word):
+        h, gradient = tables[letter][gradient]
+        eta *= h
+    return eta
+
+
 class AffineWeylElement:
     """t_translation composed with the product of the word's reflections."""
 
@@ -213,13 +225,7 @@ class AffineWeylElement:
         translation part acts by +1.  The value depends on the chosen word
         and lift convention, not just on the group element.
         """
-        tables = pinning.letter_tables
-        gradient = alpha.gradient
-        eta = 1
-        for letter in reversed(self.word):
-            h, gradient = tables[letter][gradient]
-            eta *= h
-        return eta
+        return _word_sign(pinning.letter_tables, self.word, alpha.gradient)
 
     def to_json(self) -> Dict:
         return {"word": list(self.word), "translation": list(self.word_translation)}
@@ -374,14 +380,12 @@ def _finite_elements(rs: RootSystem) -> List[AffineWeylElement]:
     return [_element(rs, *step) for step in _shortlex_walk(rs, range(1, rs.rank + 1))]
 
 
-def _ball(rs: RootSystem, radius: int) -> List[AffineWeylElement]:
-    """Affine Weyl elements of word length at most radius.
+def _refuse_large_ball(rs: RootSystem, radius: int) -> None:
+    """Refuse, with its size, a ball of radius over the walk limit.
 
-    The whole ball is built before any use, so one over the walk limit
-    is refused up front with its size.  Bott's series has coefficients
-    of at least l + 1 at every length from 1 on, so a ball whose lower
-    bound 1 + (l + 1) * radius already passes the limit is refused
-    without summing the series.
+    Bott's series has coefficients of at least l + 1 at every length
+    from 1 on, so a ball whose lower bound 1 + (l + 1) * radius already
+    passes the limit is refused without summing the series.
     """
     lower = 1 + (rs.rank + 1) * radius
     size = lower if lower > _FINITE_WALK_LIMIT else _ball_size(rs, radius)
@@ -389,6 +393,14 @@ def _ball(rs: RootSystem, radius: int) -> List[AffineWeylElement]:
         least = "at least " if size == lower else ""
         raise ValueError(f"the {rs.cartan_type} affine Weyl ball of radius {radius} has "
                          f"{least}{size:,} elements; the limit is {_FINITE_WALK_LIMIT:,}")
+
+
+def _ball(rs: RootSystem, radius: int) -> List[AffineWeylElement]:
+    """Affine Weyl elements of word length at most radius, built whole.
+
+    A ball over the walk limit is refused up front by `_refuse_large_ball`.
+    """
+    _refuse_large_ball(rs, radius)
     return [_element(rs, *step) for step in _shortlex_walk(rs, range(rs.rank + 1), radius)]
 
 
@@ -766,6 +778,9 @@ def intertwining_reduction(chi: ShallowCharacter, w: AffineWeylElement) -> Reduc
     conjugation sign and parameters of non-shallow roots are zero.  The
     first violating beta (sorted by gradient then level) is reported.
     Values at lambda are compared in integers, at lambda scaled by n.
+    This ranked report is kept for the tests and the benchmark tracer;
+    `intertwining_scan` makes the same test in place, stopped at its
+    first mismatch, and reads no violated root.
     """
     ctx = chi.context
     f = ctx.field
@@ -799,6 +814,45 @@ def intertwining_reduction(chi: ShallowCharacter, w: AffineWeylElement) -> Reduc
     return ReductionVerdict(True, None)
 
 
+def _compatibility_test(chi: ShallowCharacter):
+    """The test of `intertwining_reduction`, on one step of the walk.
+
+    Returns test(word, images, inverse_columns, pairing) -> bool, with
+    images[i] = w(a_i) and inverse_columns[i] = w^-1(a_i), so that w(g)
+    and w^-1(g) are the same sums of them for a gradient g.  Each root of
+    chi's support is tested at its image, then at its preimage, and the
+    test stops at its first mismatch.  A root off the support has
+    parameter zero, so a positive image or preimage off the support is a
+    mismatch with no sign to look up.
+    """
+    ctx = chi.context
+    neg = ctx.field.neg
+    n, point = ctx.scaled_point
+    tables = ctx.pinning.letter_tables
+    values = {(gradient, level): c for (gradient, level), c in zip(ctx.roots, chi.vector) if c}
+    support = [(gradient, level, c, neg(c),
+                _combination([(i, x) for i, x in enumerate(gradient) if x]))
+               for (gradient, level), c in values.items()]
+
+    def test(word, images, inverse_columns, pairing) -> bool:
+        for gradient, level, c, minus_c, combine in support:
+            a = combine(images)
+            up = level - _dot(a, pairing)
+            if _dot(a, point) + n * up > 0:
+                image = values.get((a, up))
+                if image != (c if _word_sign(tables, word, gradient) > 0 else minus_c):
+                    return False
+            b = combine(inverse_columns)
+            down = level + _dot(gradient, pairing)
+            if _dot(b, point) + n * down > 0:
+                beta = values.get((b, down))
+                if beta is None or c != (beta if _word_sign(tables, word, b) > 0 else neg(beta)):
+                    return False
+        return True
+
+    return test
+
+
 class ScanResult(NamedTuple):
     verdict: str  # "collapses_to_P_chi" | "counterexample" | "inconclusive"
     witness: Optional[AffineWeylElement]
@@ -813,31 +867,42 @@ class ScanResult(NamedTuple):
 
 
 def intertwining_scan(chi: ShallowCharacter, radius: int = 8) -> ScanResult:
-    """Sweep the word-length ball; look for a compatible w moving lambda.
+    """Walk the word-length ball; look for a compatible w moving lambda.
 
     Every element moving lambda but conjugating chi compatibly is a
     counterexample to the collapse; if all moved elements are violated,
     the collapse verdict holds for the scanned ball (the radius is part
     of the answer).  Elements fixing lambda and chi form the reported
-    stabilizer shadow.
+    stabilizer shadow.  A ball over the walk limit is refused before the
+    walk starts.  Each step of the walk is tested where it stands, by
+    `_compatibility_test`, and an element is built only for the witness
+    or a member of the stabilizer.
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     ctx = chi.context
     if not validate(chi).ok:
         raise ValueError("scan requires a character satisfying the relations")
+    rs = ctx.rs
+    _refuse_large_ball(rs, radius)
     n, point = ctx.scaled_point
+    compatible = _compatibility_test(chi)
     stabilizer = []
     moved = 0
-    for w in _ball(ctx.rs, radius):
-        fixes = _move_point(w, n, point) == point
-        verdict = intertwining_reduction(chi, w)
-        if fixes:
-            if verdict.compatible:
-                stabilizer.append(w)
+    for step in _shortlex_walk(rs, range(rs.rank + 1), radius):
+        word, images, root_map_inv, translation = step
+        pairing = _translation_pairing(rs, translation)
+        columns = tuple(zip(*root_map_inv))
+        # n * w(lambda) = point, as in `_move_point`
+        fixes = all(_dot(column, point) + n * t == x
+                    for column, t, x in zip(columns, pairing, point))
+        if not fixes:
+            moved += 1
+        if not compatible(word, images, columns, pairing):
             continue
-        moved += 1
-        if verdict.compatible:
+        w = _element(rs, *step)
+        if not fixes:
             return ScanResult("counterexample", w, radius, moved, tuple(stabilizer))
+        stabilizer.append(w)
     outcome = "collapses_to_P_chi" if moved else "inconclusive"
     return ScanResult(outcome, None, radius, moved, tuple(stabilizer))

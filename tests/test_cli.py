@@ -377,6 +377,15 @@ PINNED_OUTPUTS = [
      "1328cfc45408863906a20e2a52ed560e3a2017c59f9450b2fa55e42e2de5f987"),
     (["intertwine", "--type", "G2", "--params", "1,1,0,0,0,0,0,0,0,0,0,0"], 1,
      "8991d82b30403977fe3e567392f24b7e70313a8bbf21a5bff5dec7baab5e5535"),
+    # G2 scans at the facet {1}, where a reflection fixing the point also
+    # conjugates chi compatibly, so the stabilizer has 2 elements: one
+    # collapses over the whole ball, one meets a counterexample
+    (["intertwine", "--type", "G2", "--q", "3", "--facet", "1", "--params", "2,2,1,0,0,0",
+      "--radius", "8"], 0,
+     "32a34fd31c7517aca3b0c0e2ab74f459c97310c871cde47d45c236a92afcd616"),
+    (["intertwine", "--type", "G2", "--q", "3", "--facet", "1", "--params", "2,2,0,0,0,0",
+      "--radius", "8"], 1,
+     "00d8eb83bf588b0a628e120b95660bf32feaf82713c7e0e15aa5b66439935647"),
     (["verify-hom", "--type", "C2", "--params", EXAMPLE, "--mode", "generators"], 0,
      "36119a9e4dc9c3ddb2e0a44a388ef991863c9ac8e09def031c2d795339cbd2f9"),
     # epipelagic characters, nonzero on the simple affine roots: stable and

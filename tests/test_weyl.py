@@ -48,7 +48,7 @@ from boundedness_oracle import (
     unpruned_eliminate,
 )
 from conftest import SP4_PARAMS
-from intertwining_oracle import reference_reduction, reference_sign
+from intertwining_oracle import reference_reduction, reference_scan, reference_sign
 from span_oracle import span_elements
 from weyl_walk_oracle import bfs
 
@@ -692,21 +692,19 @@ def _random_valid(space, rng):
 
 
 REDUCTION_CASES = [("C2", None, 8), ("C3", None, 6), ("A3", None, 6),
-                   # facets put affine roots at depth 0, on both sides of the test
-                   ("C2", (1,), 8), ("A3", (0, 2), 6),
+                   # facets put affine roots at depth 0, on both sides of the test;
+                   # at the G2 facet {1} some characters have a stabilizer of 2
+                   ("C2", (1,), 8), ("A3", (0, 2), 6), ("G2", (1,), 8),
                    # adjoint pinnings
                    ("G2", None, 8), ("B3", None, 5), ("F4", None, 3)]
 
 
-@pytest.mark.parametrize(
-    "cartan_type, facet, radius",
-    REDUCTION_CASES,
-    ids=[f"{t}-r{r}" + (f"-facet{''.join(map(str, f))}" if f else "")
-         for t, f, r in REDUCTION_CASES],
-)
-def test_intertwining_reduction_matches_reference(cartan_type, facet, radius):
-    # every element of the ball, for stable characters (every shallow
-    # simple parameter nonzero) and random valid ones
+REDUCTION_IDS = [f"{t}-r{r}" + (f"-facet{''.join(map(str, f))}" if f else "")
+                 for t, f, r in REDUCTION_CASES]
+
+
+def _reduction_characters(cartan_type, facet):
+    """Stable characters (every shallow simple parameter nonzero) and random valid ones."""
     from shallow_chars.characters import solve_space
 
     rs = build_root_system(cartan_type)
@@ -721,11 +719,33 @@ def test_intertwining_reduction_matches_reference(cartan_type, facet, radius):
             vec[pos] = rng.randrange(1, 3)
         vectors.append(vec)
     vectors += [_random_valid(space, rng) for _ in range(4)]
-    ball = _ball(rs, radius)
-    for vec in vectors:
-        chi = _chi(ctx, vec)
+    return [_chi(ctx, vec) for vec in vectors]
+
+
+@pytest.mark.parametrize("cartan_type, facet, radius", REDUCTION_CASES, ids=REDUCTION_IDS)
+def test_intertwining_reduction_matches_reference(cartan_type, facet, radius):
+    # every element of the ball
+    characters = _reduction_characters(cartan_type, facet)
+    ball = _ball(build_root_system(cartan_type), radius)
+    for chi in characters:
         for w in ball:
-            assert intertwining_reduction(chi, w) == reference_reduction(chi, w), (vec, w)
+            assert intertwining_reduction(chi, w) == reference_reduction(chi, w), (chi.vector, w)
+
+
+@pytest.mark.parametrize("cartan_type, facet, radius", REDUCTION_CASES, ids=REDUCTION_IDS)
+def test_intertwining_scan_matches_reference(cartan_type, facet, radius):
+    # the in-place test of each walk step gives the reference scan's
+    # verdict, count, witness and stabilizer
+    def summary(scan):
+        witness = scan.witness.word if scan.witness else None
+        return (scan.verdict, scan.moved_checked, witness, [w.word for w in scan.stabilizer])
+
+    verdicts = set()
+    for chi in _reduction_characters(cartan_type, facet):
+        got = summary(intertwining_scan(chi, radius))
+        assert got == summary(reference_scan(chi, radius)), chi.vector
+        verdicts.add(got[0])
+    assert "counterexample" in verdicts
 
 
 SIGN_CASES = [("C2", 8), ("C3", 5), ("A3", 5), ("G2", 8), ("B3", 5), ("F4", 4)]
@@ -796,6 +816,21 @@ def test_intertwining_reduction(c2_ctx, sp4_example, c2):
     triv = _chi(c2_ctx, (0,) * 8)
     for word in ((), (0,), (1,), (2, 1)):
         assert intertwining_reduction(triv, AffineWeylElement.from_word(c2, word))
+
+
+def test_intertwining_scan_refuses_a_large_ball_before_walking(monkeypatch, sp4_example):
+    # the ball's size is read off Bott's series, or its lower bound, and
+    # the walk never starts
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(weyl, "_shortlex_walk", no_walk)
+    e8 = build_root_system("E8")
+    trivial = _chi(Context(e8, barycenter(e8), q=2), (0,) * 240)
+    with pytest.raises(ValueError, match="202,683 elements"):
+        intertwining_scan(trivial, radius=12)
+    with pytest.raises(ValueError, match="has at least 120,001 elements"):
+        intertwining_scan(sp4_example, radius=40_000)
 
 
 def test_intertwining_scan_example(sp4_example):
