@@ -6,19 +6,22 @@ Types A and C use the defining representations (elementary matrices;
 antidiagonal symplectic form, matching u_r(x) = 1 + x M_r since every
 M_r squares to zero); all other types use the adjoint representation
 of a Chevalley basis.  Each M_r is stored as its (row, col, value)
-entries and made dense only on request; the adjoint entries are built
-only when a matrix or the pinning hash is asked for.
+entries; the adjoint entries are built only when a matrix or the
+pinning hash is asked for, and the hash writes each distinct nonzero row
+of the dense JSON once, from its entries, between cached runs of zeros.
 
 Every pinning reads its structure constants N(a, b), defined by
-[M_a, M_b] = N(a, b) M_{a+b}, from one `StructureConstants`: the
-extraspecial-pair recursion (Carter, *Simple Groups of Lie Type*,
-§4.2) fixes them all once the sign on each extraspecial pair is chosen.
-The adjoint kind takes those signs as given (+1 unless overridden) and
-builds its matrices from the constants.  The matrix kind reads each sign
-from one entry of the bracket of its defining matrices, one per
-positive non-simple root.  The reflection signs of the Weyl lifts
+[M_a, M_b] = N(a, b) M_{a+b}, from one `StructureConstants`, in
+integers: |N(a, b)| = p+1 for the a-string b - p*a, ..., b (Carter,
+*Simple Groups of Lie Type*, ch. 4), and the extraspecial-pair recursion
+(§4.2) fixes every sign once the sign on each extraspecial pair is
+chosen.  The adjoint kind takes those signs as given (+1 unless
+overridden); the matrix kind reads each from one entry of the bracket of
+its defining matrices.  The reflection signs of the Weyl lifts
 w_r(1) = u_r(1) u_{-r}(-1) u_r(1) follow from the same constants
-(Carter, §6.4), so no matrix product is formed at run time.
+(Carter, §6.4), so no matrix product is formed at run time.  The
+`Fraction` recursion for both sign and magnitude is kept as a reference
+in tests/constants_oracle.py.
 
 Commutator constants come from Chevalley's commutator formula (Carter,
 Thm 5.2.2).  For non-parallel a, b and i, j > 0 with i*a + j*b a root,
@@ -34,7 +37,7 @@ therefore (-1)^i C_{ij}, the coefficient of x^i y^j in
     [u_b(y), u_a(x)] = u_b(y)^-1 u_a(x)^-1 u_b(y) u_a(x),
 
 with the factors in increasing (i+j, i) order (factors of equal i+j
-commute).  Every constant is asserted integral.  The dense checks live
+commute).  Every division is asserted exact.  The dense checks live
 in tests/peeling_oracle.py: peeling the commutator as a polynomial
 matrix, the bracket [M_a, M_b] and the conjugation by the lifted
 reflection, each against the constants used here.
@@ -48,10 +51,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from fractions import Fraction
+import operator
 from functools import cached_property
 from math import factorial
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .affine_roots import AffineRoot, Point, affine_combination, is_shallow, simple_affine_roots
 from .root_system import Root, RootSystem, _parallel, add, negate
@@ -84,82 +87,85 @@ def extraspecial_pairs(rs: RootSystem) -> Dict[Root, Tuple[Root, Root]]:
 
 
 class StructureConstants:
-    """Chevalley constants N(a, b) with [e_a, e_b] = N(a, b) e_{a+b}.
+    """Chevalley constants N(a, b) with [e_a, e_b] = N(a, b) e_{a+b}, as ints.
 
-    Positive roots are totally ordered by (height, coordinates).  For
-    each positive non-simple c the extraspecial pair is (r, c-r) with r
-    minimal; its constant is sign(c) * (p+1) where p is the length of
-    the descending a-string through b, and every other constant follows
-    from antisymmetry, the opposition rule N(-a,-b) = -N(a,b), the
-    trilinear identity N(x,y)/(z,z) = N(y,z)/(x,x) for x+y+z = 0, and
-    the four-root identity on a+b-r-s = 0.
+    |N(a, b)| = p+1, p the length of the descending a-string through b
+    (Carter, ch. 4), so only the sign recurses.  Positive roots are
+    ordered by (height, coordinates); for each positive non-simple c the
+    extraspecial pair is (r, c-r) with r minimal, and its sign is given
+    (+1 unless set).  Every other sign follows from antisymmetry, the
+    opposition rule N(-a,-b) = -N(a,b), the trilinear identity
+    N(x,y)/(z,z) = N(y,z)/(x,x) for x+y+z = 0, and the four-root identity
+    on a+b-r-s = 0, as products of signs; only where both legs of the
+    four-root identity are present are the legs' integer values weighed.
+    N takes root indices (positions in `rs.roots`).  Each root is coded
+    as the integer sum c_i * base**i: the code is linear, and base is so
+    wide that a sum or string step is a root iff its code is a root's.
     """
 
     def __init__(self, rs: RootSystem, signs: Optional[Dict[Root, int]] = None):
         self.rs = rs
-        self._order = {r: k for k, r in enumerate(rs.positive_roots)}
-        self._signs = dict(signs or {})
-        self._extraspecial = extraspecial_pairs(rs)
-        self._memo: Dict[Tuple[Root, Root], Fraction] = {}
+        self.index = {r: k for k, r in enumerate(rs.roots)}
+        base = 12 * max(rs.highest_root) + 1  # codes differ where |coordinates| <= 6h
+        self.codes = [sum(c * base**i for i, c in enumerate(r)) for r in rs.roots]
+        self.at_code = {code: k for k, code in enumerate(self.codes)}
+        self.opposite = [self.at_code[-code] for code in self.codes]
+        order = {r: k for k, r in enumerate(rs.positive_roots)}
+        self._order = [order.get(r, -1) for r in rs.roots]  # -1 on negative roots
+        index = self.index
+        self._extraspecial = {
+            index[c]: (index[r], index[s]) for c, (r, s) in extraspecial_pairs(rs).items()
+        }
+        signs = signs or {}
+        if any(index.get(c) not in self._extraspecial or e not in (1, -1) for c, e in signs.items()):
+            raise ValueError(f"extraspecial signs must be +-1 on positive non-simple roots: {signs}")
+        self._signs = {index[c]: e for c, e in signs.items()}
+        self._memo: Dict[Tuple[int, int], int] = {}
 
-    def p_down(self, a: Root, b: Root) -> int:
-        """Largest p with b - p*a a root."""
-        p = 0
-        while self.rs.is_root(tuple(x - (p + 1) * y for x, y in zip(b, a))):
+    def p_down(self, a: int, b: int) -> int:
+        """Largest p with b - p*a a root, on root indices."""
+        ca, cb, p = self.codes[a], self.codes[b], 0
+        while cb - (p + 1) * ca in self.at_code:
             p += 1
         return p
 
-    def N(self, a: Root, b: Root) -> int:
-        val = self._n(a, b)
-        assert val.denominator == 1
-        return int(val)
+    def N(self, a: int, b: int) -> int:
+        """N on root indices."""
+        val = self._memo.get((a, b))
+        if val is None:
+            val = self._memo[a, b] = self._constant(a, b)
+        return val
 
-    def _n(self, a: Root, b: Root) -> Fraction:
-        rs = self.rs
-        c = add(a, b)
-        if not rs.is_root(c):
-            return Fraction(0)
-        key = (a, b)
-        if key in self._memo:
-            return self._memo[key]
-        ha, hb = sum(a), sum(b)
-        if ha > 0 and hb > 0:
-            if self._order[a] > self._order[b]:
-                val = -self._n(b, a)
+    def _constant(self, a: int, b: int) -> int:
+        codes, n, opp, order = self.codes, self.N, self.opposite, self._order
+        c = self.at_code.get(codes[a] + codes[b])
+        if c is None:
+            return 0
+        if order[a] >= 0 and order[b] >= 0:
+            if order[a] > order[b]:
+                sign = -n(b, a)
             elif (a, b) == self._extraspecial[c]:
                 sign = self._signs.get(c, 1)
-                val = Fraction(sign * (self.p_down(a, b) + 1))
             else:
                 r, s = self._extraspecial[c]
-                acc = Fraction(0)
-                br = tuple(x - y for x, y in zip(b, r))
-                if rs.is_root(br):
-                    acc += Fraction(
-                        self._n(b, negate(r)) * self._n(a, negate(s)),
-                        rs.length_sq(br),
-                    )
-                ar = tuple(x - y for x, y in zip(a, r))
-                if rs.is_root(ar):
-                    acc += Fraction(
-                        self._n(negate(r), a) * self._n(b, negate(s)),
-                        rs.length_sq(ar),
-                    )
-                val = Fraction(rs.length_sq(c)) * acc / self._n(r, s)
-        elif ha < 0 and hb < 0:
-            val = -self._n(negate(a), negate(b))
-        elif ha < 0:
-            val = -self._n(b, a)
-        else:
-            # a positive, b negative, z = -a-b the third leg of a zero triangle
-            z = negate(c)
-            if sum(z) > 0:
-                val = Fraction(rs.length_sq(z), rs.length_sq(b)) * self._n(z, a)
-            else:
-                val = -Fraction(rs.length_sq(z), rs.length_sq(a)) * self._n(
-                    negate(b), negate(z)
-                )
-        self._memo[key] = val
-        return val
+                # N(a,b) N(r,s) / (c,c) = t_br / (b-r,b-r) + t_ar / (a-r,a-r)
+                t_br = n(b, opp[r]) * n(a, opp[s])
+                t_ar = n(opp[r], a) * n(b, opp[s])
+                if t_br and t_ar:
+                    ar, br = (self.rs.roots[self.at_code[codes[x] - codes[r]]] for x in (a, b))
+                    sign = t_br * self.rs.length_sq(ar) + t_ar * self.rs.length_sq(br)
+                else:
+                    sign = t_br + t_ar
+                sign *= n(r, s)
+        elif order[a] < 0 and order[b] < 0:
+            sign = -n(opp[a], opp[b])
+        elif order[a] < 0:
+            sign = -n(b, a)
+        else:  # z = -a-b closes a zero triangle; the length ratio is positive
+            z = opp[c]
+            sign = n(z, a) if order[z] >= 0 else -n(opp[b], opp[z])
+        assert sign, "the recursion left a root sum without a constant"
+        return (1 if sign > 0 else -1) * (self.p_down(a, b) + 1)
 
 
 # ----------------------------------------------------------------------
@@ -214,26 +220,30 @@ def _type_c_entries(rs: RootSystem) -> Tuple[int, Dict[Root, Entries]]:
 
 
 def _adjoint_entries(rs: RootSystem, sc: StructureConstants) -> Dict[Root, Entries]:
-    roots = rs.roots
-    idx = {r: k for k, r in enumerate(roots)}
-    R = len(roots)
+    """ad(e_r) on the basis (e_s for s in rs.roots, then the simple coroots).
+
+    Built for positive r; the matrix of -r follows by N(-r, -s) = -N(r, s)
+    and h_{-r} = -h_r: negate every value and send each root index to
+    its opposite.
+    """
+    R = len(rs.roots)
+    flip = sc.opposite + list(range(R, R + rs.rank))
     out = {}
-    for r in roots:
-        entries = []
-        for s in roots:
-            col = idx[s]
-            if s == negate(r):
-                # [e_r, e_-r] = h_r, expanded over the simple coroots
-                entries += [(R + i, col, c) for i, c in enumerate(rs.coroot(r)) if c]
-            else:
-                t = add(r, s)
-                if rs.is_root(t):
-                    entries.append((idx[t], col, sc.N(r, s)))
-        for i, a in enumerate(rs.simple_roots):
-            c = rs.pairing(r, a)
+    for k, r in enumerate(rs.roots):
+        if sum(r) < 0:
+            continue
+        # e_s -> N(r, s) e_{r+s}, for every s with r+s a root
+        sums = map(sc.at_code.get, map(sc.codes[k].__add__, sc.codes))
+        entries = [(t, s, sc.N(k, s)) for s, t in enumerate(sums) if t is not None]
+        # e_-r -> h_r, over the simple coroots
+        entries += [(R + i, sc.opposite[k], c) for i, c in enumerate(rs.coroot(r)) if c]
+        # h_i -> -<r, a_i^vee> e_r
+        for i, cartan_row in enumerate(rs.cartan):
+            c = sum(map(operator.mul, r, cartan_row))
             if c:
-                entries.append((idx[r], R + i, -c))
+                entries.append((k, R + i, -c))
         out[r] = tuple(entries)
+        out[negate(r)] = tuple([(flip[i], flip[j], -v) for i, j, v in entries])
     return out
 
 
@@ -309,18 +319,21 @@ class Pinning:
         return tuple(tuple(row) for row in rows)
 
     def structure_constant(self, a: Root, b: Root) -> int:
-        """N(a, b) with [M_a, M_b] = N(a, b) M_{a+b}; 0 when a+b is not a root."""
-        return self.constants.N(a, b)
+        """N(a, b) with [M_a, M_b] = N(a, b) M_{a+b}; 0 unless a, b, a+b are roots."""
+        ia, ib = self.constants.index.get(a), self.constants.index.get(b)
+        return 0 if ia is None or ib is None else self.constants.N(ia, ib)
 
     # ------------------------------------------------------------------
     # commutator expansion by Chevalley's formula
 
-    def _divided(self, r: Root, s: Root, i: int) -> Fraction:
+    def _divided(self, r: Root, s: Root, i: int) -> int:
         """M(r, s, i) = (1/i!) * prod_{k<i} N(r, s + k*r)."""
         prod = 1
-        for k in range(i):
-            prod *= self.structure_constant(r, tuple(y + k * x for x, y in zip(r, s)))
-        return Fraction(prod, factorial(i))
+        for _ in range(i):
+            prod *= self.structure_constant(r, s)
+            s = add(s, r)
+        assert prod % factorial(i) == 0, "non-integral divided power"
+        return prod // factorial(i)
 
     def gradient_expansion(
         self, a: Root, b: Root
@@ -333,20 +346,18 @@ class Pinning:
             raise ValueError(
                 "parallel gradients: commutator is trivial or torus-valued"
             )
-        ab = add(a, b)
         terms = []
         for i, j in self.rs.root_string(a, b):
             if j == 1:
-                carter = self._divided(a, b, i)
+                num, den = self._divided(a, b, i), 1
             elif i == 1:
-                carter = (-1) ** j * self._divided(b, a, j)
+                num, den = (-1) ** j * self._divided(b, a, j), 1
             elif (i, j) == (3, 2):
-                carter = self._divided(ab, a, 2) / 3
+                num, den = self._divided(add(a, b), a, 2), 3
             else:  # (2, 3), the only other string position in a reduced system
-                carter = -2 * self._divided(ab, b, 2) / 3
-            ratio = (-1) ** i * carter
-            assert ratio.denominator == 1, "non-integer commutator constant"
-            C = int(ratio)
+                num, den = -2 * self._divided(add(a, b), b, 2), 3
+            assert num % den == 0, "non-integer commutator constant"
+            C = (-1) ** i * (num // den)
             if C:
                 target = tuple(i * x + j * y for x, y in zip(a, b))
                 terms.append((target, i, j, C))
@@ -369,7 +380,8 @@ class Pinning:
         """
         if s == r or s == negate(r):
             return -1
-        p = self.constants.p_down(r, s)
+        index = self.constants.index
+        p = self.constants.p_down(index[r], index[s])
         q = p - self.rs.pairing(s, r)
         h = (-1) ** p
         for i in range(min(p, q), max(p, q)):
@@ -398,24 +410,34 @@ class Pinning:
     def pinning_hash(self) -> str:
         """First 16 hex of the sha256 of the dense matrices as sorted JSON.
 
-        The JSON is fed to the hash one root at a time, from the stored
-        entries; an all-zero row is formatted once.
+        The JSON goes to the hash one root at a time, written from the
+        stored entries: each distinct nonzero row once, as its values
+        after cached runs of "0,", and every other row as the zero row.
         """
-
-        def dump(obj) -> str:
-            return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
         n = self.dim
-        zero_row = dump([0] * n)
+        lead = [b"0," * k for k in range(n)]
+        zero_row = b"[" + lead[n - 1] + b"0]"
+        written: Dict[Tuple[Tuple[int, int], ...], bytes] = {}
         digest = hashlib.sha256()
-        head = dump({"cartan_type": self.rs.cartan_type, "kind": self.kind})
+        head = json.dumps({"cartan_type": self.rs.cartan_type, "kind": self.kind},
+                          sort_keys=True, separators=(",", ":"))
         digest.update((head[:-1] + ',"matrices":[').encode())
         for k, r in enumerate(self.rs.roots):
-            rows: Dict[int, List[int]] = {}
+            rows: Dict[int, Tuple[Tuple[int, int], ...]] = {}
             for i, j, v in self._entries[r]:
-                rows.setdefault(i, [0] * n)[j] = v
-            body = ",".join(dump(rows[i]) if i in rows else zero_row for i in range(n))
-            digest.update(f"{',' if k else ''}[{dump(list(r))},[{body}]]".encode())
+                rows[i] = rows.get(i, ()) + ((j, v),)
+            body = [zero_row] * n
+            for i, cells in rows.items():
+                if cells not in written:
+                    last, values = -1, []
+                    for j, v in sorted(cells):
+                        values.append(lead[j - last - 1] + str(v).encode())
+                        last = j
+                    written[cells] = b"[" + b",".join(values) + b",0" * (n - 1 - last) + b"]"
+                body[i] = written[cells]
+            digest.update(f"{',' if k else ''}[[{','.join(map(str, r))}],[".encode())
+            digest.update(b",".join(body))
+            digest.update(b"]]")
         digest.update(b"]}")
         return digest.hexdigest()[:16]
 

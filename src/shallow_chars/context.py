@@ -39,7 +39,8 @@ class Context:
         self.scaled_point: Tuple[int, Tuple[int, ...]] = (n, x)  # as `scale_point`
         self.roots = tuple(alpha for _, alpha in census)
         self.index = {r: k for k, r in enumerate(self.roots)}
-        self.depths: Tuple[Fraction, ...] = tuple(Fraction(r, n) for r, _ in census)
+        self._scaled_depths = tuple(r for r, _ in census)  # n * depth, integers
+        self.depths: Tuple[Fraction, ...] = tuple(Fraction(r, n) for r in self._scaled_depths)
         self._cayley = None
 
     @property
@@ -68,14 +69,15 @@ class Context:
         reduced root system, so it is skipped without an expansion; that
         covers the parallel pairs too.
         """
-        p, is_root = self.field.p, self.rs.is_root
+        p, root_set = self.field.p, self.rs.root_set
+        n, depths = self.scaled_point[0], self._scaled_depths
         table: Dict[Tuple[int, int], Tuple[Factor, ...]] = {}
         for early, alpha in enumerate(self.roots):
             for late in range(early + 1, len(self.roots)):
-                if self.depths[early] + self.depths[late] >= 1:
+                if depths[early] + depths[late] >= n:
                     break
                 beta = self.roots[late]
-                if not is_root(add(alpha.gradient, beta.gradient)):
+                if add(alpha.gradient, beta.gradient) not in root_set:
                     continue
                 factors = []
                 for target, term in commutator_expansion(self.pinning, alpha, beta):

@@ -17,6 +17,7 @@ Conventions (Bourbaki numbering throughout):
 from __future__ import annotations
 
 import json
+import operator
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -226,24 +227,19 @@ class RootSystem:
         """All (i, j) with i, j > 0 and i*a + j*b a root, ordered by (i+j, i).
 
         Requires a + b != 0; the bound i, j <= 3 is exact for reduced
-        systems (G2 realizes (3, 1) and (3, 2)).  The string is empty
-        unless a + b is a root.
+        systems (G2 realizes (3, 1) and (3, 2)), and 2(a+b), 3(a+b) are
+        never roots.  The string is empty unless a + b is a root.
         """
         total = tuple(x + y for x, y in zip(a, b))
         if not any(total):
             raise ValueError("root string undefined for b == -a")
         if total not in self.root_set:
             return []
-        out = []
-        for s in range(2, 7):
-            for i in range(1, s):
-                j = s - i
-                if i > 3 or j > 3:
-                    continue
-                v = tuple(i * x + j * y for x, y in zip(a, b))
-                if v in self.root_set:
-                    out.append((i, j))
-        return out
+        return [(1, 1)] + [
+            (i, j)
+            for i, j in ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
+            if tuple(i * x + j * y for x, y in zip(a, b)) in self.root_set
+        ]
 
     # ------------------------------------------------------------------
     # serialization
@@ -290,11 +286,11 @@ def build_root_system(cartan_type: str, rank: Optional[int] = None) -> RootSyste
 
 
 def negate(a: Root) -> Root:
-    return tuple(-x for x in a)
+    return tuple(map(operator.neg, a))
 
 
 def add(a: Root, b: Root) -> Root:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def dumps(rs: RootSystem) -> str:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from constants_oracle import ReferenceConstants, reference_pinning_hash
 from peeling_oracle import bracket_constant, lift, lift_sign, peel
 from shallow_chars.root_system import add, build_root_system, negate
 from shallow_chars.affine_roots import (
@@ -14,6 +15,7 @@ from shallow_chars.chevalley import (
     CommutatorTerm,
     Pinning,
     commutator_expansion,
+    extraspecial_pairs,
     shallow_commutator_expansion,
 )
 from shallow_chars.cli import _sp4_fixture
@@ -133,17 +135,35 @@ def test_reflection_sign_square_is_coroot_pairing(cartan_type, kind):
             )
 
 
+def _reference(pin, signs=None):
+    """The Fraction recursion, seeded as the pinning is.
+
+    An adjoint pinning takes its signs as given; a matrix pinning's seeds
+    are read off its dense brackets, not from the table under test.
+    """
+    rs = pin.rs
+    if pin.kind == "matrix":
+        signs = {
+            c: 1 if bracket_constant(pin, r, s) > 0 else -1
+            for c, (r, s) in extraspecial_pairs(rs).items()
+        }
+    return ReferenceConstants(rs, signs)
+
+
 @pytest.mark.parametrize(
     "cartan_type,kind",
     [("C2", "matrix"), ("C2", "adjoint"), ("G2", "adjoint"), ("B3", "adjoint")],
 )
 def test_constant_magnitudes(cartan_type, kind):
+    """|N(a, b)| = p+1 (Carter, ch. 4), which the table builds on, holds
+    for the constants of the Fraction recursion, seeded only at the
+    extraspecial pairs."""
     rs = build_root_system(cartan_type)
-    pin = Pinning(rs, kind=kind)
+    ref = _reference(Pinning(rs, kind=kind))
     for a in rs.roots:
         for b in rs.roots:
             if not rs.is_root(add(a, b)):
-                assert pin.structure_constant(a, b) == 0
+                assert ref.N(a, b) == 0
                 continue
             p = 0
             v = b
@@ -152,7 +172,54 @@ def test_constant_magnitudes(cartan_type, kind):
                 if not rs.is_root(v):
                     break
                 p += 1
-            assert abs(pin.structure_constant(a, b)) == p + 1
+            assert abs(ref.N(a, b)) == p + 1
+
+
+B3_FLIP = {(1, 1, 1): -1}
+E6_FLIP = {(1, 1, 1, 1, 1, 1): -1}
+G2_FLIP = {(1, 1): -1, (3, 1): -1}
+
+# every type of SMALL_TYPES (test_properties), D4, B4, C4, F4 and E6-E8,
+# in each shipped pinning kind, and adjoint pinnings with flipped signs
+REFERENCE_CASES = (
+    [
+        pytest.param(t, kind, None, id=f"{t}-{kind}")
+        for t in ("A1", "A2", "A3", "C2", "C3", "C4")
+        for kind in ("matrix", "adjoint")
+    ]
+    + [
+        pytest.param(t, "adjoint", None, id=f"{t}-adjoint")
+        for t in ("B2", "B3", "B4", "G2", "D4", "F4", "E6", "E7", "E8")
+    ]
+    + [
+        pytest.param("G2", "adjoint", G2_FLIP, id="G2-adjoint-flipped"),
+        pytest.param("B3", "adjoint", B3_FLIP, id="B3-adjoint-flipped"),
+        pytest.param("E6", "adjoint", E6_FLIP, id="E6-adjoint-flipped"),
+    ]
+)
+
+
+@pytest.mark.parametrize("cartan_type,kind,signs", REFERENCE_CASES)
+def test_constants_match_reference(cartan_type, kind, signs):
+    """The integer table, sign * (p+1), against the Fraction recursion on
+    every pair of roots."""
+    rs = build_root_system(cartan_type)
+    pin = Pinning(rs, kind=kind, extraspecial_signs=signs)
+    ref = _reference(pin, signs)
+    mismatches = [
+        (a, b)
+        for a in rs.roots
+        for b in rs.roots
+        if pin.structure_constant(a, b) != ref.N(a, b)
+    ]
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("cartan_type,kind,signs", REFERENCE_CASES)
+def test_pinning_hash_matches_reference(cartan_type, kind, signs):
+    """The sparse row writer against one `json.dumps` per dense row."""
+    pin = Pinning(build_root_system(cartan_type), kind=kind, extraspecial_signs=signs)
+    assert pin.pinning_hash() == reference_pinning_hash(pin)
 
 
 def test_matrix_and_adjoint_agree_up_to_sign():
@@ -189,7 +256,7 @@ def test_g2_expansions():
         ("C3", "matrix", None),
         ("C2", "adjoint", None),
         ("G2", "adjoint", None),
-        pytest.param("G2", "adjoint", {(1, 1): -1, (3, 1): -1}, id="G2-adjoint-flipped"),
+        pytest.param("G2", "adjoint", G2_FLIP, id="G2-adjoint-flipped"),
     ],
 )
 def test_formula_matches_peeling(cartan_type, kind, signs):
@@ -254,7 +321,7 @@ def test_bracket_matches_structure_constant_sampled(cartan_type):
         ("G2", "adjoint", None),
         ("B3", "adjoint", None),
         ("D4", "adjoint", None),
-        pytest.param("G2", "adjoint", {(1, 1): -1, (3, 1): -1}, id="G2-adjoint-flipped"),
+        pytest.param("G2", "adjoint", G2_FLIP, id="G2-adjoint-flipped"),
         pytest.param(
             "B3",
             "adjoint",
@@ -331,6 +398,27 @@ def test_pinning_arguments_validated():
     c2 = build_root_system("C2")
     with pytest.raises(ValueError):
         Pinning(c2, kind="matrix", extraspecial_signs={(1, 1): -1})
+    # extraspecial signs are +-1 on positive non-simple roots: a value 2
+    # or 0, a simple root and a non-root are refused
+    b2 = build_root_system("B2")
+    for signs in ({(1, 1): 2}, {(1, 1): 0}, {(1, 0): -1}, {(2, 2): -1}):
+        with pytest.raises(ValueError, match="extraspecial signs"):
+            Pinning(b2, extraspecial_signs=signs)
+    assert Pinning(b2, extraspecial_signs={(1, 1): -1, (1, 2): 1}).structure_constant(
+        (1, 0), (0, 1)
+    ) == -Pinning(b2).structure_constant((1, 0), (0, 1))
     assert Pinning(c2).kind == "matrix"
     assert Pinning(build_root_system("A2")).kind == "matrix"
     assert Pinning(build_root_system("B3")).kind == "adjoint"
+
+
+@pytest.mark.parametrize("kind", ["matrix", "adjoint"])
+def test_structure_constant_off_roots(kind):
+    """N(a, b) is 0 unless a, b and a+b are all roots; a non-root
+    argument gives 0, not an error, also where a+b is a root."""
+    pin = Pinning(build_root_system("C2"), kind=kind)
+    assert pin.structure_constant((1, 0), (0, 1)) != 0
+    assert pin.structure_constant((1, 0), (1, 0)) == 0  # a+b not a root
+    for a, b in [((2, 0), (0, 1)), ((0, 0), (1, 0)), ((1, -1), (1, 2)), ((5, 5), (1, 0))]:
+        assert pin.structure_constant(a, b) == 0
+        assert pin.structure_constant(b, a) == 0

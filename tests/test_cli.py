@@ -353,6 +353,12 @@ PINNED_OUTPUTS = [
      "1548975decb5482af90e4bbb6e22ab0a878b7481a06ad8cc551dd80426c35612"),
     # 53,760 relation rows over 960 columns, 84,000 nonzeros in all
     (E8_Q16, 0, E8_Q16_DIGEST),
+    # exceptional adjoint pinnings, whose hash is in the JSON and whose
+    # constants shape the basis: E7 at the barycenter, F4 at the facet {0, 4}
+    (["solve", "--type", "E7", "--q", "2"], 0,
+     "675dff6ea25352df71b8a16af42830adbb40feba657c67243a219fc4b93df9bf"),
+    (["solve", "--type", "F4", "--q", "3", "--facet", "0,4"], 0,
+     "4e7eea7f7b845cf081607812574646476ca6419e318d2c2a30690872defa808b"),
     (["classify", "--type", "C2", "--params", EXAMPLE], 0,
      "9597c7f39c0c88e511b9fe554cea0b146a43f3392d14c9aac7d34d98b01e4081"),
     (["check-star", "--type", "C2", "--params", EXAMPLE], 1,
