@@ -112,30 +112,22 @@ def _emit(args, payload: Dict, human: str) -> None:
 # subcommands
 
 def cmd_shallow(args, ctx: Context) -> int:
-    rows = []
-    data = []
-    for pos, (root, d) in enumerate(zip(ctx.roots, ctx.depths)):
-        indec = is_indecomposable(ctx.rs, root, ctx.facet)
-        rows.append(
-            [
-                str(pos),
-                _affine_label(ctx, root),
-                str(root),
-                str(d),
-                str(n_J(ctx.rs, root, ctx.facet)),
-                "yes" if indec else "no",
-            ]
-        )
-        data.append(
-            {
-                "position": pos,
-                "label": _affine_label(ctx, root),
-                "root": root.to_json(),
-                "depth": str(d),
-                "n_J": n_J(ctx.rs, root, ctx.facet),
-                "indecomposable": indec,
-            }
-        )
+    data = [
+        {
+            "position": pos,
+            "label": _affine_label(ctx, root),
+            "root": root.to_json(),
+            "depth": str(d),
+            "n_J": n_J(ctx.rs, root, ctx.facet),
+            "indecomposable": is_indecomposable(ctx.rs, root, ctx.facet),
+        }
+        for pos, (root, d) in enumerate(zip(ctx.roots, ctx.depths))
+    ]
+    rows = [
+        [str(r["position"]), r["label"], str(root), r["depth"], str(r["n_J"]),
+         "yes" if r["indecomposable"] else "no"]
+        for r, root in zip(data, ctx.roots)
+    ]
     human = _table(
         ["#", "label", "root", "depth", "n_J", "indecomposable"], rows
     )

@@ -18,7 +18,7 @@ an exhaustive O(q^2) loop and the interesting cases are q = 2 and 3.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 Element = int  # encoded field element, 0 <= value < q
 
@@ -169,14 +169,6 @@ class FiniteField:
 
     def coeffs(self, a: Element) -> Tuple[int, ...]:
         return tuple(_to_coeffs(a, self.p, self.m))
-
-    def to_json(self) -> Dict:
-        return {
-            "q": self.q,
-            "p": self.p,
-            "m": self.m,
-            "modulus_coeffs": list(self.modulus_coeffs),
-        }
 
     def __repr__(self) -> str:
         return f"FiniteField({self.q})"

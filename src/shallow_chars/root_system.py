@@ -16,10 +16,9 @@ Conventions (Bourbaki numbering throughout):
 
 from __future__ import annotations
 
-import json
 import operator
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 Root = Tuple[int, ...]
 
@@ -241,19 +240,6 @@ class RootSystem:
             if tuple(i * x + j * y for x, y in zip(a, b)) in self.root_set
         ]
 
-    # ------------------------------------------------------------------
-    # serialization
-
-    def to_json(self) -> Dict:
-        return {
-            "type": self.letter,
-            "rank": self.rank,
-            "simple_roots": [list(r) for r in self.simple_roots],
-            "roots": [list(r) for r in self.roots],
-            "marks": list(self.marks),
-            "coxeter_number": self.coxeter_number,
-        }
-
     def __repr__(self) -> str:
         return f"RootSystem({self.cartan_type})"
 
@@ -291,7 +277,3 @@ def negate(a: Root) -> Root:
 
 def add(a: Root, b: Root) -> Root:
     return tuple(map(operator.add, a, b))
-
-
-def dumps(rs: RootSystem) -> str:
-    return json.dumps(rs.to_json(), sort_keys=True, separators=(",", ":"))

@@ -11,9 +11,11 @@ simple reflections.
 One lazy ShortLex walk enumerates the finite Weyl group, finite
 parabolics and the affine ball alike, building each child from its
 parent by the rows and columns one reflection changes.  The
-intertwining scan tests each step of the walk in place, from its root
-map columns and translation, stops each test at its first mismatch, and
-builds an element only for its witness and its stabilizer.
+intertwining scan and reduction share one rule, c_{w beta} = eta c_beta,
+written once as a generator of mismatching roots.  The scan tests each
+step of the walk in place, stops at its first mismatch, and builds an
+element only for its witness and its stabilizer; the reduction reports
+the least mismatch of one element.
 
 The condition-star search is exact whenever its witness polytope is
 bounded.  One chain of Fourier-Motzkin eliminations in integers per
@@ -25,7 +27,7 @@ as unbounded; unless a ray of the polytope confirms that reading, the
 chain is rebuilt unpruned.  A bounded polytope is scanned
 first: its lattice points in lambda + Q^vee / n, which hold its whole
 orbit, are listed from the chain and each is folded into the closed
-fundamental alcove.  If none but lambda folds to lambda's fold, the
+fundamental alcove.  If none but lambda folds to lambda itself, the
 verdict is "holds" with no walk.  Otherwise the finite Weyl group is
 walked, and the same chain lists the points w(lambda) + k of the
 polytope at each orbit point, all of them in the bounded case.  An
@@ -656,16 +658,16 @@ def _scan_holds(rs: RootSystem, n: int, point: Tuple[int, ...],
 
     Every orbit point lies in lambda + Q^vee / n, so the scan runs over
     the chain's points n * mu = point + sum x_j a_j^vee.  Each one other
-    than lambda is folded and compared with lambda's fold.  False when one
+    than lambda is folded and compared with lambda.  False when one
     matches, or when the scan would visit more than limit points,
     counting the partial x's; the caller then walks.
     """
-    target = _fold(rs, n, point)
     for x in _chain_points(chain, point, limit=limit):
         if x is None:
             return False
         mu = tuple(map(add, point, _translation_pairing(rs, x)))
-        if mu != point and _fold(rs, n, mu) == target:
+        # `Context` refuses a point outside the closed alcove, so lambda is its own fold
+        if mu != point and _fold(rs, n, mu) == point:
             return False
     return True
 
@@ -680,7 +682,7 @@ def condition_star(chi: ShallowCharacter, radius: int = 4) -> StarVerdict:
     bounded polytope as unbounded, so that reading stands only once a ray
     of the polytope is found; otherwise the chain is rebuilt unpruned.
     If it is bounded, its lattice points are scanned first: when none but
-    lambda folds to lambda's point of the alcove, the verdict is "holds"
+    lambda folds to lambda, which lies in the alcove, the verdict is "holds"
     without a walk.  Otherwise, or when the scan would visit more than
     min(|W|, _FINITE_WALK_LIMIT) points, the chain lists the points of
     the polytope at each finite orbit point in turn and the verdict is
@@ -770,60 +772,20 @@ class ReductionVerdict(NamedTuple):
         return self.compatible
 
 
-def intertwining_reduction(chi: ShallowCharacter, w: AffineWeylElement) -> ReductionVerdict:
-    """Compare chi with its w-conjugate on the roots where both live.
+def _mismatches(chi: ShallowCharacter):
+    """The rule c_{w beta} = eta c_beta, as the roots beta where it fails.
 
-    For each affine root beta with beta(lambda) > 0 and (w beta)(lambda) > 0,
-    the parameters must satisfy c_{w beta} = eta c_beta, where eta is the
-    conjugation sign and parameters of non-shallow roots are zero.  The
-    first violating beta (sorted by gradient then level) is reported.
-    Values at lambda are compared in integers, at lambda scaled by n.
-    This ranked report is kept for the tests and the benchmark tracer;
-    `intertwining_scan` makes the same test in place, stopped at its
-    first mismatch, and reads no violated root.
-    """
-    ctx = chi.context
-    f = ctx.field
-    n, point = ctx.scaled_point
-    root_map, root_map_inv, pairing = w.root_map, w.root_map_inv, w.pairing
-    # beta -> w beta for every beta that w moves off or onto chi's support;
-    # for any other beta both parameters are zero and nothing can fail.
-    # Shallow roots are positive at lambda, so only the other side is tested.
-    images: Dict[AffineRoot, AffineRoot] = {}
-    for alpha, c in zip(ctx.roots, chi.vector):
-        if c:
-            gradient, level = alpha
-            a = _apply(root_map, gradient)
-            up = level - _dot(a, pairing)
-            if _dot(a, point) + n * up > 0:
-                images[alpha] = AffineRoot(a, up)
-            b = _apply(root_map_inv, gradient)
-            down = level + _dot(gradient, pairing)
-            if _dot(b, point) + n * down > 0:
-                images[AffineRoot(b, down)] = alpha
-
-    def param(alpha: AffineRoot) -> int:
-        pos = ctx.index.get(alpha)
-        return chi.vector[pos] if pos is not None else 0
-
-    for beta in sorted(images):
-        image = images[beta]
-        eta = w.sign(ctx.pinning, beta)
-        if param(image) != f.mul(f.from_int(eta), param(beta)):
-            return ReductionVerdict(False, beta)
-    return ReductionVerdict(True, None)
-
-
-def _compatibility_test(chi: ShallowCharacter):
-    """The test of `intertwining_reduction`, on one step of the walk.
-
-    Returns test(word, images, inverse_columns, pairing) -> bool, with
-    images[i] = w(a_i) and inverse_columns[i] = w^-1(a_i), so that w(g)
-    and w^-1(g) are the same sums of them for a gradient g.  Each root of
-    chi's support is tested at its image, then at its preimage, and the
-    test stops at its first mismatch.  A root off the support has
-    parameter zero, so a positive image or preimage off the support is a
-    mismatch with no sign to look up.
+    Returns mismatches(word, images, inverse_columns, pairing), a
+    generator, with images[i] = w(a_i) and inverse_columns[i] = w^-1(a_i),
+    so that w(g) and w^-1(g) are the same sums of them for a gradient g.
+    The rule binds each beta with beta(lambda) > 0 and (w beta)(lambda) > 0;
+    eta is the sign of w's word at beta, and non-shallow roots have
+    parameter zero.  Only a beta that w moves off or onto chi's support can
+    fail, so each support root is tested at its image, then its preimage,
+    for positivity on the other side only (shallow roots are positive at
+    lambda); a positive image or preimage off the support is a mismatch
+    with no sign to look up.  Values at lambda are compared in integers,
+    at lambda scaled by n.
     """
     ctx = chi.context
     neg = ctx.field.neg
@@ -834,23 +796,34 @@ def _compatibility_test(chi: ShallowCharacter):
                 _combination([(i, x) for i, x in enumerate(gradient) if x]))
                for (gradient, level), c in values.items()]
 
-    def test(word, images, inverse_columns, pairing) -> bool:
+    def mismatches(word, images, inverse_columns, pairing) -> Iterator[AffineRoot]:
         for gradient, level, c, minus_c, combine in support:
             a = combine(images)
             up = level - _dot(a, pairing)
             if _dot(a, point) + n * up > 0:
                 image = values.get((a, up))
                 if image != (c if _word_sign(tables, word, gradient) > 0 else minus_c):
-                    return False
+                    yield AffineRoot(gradient, level)
             b = combine(inverse_columns)
             down = level + _dot(gradient, pairing)
             if _dot(b, point) + n * down > 0:
                 beta = values.get((b, down))
                 if beta is None or c != (beta if _word_sign(tables, word, b) > 0 else neg(beta)):
-                    return False
-        return True
+                    yield AffineRoot(b, down)
 
-    return test
+    return mismatches
+
+
+def intertwining_reduction(chi: ShallowCharacter, w: AffineWeylElement) -> ReductionVerdict:
+    """Compare chi with its w-conjugate on the roots where both live.
+
+    The rule is `_mismatches`, the one `intertwining_scan` applies to each
+    step of its walk, here on w's own root maps, translation and word; the
+    least violated root, by gradient then level, is reported.
+    """
+    images, inverse_columns = tuple(zip(*w.root_map)), tuple(zip(*w.root_map_inv))
+    violated = min(_mismatches(chi)(w.word, images, inverse_columns, w.pairing), default=None)
+    return ReductionVerdict(violated is None, violated)
 
 
 class ScanResult(NamedTuple):
@@ -875,8 +848,8 @@ def intertwining_scan(chi: ShallowCharacter, radius: int = 8) -> ScanResult:
     of the answer).  Elements fixing lambda and chi form the reported
     stabilizer shadow.  A ball over the walk limit is refused before the
     walk starts.  Each step of the walk is tested where it stands, by
-    `_compatibility_test`, and an element is built only for the witness
-    or a member of the stabilizer.
+    `_mismatches` up to its first mismatch, and an element is built only
+    for the witness or a member of the stabilizer.
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
@@ -886,7 +859,7 @@ def intertwining_scan(chi: ShallowCharacter, radius: int = 8) -> ScanResult:
     rs = ctx.rs
     _refuse_large_ball(rs, radius)
     n, point = ctx.scaled_point
-    compatible = _compatibility_test(chi)
+    mismatches = _mismatches(chi)
     stabilizer = []
     moved = 0
     for step in _shortlex_walk(rs, range(rs.rank + 1), radius):
@@ -898,7 +871,7 @@ def intertwining_scan(chi: ShallowCharacter, radius: int = 8) -> ScanResult:
                     for column, t, x in zip(columns, pairing, point))
         if not fixes:
             moved += 1
-        if not compatible(word, images, columns, pairing):
+        if next(mismatches(word, images, columns, pairing), None) is not None:
             continue
         w = _element(rs, *step)
         if not fixes:

@@ -722,13 +722,29 @@ def _reduction_characters(cartan_type, facet):
     return [_chi(ctx, vec) for vec in vectors]
 
 
+def _translated(rs):
+    """Elements t_k w, k a small coroot and w a word through letter 0.
+
+    `_ball` yields none of these: each has a nonzero `word_translation`
+    and a word that omits its translation.
+    """
+    l = rs.rank
+    shifts = [tuple(s * (i == j) for j in range(l)) for i in range(l) for s in (1, -1, 2)]
+    shifts.append(tuple((-1) ** j for j in range(l)))
+    words = [(0,), (0, 1), (1, 0), (l, 0, 1), (0, l, 0)]
+    return [AffineWeylElement.translation_by(rs, k).compose(AffineWeylElement.from_word(rs, word))
+            for k in shifts for word in words]
+
+
 @pytest.mark.parametrize("cartan_type, facet, radius", REDUCTION_CASES, ids=REDUCTION_IDS)
 def test_intertwining_reduction_matches_reference(cartan_type, facet, radius):
-    # every element of the ball
+    # every element of the ball, and translated elements the walk never
+    # builds, so the shared rule is checked off the walk's steps too
     characters = _reduction_characters(cartan_type, facet)
-    ball = _ball(build_root_system(cartan_type), radius)
+    rs = build_root_system(cartan_type)
+    elements = _ball(rs, radius) + _translated(rs)
     for chi in characters:
-        for w in ball:
+        for w in elements:
             assert intertwining_reduction(chi, w) == reference_reduction(chi, w), (chi.vector, w)
 
 
