@@ -66,10 +66,6 @@ class ShallowCharacter:
         chi._bind(context, tuple(vector))
         return chi
 
-    @property
-    def params(self) -> Dict[AffineRoot, int]:
-        return dict(zip(self.context.roots, self.vector))
-
     def is_trivial(self) -> bool:
         return not any(self.vector)
 

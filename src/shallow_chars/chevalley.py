@@ -6,9 +6,9 @@ Types A and C use the defining representations (elementary matrices;
 antidiagonal symplectic form, matching u_r(x) = 1 + x M_r since every
 M_r squares to zero); all other types use the adjoint representation
 of a Chevalley basis.  Each M_r is stored as its (row, col, value)
-entries; the adjoint entries are built only when a matrix or the
-pinning hash is asked for, and the hash writes each distinct nonzero row
-of the dense JSON once, from its entries, between cached runs of zeros.
+entries; the adjoint entries are built only when the pinning hash is
+asked for, and the hash writes each distinct nonzero row of the dense
+JSON once, from its entries, between cached runs of zeros.
 
 Every pinning reads its structure constants N(a, b), defined by
 [M_a, M_b] = N(a, b) M_{a+b}, from one `StructureConstants`, in
@@ -56,10 +56,9 @@ from functools import cached_property
 from math import factorial
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from .affine_roots import AffineRoot, Point, affine_combination, is_shallow, simple_affine_roots
+from .affine_roots import AffineRoot, affine_combination, simple_affine_roots
 from .root_system import Root, RootSystem, _parallel, add, negate
 
-Matrix = Tuple[Tuple[int, ...], ...]
 Entries = Tuple[Tuple[int, int, int], ...]  # (row, col, value), 0-based
 
 
@@ -306,17 +305,10 @@ class Pinning:
     def _entries(self) -> Dict[Root, Entries]:
         """The adjoint matrices, built on first use.
 
-        Only `matrix` and `pinning_hash` read them; the matrix kind sets
-        its own at construction, as it reads its signs from them.
+        Only `pinning_hash` reads them; the matrix kind sets its own at
+        construction, as it reads its signs from them.
         """
         return _adjoint_entries(self.rs, self.constants)
-
-    def matrix(self, r: Root) -> Matrix:
-        """M_r as a dense matrix, built from its stored entries."""
-        rows = [[0] * self.dim for _ in range(self.dim)]
-        for i, j, v in self._entries[r]:
-            rows[i][j] = v
-        return tuple(tuple(row) for row in rows)
 
     def structure_constant(self, a: Root, b: Root) -> int:
         """N(a, b) with [M_a, M_b] = N(a, b) M_{a+b}; 0 unless a, b, a+b are roots."""
@@ -441,21 +433,6 @@ class Pinning:
         digest.update(b"]}")
         return digest.hexdigest()[:16]
 
-    def constants_table(self) -> Dict:
-        pairs = []
-        for a in self.rs.roots:
-            for b in self.rs.roots:
-                if self.rs.is_root(add(a, b)):
-                    pairs.append(
-                        {"a": list(a), "b": list(b), "n": self.structure_constant(a, b)}
-                    )
-        return {
-            "cartan_type": self.rs.cartan_type,
-            "kind": self.kind,
-            "pinning_hash": self.pinning_hash(),
-            "constants": pairs,
-        }
-
     def __repr__(self) -> str:
         return f"Pinning({self.rs.cartan_type}, {self.kind})"
 
@@ -479,19 +456,3 @@ def commutator_expansion(
         for _, i, j, C in terms
     )
 
-
-def shallow_commutator_expansion(
-    pinning: Pinning, alpha: AffineRoot, beta: AffineRoot, point: Point
-) -> Tuple[Tuple[AffineRoot, CommutatorTerm], ...]:
-    """commutator_expansion filtered to targets that stay shallow at the point.
-
-    Dropped targets have depth >= 1 there, hence die in the quotient the
-    characters live on.
-    """
-    if not (is_shallow(alpha, point) and is_shallow(beta, point)):
-        raise ValueError("both arguments must be shallow at the point")
-    return tuple(
-        (target, term)
-        for target, term in commutator_expansion(pinning, alpha, beta)
-        if is_shallow(target, point)
-    )

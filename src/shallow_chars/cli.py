@@ -27,7 +27,6 @@ from .affine_roots import (
     n_J,
     is_indecomposable,
     parse_point,
-    point_to_json,
 )
 from .chevalley import Pinning, commutator_expansion
 from .characters import (
@@ -40,7 +39,7 @@ from .characters import (
 from .context import Context
 from .group_model import verify_homomorphism
 from .root_system import build_root_system
-from .weyl import act_on_point, condition_star, intertwining_scan, support
+from .weyl import condition_star, intertwining_scan, support
 
 EX_USAGE = 64
 
@@ -350,7 +349,7 @@ def cmd_reproduce_sp4(args) -> int:
             divergences.append("condition (*) witness is not the simple reflection s1")
 
         if star.witness is not None:
-            mu = act_on_point(star.witness, ctx.point)
+            mu = star.witness.act_on_point(ctx.point)
             deep = support(ctx, mu, Fraction(3, 4) + Fraction(1, 1000))
             report["support_above_depth"] = sorted(_affine_label(ctx, r) for r in deep)
             if not deep <= {AffineRoot((-1, 0), 1)}:

@@ -134,9 +134,6 @@ class FiniteField:
     def neg(self, a: Element) -> Element:
         return self._neg_table[a]
 
-    def sub(self, a: Element, b: Element) -> Element:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: Element, b: Element) -> Element:
         return self._mul_table[a][b]
 
@@ -191,11 +188,6 @@ def _poly_mod(a: Sequence[int], f: Sequence[int], p: int) -> List[int]:
 
 # ----------------------------------------------------------------------
 # additive characters
-
-def char_eval(field: FiniteField, c: Element, x: Element) -> int:
-    """Exponent e in Z/p with chi_c(x) = exp(2 pi i e / p)."""
-    return field.trace(field.mul(c, x))
-
 
 def char_product_trivial(
     field: FiniteField,

@@ -97,10 +97,6 @@ class CosetWord(NamedTuple):
         return tuple((p, v) for p, v in enumerate(self.entries) if v)
 
 
-def identity_word(ctx: Context) -> CosetWord:
-    return CosetWord((0,) * ctx.n_roots)
-
-
 def generator_word(ctx: Context, position: int, value: int) -> CosetWord:
     entries = [0] * ctx.n_roots
     entries[position] = value
@@ -140,22 +136,20 @@ def _commutator(ctx: Context, early: int, x: int, late: int, y: int) -> List[Tok
 _STEP_LIMIT = 10**8
 
 
-def _collect(
-    ctx: Context, tokens: Iterable[Token], start: Optional[Sequence[int]] = None
-) -> List[int]:
+def _collect(ctx: Context, tokens: Iterable[Token], start: Sequence[int]) -> List[int]:
     """Collection from the left: the entries of start * tokens in normal form.
 
-    start is a normal form given by its entries, the whole identity by
-    default.  The tokens are multiplied on one at a time from a stack.
-    u_p(v) commutes past the entries above p at the cost of their
-    commutator factors, so those entries are taken off, v is added at p,
-    and each taken u_t(x) goes back on the stack followed by the factors
-    of [u_t(x), u_p(v)].  The product is taken modulo the normal subgroup
-    U_cut, cut = len(start): a token at p >= cut, given or a commutator
-    factor, is dropped, as x * n * y = x * y * (y^-1 n y) for n in U_cut.
+    start is a normal form given by its entries.  The tokens are
+    multiplied on one at a time from a stack.  u_p(v) commutes past the
+    entries above p at the cost of their commutator factors, so those
+    entries are taken off, v is added at p, and each taken u_t(x) goes
+    back on the stack followed by the factors of [u_t(x), u_p(v)].  The
+    product is taken modulo the normal subgroup U_cut, cut = len(start):
+    a token at p >= cut, given or a commutator factor, is dropped, as
+    x * n * y = x * y * (y^-1 n y) for n in U_cut.
     """
     f = ctx.field
-    entries = [0] * ctx.n_roots if start is None else list(start)
+    entries = list(start)
     cut = len(entries)
     top = cut - 1  # the highest nonzero entry, -1 for the identity
     while top >= 0 and not entries[top]:
@@ -186,10 +180,6 @@ def _collect(
         while top >= 0 and not entries[top]:
             top -= 1
     return entries
-
-
-def from_tokens(ctx: Context, tokens: Iterable[Token]) -> CosetWord:
-    return CosetWord(tuple(_collect(ctx, tokens)))
 
 
 def multiply(ctx: Context, w1: CosetWord, w2: CosetWord) -> CosetWord:

@@ -173,14 +173,8 @@ class RootSystem:
         assert all(c * w % d == 0 for c, w in zip(a, self.lengths))
         return tuple(c * w // d for c, w in zip(a, self.lengths))
 
-    def is_long(self, a: Root) -> bool:
-        return self.length_sq(a) == max(self.length_sq(s) for s in self.simple_roots)
-
     def is_root(self, v: Sequence[int]) -> bool:
         return tuple(v) in self.root_set
-
-    def height(self, a: Root) -> int:
-        return sum(a)
 
     # ------------------------------------------------------------------
     # reflections

@@ -54,9 +54,10 @@ from .affine_roots import (
     simple_affine_roots,
 )
 from .characters import ShallowCharacter, char_depth, validate
-from .chevalley import Matrix
 from .context import Context
 from .root_system import RootSystem, Root
+
+Matrix = Tuple[Tuple[int, ...], ...]
 
 
 def _identity(n: int) -> Matrix:
@@ -218,26 +219,11 @@ class AffineWeylElement:
         n, scaled = scale_point(tuple(Fraction(x) for x in mu))
         return tuple(Fraction(x, n) for x in _move_point(self, n, scaled))
 
-    def sign(self, pinning, alpha: AffineRoot) -> int:
-        """Sign of the conjugation u_alpha(x) -> u_{w alpha}(eta x).
-
-        Computed from this element's word, one letter at a time from the
-        right: the pinning's `letter_tables` give each letter's reflection
-        sign at the current gradient and the gradient it moves to.  The
-        translation part acts by +1.  The value depends on the chosen word
-        and lift convention, not just on the group element.
-        """
-        return _word_sign(pinning.letter_tables, self.word, alpha.gradient)
-
     def to_json(self) -> Dict:
         return {"word": list(self.word), "translation": list(self.word_translation)}
 
     def __repr__(self) -> str:
         return f"AffineWeylElement(word={self.word}, t={self.word_translation})"
-
-
-act_on_root = AffineWeylElement.act_on_root
-act_on_point = AffineWeylElement.act_on_point
 
 
 # ----------------------------------------------------------------------
@@ -608,22 +594,33 @@ def _chain_points(chain: Sequence[Sequence[ChainRow]], base: Tuple[int, ...], st
     Every x_j is a multiple of stride, and at most radius in size if a
     radius is given; without one the polytope must be bounded.  Once more
     than limit coordinates were visited, partial prefixes counted, None is
-    yielded and the points stop.
+    yielded and the points stop.  Each prefix keeps its range of next
+    values as an iterator, so a wide range costs no memory.
     """
     lo, hi = (-math.inf, math.inf) if radius is None else (-radius, radius)
-    stack: List[Tuple[int, ...]] = [()]
+    stack: List[Tuple[Tuple[int, ...], Iterator[int]]] = []
+    x: Tuple[int, ...] = ()
     visited = 1
-    while stack:
-        x = stack.pop()
+    while True:
         if len(x) == len(chain):
             yield x
-            continue
-        span = _solutions(chain[len(x)], x + base, lo, hi, stride)
-        visited += len(span)
-        if visited > limit:
-            yield None
+        else:
+            span = _solutions(chain[len(x)], x + base, lo, hi, stride)
+            visited += len(span)
+            if visited > limit:
+                yield None
+                return
+            stack.append((x, iter(span)))
+        # the next prefix in lexicographic order
+        while stack:
+            prefix, values = stack[-1]
+            v = next(values, None)
+            if v is not None:
+                x = prefix + (v,)
+                break
+            stack.pop()
+        else:
             return
-        stack.extend(x + (v,) for v in reversed(span))
 
 
 def _fold(rs: RootSystem, n: int, mu: Sequence[int]) -> Tuple[int, ...]:

@@ -1,7 +1,7 @@
 """The intertwining reduction over rationals, the reference for
 `weyl.intertwining_reduction`, and the conjugation sign by refolding, the
-reference for `AffineWeylElement.sign`, and the scan built from them, the
-reference for `weyl.intertwining_scan`.
+reference for `weyl._word_sign` on the pinning's letter tables, and the
+scan built from them, the reference for `weyl.intertwining_scan`.
 
 Every shallow root and every preimage of one under w is a candidate, in
 sorted order.  Depths are `Fraction`s at the context's point, images come

@@ -1,7 +1,7 @@
 """Dense-matrix oracles for the pinning's constants, for cross-checks.
 
 Everything here reads nothing but the pinning's root matrices, made
-dense, and multiplies them out:
+dense by `matrix` from the stored entries, and multiplies them out:
 
 * `peel(pinning, a, b)`: the product u_b(y)^-1 u_a(x)^-1 u_b(y) u_a(x)
   is computed as a matrix with polynomial entries in (x, y), stored as
@@ -36,6 +36,14 @@ from shallow_chars.weyl import _identity, _mat_mul
 
 # ----------------------------------------------------------------------
 # dense integer matrices
+
+def matrix(pinning, r):
+    """M_r as a dense matrix, built from the pinning's stored entries."""
+    rows = [[0] * pinning.dim for _ in range(pinning.dim)]
+    for i, j, v in pinning._entries[r]:
+        rows[i][j] = v
+    return tuple(tuple(row) for row in rows)
+
 
 def _mat_add(A, B):
     return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
@@ -120,7 +128,7 @@ def peel(pinning, a, b):
     rs = pinning.rs
     if rs.rank2_subsystem_type(a, b) == "collinear":
         raise ValueError("parallel gradients: commutator is trivial or torus-valued")
-    Ma, Mb = pinning.matrix(a), pinning.matrix(b)
+    Ma, Mb = matrix(pinning, a), matrix(pinning, b)
     P = _pm_mul(
         _pm_mul(_pm_exp(Mb, (0, 1), -1), _pm_exp(Ma, (1, 0), -1)),
         _pm_mul(_pm_exp(Mb, (0, 1), 1), _pm_exp(Ma, (1, 0), 1)),
@@ -131,12 +139,12 @@ def peel(pinning, a, b):
         K = P.get((i, j))
         if K is None:
             continue
-        ratio = _proportionality(K, pinning.matrix(target))
+        ratio = _proportionality(K, matrix(pinning, target))
         assert ratio.denominator == 1, "non-integer commutator constant"
         C = int(ratio)
         if C:
             terms.append((target, i, j, C))
-            P = _pm_mul(_pm_exp(pinning.matrix(target), (i, j), -C), P)
+            P = _pm_mul(_pm_exp(matrix(pinning, target), (i, j), -C), P)
     residue_is_identity = P == {(0, 0): _identity(pinning.dim)}
     assert residue_is_identity, "commutator residue is not the identity"
     return tuple(terms)
@@ -147,13 +155,13 @@ def peel(pinning, a, b):
 
 def bracket_constant(pinning, a, b):
     """N(a, b) with [M_a, M_b] = N(a, b) M_{a+b}, from dense products."""
-    Ma, Mb = pinning.matrix(a), pinning.matrix(b)
+    Ma, Mb = matrix(pinning, a), matrix(pinning, b)
     K = _mat_add(_mat_mul(Ma, Mb), _mat_scale(-1, _mat_mul(Mb, Ma)))
     c = add(a, b)
     if not pinning.rs.is_root(c):
         assert _parallel(a, b) or _mat_is_zero(K), "bracket off the root lattice"
         return 0
-    ratio = _proportionality(K, pinning.matrix(c))
+    ratio = _proportionality(K, matrix(pinning, c))
     assert ratio.denominator == 1
     return int(ratio)
 
@@ -161,7 +169,7 @@ def bracket_constant(pinning, a, b):
 @lru_cache(maxsize=64)
 def lift(pinning, r):
     """(W, W^-1) for W = w_r(1) = u_r(1) u_{-r}(-1) u_r(1)."""
-    Mr, Mn = pinning.matrix(r), pinning.matrix(tuple(-x for x in r))
+    Mr, Mn = matrix(pinning, r), matrix(pinning, tuple(-x for x in r))
     W = _mat_mul(
         _mat_mul(_exp_numeric(Mr, 1), _exp_numeric(Mn, -1)), _exp_numeric(Mr, 1)
     )
@@ -174,7 +182,7 @@ def lift(pinning, r):
 def lift_sign(pinning, r, s):
     """h with w_r(1) M_s w_r(1)^-1 = h M_{s_r(s)}, from dense conjugation."""
     W, Wi = lift(pinning, r)
-    T = _mat_mul(_mat_mul(W, pinning.matrix(s)), Wi)
-    ratio = _proportionality(T, pinning.matrix(pinning.rs.reflect(s, r)))
+    T = _mat_mul(_mat_mul(W, matrix(pinning, s)), Wi)
+    ratio = _proportionality(T, matrix(pinning, pinning.rs.reflect(s, r)))
     assert ratio in (1, -1)
     return int(ratio)

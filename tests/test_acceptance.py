@@ -30,8 +30,6 @@ from shallow_chars.context import Context
 from shallow_chars.group_model import decode, multiply, verify_homomorphism
 from shallow_chars.root_system import build_root_system
 from shallow_chars.weyl import (
-    act_on_point,
-    act_on_root,
     barycenter_criterion,
     condition_star,
     intertwining_scan,
@@ -139,7 +137,7 @@ def test_criterion_6_condition_star_example(c2_ctx, sp4_example):
     verdict = condition_star(sp4_example)
     ok = verdict.status == "fails" and verdict.witness is not None
     ok = ok and verdict.witness.word == (1,)
-    moved = act_on_point(verdict.witness, c2_ctx.point)
+    moved = verdict.witness.act_on_point(c2_ctx.point)
     top = AffineRoot((-1, 0), 1)
     just_above = Fraction(3, 4) + Fraction(1, 1000)
     ok = ok and support(c2_ctx, moved, just_above) <= {top}
@@ -222,9 +220,9 @@ def test_criterion_9_property_suites(c2_ctx):
                 w = long_element(rs, subset)
                 ok = ok and set(w.word) <= set(subset)
                 for i in subset:
-                    ok = ok and not is_positive_affine(rs, act_on_root(w, simples[i]))
+                    ok = ok and not is_positive_affine(rs, w.act_on_root(simples[i]))
                 for a in simples:
-                    ok = ok and act_on_root(w, act_on_root(w, a)) == a
+                    ok = ok and w.act_on_root(w.act_on_root(a)) == a
 
     rng = random.Random(20260815)
     for _ in range(1000):

@@ -333,6 +333,7 @@ E7_EPIPELAGIC = ",".join(["1"] * 8 + ["0"] * 118)  # the 8 simple affine roots f
 E7_NODE_0 = ",".join(["0"] + ["1"] * 7 + ["0"] * 118)
 E8_NODE_0 = ",".join(["0"] + ["1"] * 8 + ["0"] * 231)
 E8_Q16_DIGEST = "7d92bcc5d669d56e81e7029d88ae90ece32acd42f7a2ecdba5e5ee40b9acfb31"
+WIDE_SWEEP = "1,0,0,0,0,0,0,0"  # chi nonzero on a0 alone: (*) fails by a translation
 
 PINNED_OUTPUTS = [
     (["solve", "--type", "C2", "--q", "2"], 0,
@@ -381,6 +382,10 @@ PINNED_OUTPUTS = [
     (["check-star", "--type", "B3", "--q", "2", "--facet", "1,3",
       "--params", "1,1,1,0,1,0,1,1,1,0,1,0", "--radius", "2"], 2,
      "1328cfc45408863906a20e2a52ed560e3a2017c59f9450b2fa55e42e2de5f987"),
+    # an unbounded C2 sweep whose witness, the translation by -100,000
+    # a2^vee, is the first value of a coordinate range of 200,001
+    (["check-star", "--type", "C2", "--params", WIDE_SWEEP, "--radius", "100000"], 1,
+     "47e92e4285c701de4082b39e4350f44ef8ee6db0872f283a9f48a0d5a92902ef"),
     (["intertwine", "--type", "G2", "--params", "1,1,0,0,0,0,0,0,0,0,0,0"], 1,
      "8991d82b30403977fe3e567392f24b7e70313a8bbf21a5bff5dec7baab5e5535"),
     # G2 scans at the facet {1}, where a reflection fixing the point also
@@ -565,6 +570,31 @@ def test_e8_q16_solve_peak_rss():
     assert done.returncode == 0, done.stderr
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == E8_Q16_DIGEST
     assert int(done.stderr.split()[-1]) < 200 * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB")
+def test_wide_check_star_sweep_peak_rss():
+    """A fresh interpreter sweeps the unbounded C2 polytope at radius 10**8
+    and finds its witness with a peak RSS under 100 MB: the chain's points
+    walk each coordinate's range lazily, where listing the 2 * 10**8 + 1
+    values of a range at once would take about 28 GB."""
+    argv = ["check-star", "--type", "C2", "--params", WIDE_SWEEP, "--radius", "100000000"]
+    code = (
+        "import resource, sys\n"
+        "from shallow_chars.cli import main\n"
+        f"rc = main({argv!r})\n"
+        "sys.stdout.flush()\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(rc)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1, done.stderr
+    assert "condition (*): fails" in done.stdout
+    assert int(done.stderr.split()[-1]) < 100 * 1024
 
 
 def test_parser_is_built_by_the_first_main_call_only(capsys):

@@ -1,15 +1,16 @@
 """The commutator table of a context, against the affine expansions.
 
 `Context.relations` is read by every relation consumer, so it is checked
-here against `shallow_commutator_expansion`, mapped to positions, with
-constants taken mod p and factors and pairs that vanish there dropped.
+here against `expansion_oracle.shallow_commutator_expansion`, mapped to
+positions, with constants taken mod p and factors and pairs that vanish
+there dropped.
 """
 
 import pytest
 
+from expansion_oracle import shallow_commutator_expansion
 from shallow_chars import context
 from shallow_chars.affine_roots import barycenter, facet_point
-from shallow_chars.chevalley import shallow_commutator_expansion
 from shallow_chars.context import Context
 from shallow_chars.root_system import _parallel, add, build_root_system
 

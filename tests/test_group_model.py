@@ -15,15 +15,18 @@ from shallow_chars.group_model import (
     decode,
     encode,
     evaluate,
-    from_tokens,
     generator_word,
-    identity_word,
     multiply,
     verify_homomorphism,
 )
 from shallow_chars.root_system import build_root_system
 
 from conftest import SP4_PARAMS
+
+
+def _from_tokens(ctx, tokens):
+    """The normal form of the product of the tokens, collected onto the identity."""
+    return CosetWord(tuple(group_model._collect(ctx, tokens, (0,) * ctx.n_roots)))
 
 
 def test_encode_decode_roundtrip(c2_ctx):
@@ -38,7 +41,7 @@ def test_encode_decode_roundtrip(c2_ctx):
 
 
 def test_identity_and_generators(c2_ctx):
-    e = identity_word(c2_ctx)
+    e = decode(c2_ctx, 0)
     assert encode(c2_ctx, e) == 0 and e.tokens() == ()
     g = generator_word(c2_ctx, 3, 1)
     assert g.tokens() == ((3, 1),)
@@ -46,18 +49,18 @@ def test_identity_and_generators(c2_ctx):
     assert multiply(c2_ctx, g, e) == g
     # order two at q = 2: the root groups are elementary abelian
     assert multiply(c2_ctx, g, g) == e
-    assert from_tokens(c2_ctx, ((3, 1), (3, 1))) == e
+    assert _from_tokens(c2_ctx, ((3, 1), (3, 1))) == e
 
 
 def test_tokens_collect_out_of_order(c2_ctx):
     # u_4 u_2 = u_2 u_4 (commutator lands at depth >= 1): same normal form
-    assert from_tokens(c2_ctx, ((4, 1), (2, 1))) == from_tokens(
+    assert _from_tokens(c2_ctx, ((4, 1), (2, 1))) == _from_tokens(
         c2_ctx, ((2, 1), (4, 1))
     )
     # u_2 u_1 picks up the corrections of the swap
-    w = from_tokens(c2_ctx, ((2, 1), (1, 1)))
+    w = _from_tokens(c2_ctx, ((2, 1), (1, 1)))
     assert w.entries[1] == 1 and w.entries[2] == 1
-    assert w != from_tokens(c2_ctx, ((1, 1), (2, 1)))
+    assert w != _from_tokens(c2_ctx, ((1, 1), (2, 1)))
 
 
 def test_oracle_generators_are_symplectic(c2_ctx):
@@ -137,10 +140,10 @@ def test_collect_matches_bubble_collect(cartan_type, q, facet):
     for _ in range(270):
         word = _random_word(ctx, rng)
         want = tuple(bubble_collect(ctx, word))
-        assert from_tokens(ctx, word).tokens() == want, word
+        assert _from_tokens(ctx, word).tokens() == want, word
         # the same product collected onto the normal form of a prefix
         cut = rng.randrange(len(word) + 1)
-        start = from_tokens(ctx, word[:cut]).entries
+        start = _from_tokens(ctx, word[:cut]).entries
         got = group_model._collect(ctx, word[cut:], start)
         assert CosetWord(tuple(got)).tokens() == want, (word, cut)
 
@@ -195,7 +198,7 @@ def test_unknown_mode_rejected(sp4_example):
 def test_evaluate_reads_the_table(sp4_example, c2_ctx):
     word = generator_word(c2_ctx, 0, 1)
     assert evaluate(sp4_example, word) == 1  # c = 1 on a0 at q = 2
-    assert evaluate(sp4_example, identity_word(c2_ctx)) == 0
+    assert evaluate(sp4_example, decode(c2_ctx, 0)) == 0
 
 
 def test_oversized_sweeps_refused_before_tables(c2):
