@@ -294,15 +294,6 @@ def relation_rows(ctx: Context) -> List[Dict[int, int]]:
     return rows
 
 
-def _vector_from_coords(ctx: Context, coords: Sequence[int]) -> Tuple[int, ...]:
-    m = ctx.field.m
-    p = ctx.field.p
-    out = []
-    for t in range(ctx.n_roots):
-        out.append(sum(coords[t * m + d] * p**d for d in range(m)))
-    return tuple(out)
-
-
 def _valid_prefixes(ctx: Context) -> Tuple[int, Iterator[Tuple[int, ...]]]:
     """Exhaustive oracle: (k, the valid prefixes of length k), in lexicographic order.
 
@@ -376,7 +367,9 @@ def solve_space(ctx: Context, cross_check: Optional[bool] = None) -> CharacterSp
     )
 
     basis = tuple(
-        ShallowCharacter.from_vector(ctx, _vector_from_coords(ctx, coords))
+        ShallowCharacter.from_vector(
+            ctx, tuple(f.from_coeffs(coords[t * m : (t + 1) * m]) for t in range(ctx.n_roots))
+        )
         for coords in null
     )
     for chi in basis:

@@ -54,18 +54,12 @@ import json
 import operator
 from functools import cached_property
 from math import factorial
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .affine_roots import AffineRoot, affine_combination, simple_affine_roots
 from .root_system import Root, RootSystem, _parallel, add, negate
 
 Entries = Tuple[Tuple[int, int, int], ...]  # (row, col, value), 0-based
-
-
-class CommutatorTerm(NamedTuple):
-    i: int
-    j: int
-    constant: int
 
 
 # ----------------------------------------------------------------------
@@ -442,17 +436,14 @@ class Pinning:
 
 def commutator_expansion(
     pinning: Pinning, alpha: AffineRoot, beta: AffineRoot
-) -> Tuple[Tuple[AffineRoot, CommutatorTerm], ...]:
+) -> Tuple[Tuple[AffineRoot, int, int, int], ...]:
     """Expansion of [u_beta(y), u_alpha(x)] over affine root groups.
 
-    Returns ((i*alpha + j*beta, CommutatorTerm(i, j, C)), ...) ordered
-    by (i+j, i), the factor at (i, j) carrying the argument C x^i y^j.
-    Parallel gradients are rejected: those commutators are trivial or
-    torus-valued and carry no root-group data.
+    Returns ((i*alpha + j*beta, i, j, C), ...) ordered by (i+j, i), the
+    shape of `Pinning.gradient_expansion`, the factor at (i, j) carrying
+    the argument C x^i y^j.  Parallel gradients are rejected: those
+    commutators are trivial or torus-valued and carry no root-group data.
     """
     terms = pinning.gradient_expansion(alpha.gradient, beta.gradient)
-    return tuple(
-        (affine_combination(i, alpha, j, beta), CommutatorTerm(i, j, C))
-        for _, i, j, C in terms
-    )
+    return tuple((affine_combination(i, alpha, j, beta), i, j, C) for _, i, j, C in terms)
 

@@ -80,19 +80,15 @@ class Context:
                 if add(alpha.gradient, beta.gradient) not in root_set:
                     continue
                 factors = []
-                for target, term in commutator_expansion(self.pinning, alpha, beta):
-                    pos, c = self.index.get(target), term.constant % p
+                for target, i, j, c in commutator_expansion(self.pinning, alpha, beta):
+                    pos, c = self.index.get(target), c % p
                     if pos is None or not c:
                         continue  # depth >= 1, or C = 0 in F_p: trivial here
                     assert pos > late, "commutator target must come later"
-                    factors.append((pos, term.i, term.j, c))
+                    factors.append((pos, i, j, c))
                 if factors:
                     table[early, late] = tuple(factors)
         return table
-
-    def expansion_terms(self, early: int, late: int) -> Tuple[Factor, ...]:
-        """The factors of [u_late(y), u_early(x)], early < late: `relations`, or ()."""
-        return self.relations.get((early, late), ())
 
     def to_json(self) -> Dict:
         return {

@@ -12,7 +12,7 @@ fixed primitive character of (F_p, +) sending 1 to exp(2*pi*i/p).  This
 makes the character group literally an F_q-line and reduces all product
 identities to F_p-linear statements in the c's.
 
-Fields are capped at q <= 16 by default: every check in this library is
+Fields are capped at q <= Q_BOUND = 16: every check in this library is
 an exhaustive O(q^2) loop and the interesting cases are q = 2 and 3.
 """
 
@@ -21,6 +21,8 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 Element = int  # encoded field element, 0 <= value < q
+
+Q_BOUND = 16  # the largest field size accepted
 
 
 def _factor_prime_power(q: int) -> Tuple[int, int]:
@@ -51,15 +53,15 @@ def _from_coeffs(coeffs: Sequence[int], p: int) -> int:
 
 
 class FiniteField:
-    """F_q with table-based exact arithmetic, q a prime power <= bound.
+    """F_q with table-based exact arithmetic, q a prime power <= Q_BOUND.
 
     Addition, negation, multiplication and the trace are looked up in
     tables filled once at construction.
     """
 
-    def __init__(self, q: int, *, bound: int = 16):
-        if q > bound:
-            raise ValueError(f"q = {q} exceeds the configured bound {bound}")
+    def __init__(self, q: int):
+        if q > Q_BOUND:
+            raise ValueError(f"q = {q} exceeds the configured bound {Q_BOUND}")
         self.q = q
         self.p, self.m = _factor_prime_power(q)
         self.modulus_coeffs = self._find_modulus()
@@ -153,10 +155,6 @@ class FiniteField:
             out = self.mul(out, a)
         return out
 
-    def from_int(self, c: int) -> Element:
-        """Image of an integer under Z -> F_p c F_q."""
-        return c % self.p
-
     def frobenius(self, a: Element) -> Element:
         return self.pow(a, self.p)
 
@@ -166,6 +164,10 @@ class FiniteField:
 
     def coeffs(self, a: Element) -> Tuple[int, ...]:
         return tuple(_to_coeffs(a, self.p, self.m))
+
+    def from_coeffs(self, coeffs: Sequence[int]) -> Element:
+        """The element with these coefficients mod p, the inverse of `coeffs`."""
+        return _from_coeffs(coeffs, self.p)
 
     def __repr__(self) -> str:
         return f"FiniteField({self.q})"
@@ -195,12 +197,12 @@ def char_product_trivial(
 ) -> bool:
     """Does prod_k chi_{c_k}(C_k x^{i_k} y^{j_k}) == 1 for all x, y in F_q?
 
-    Each term is (c, (i, j), C) with C a plain integer reduced mod p.
-    Decided by exhaustive loop over F_q^2.
+    Each term is (c, (i, j), C) with C an element of F_p, as the constants
+    of `Context.relations` are stored.  Decided by exhaustive loop over F_q^2.
     """
     reduced = []
     for c, (i, j), C in terms:
-        cc = field.mul(c, field.from_int(C))
+        cc = field.mul(c, C)
         if cc:
             reduced.append((cc, i, j))
     if not reduced:

@@ -79,7 +79,6 @@ first failure of the whole sweep.  The tests' `table_sweep` and
 
 from __future__ import annotations
 
-import os
 import random
 from itertools import islice
 from operator import getitem
@@ -88,37 +87,31 @@ from typing import Callable, FrozenSet, Iterable, Iterator, List, NamedTuple, Op
 from .context import Context
 
 Token = Tuple[int, int]  # (position in the enumeration, field element)
+Form = Tuple[int, ...]  # a normal form: its entries, one per shallow root
 
 
-class CosetWord(NamedTuple):
-    entries: Tuple[int, ...]
-
-    def tokens(self) -> Tuple[Token, ...]:
-        return tuple((p, v) for p, v in enumerate(self.entries) if v)
-
-
-def generator_word(ctx: Context, position: int, value: int) -> CosetWord:
+def generator_word(ctx: Context, position: int, value: int) -> Form:
     entries = [0] * ctx.n_roots
     entries[position] = value
-    return CosetWord(tuple(entries))
+    return tuple(entries)
 
 
-def encode(ctx: Context, word: CosetWord) -> int:
+def encode(ctx: Context, form: Sequence[int]) -> int:
     q = ctx.q
     code = 0
-    for v in reversed(word.entries):
+    for v in reversed(form):
         code = code * q + v
     return code
 
 
-def decode(ctx: Context, code: int, length: Optional[int] = None) -> CosetWord:
+def decode(ctx: Context, code: int, length: Optional[int] = None) -> Form:
     """The form of a code, cut after its first length entries (all by default)."""
     q = ctx.q
     entries = []
     for _ in range(ctx.n_roots if length is None else length):
         entries.append(code % q)
         code //= q
-    return CosetWord(tuple(entries))
+    return tuple(entries)
 
 
 def _commutator(ctx: Context, early: int, x: int, late: int, y: int) -> List[Token]:
@@ -126,7 +119,7 @@ def _commutator(ctx: Context, early: int, x: int, late: int, y: int) -> List[Tok
     f = ctx.field
     return [
         (target, f.mul(c, f.mul(f.pow(x, i), f.pow(y, j))))
-        for target, i, j, c in ctx.expansion_terms(early, late)
+        for target, i, j, c in ctx.relations.get((early, late), ())
     ]
 
 
@@ -182,17 +175,9 @@ def _collect(ctx: Context, tokens: Iterable[Token], start: Sequence[int]) -> Lis
     return entries
 
 
-def multiply(ctx: Context, w1: CosetWord, w2: CosetWord) -> CosetWord:
-    return CosetWord(tuple(_collect(ctx, w2.tokens(), w1.entries)))
-
-
-def evaluate(chi, word: CosetWord) -> int:
+def evaluate(chi, form: Sequence[int]) -> int:
     """Value of the character on a normal form, as an exponent mod p."""
-    total = 0
-    for p, v in enumerate(word.entries):
-        if v:
-            total += chi.table[p][v]
-    return total % chi.context.field.p
+    return sum(map(getitem, chi.table, form)) % chi.context.field.p
 
 
 def cayley_tables(ctx: Context):
@@ -204,14 +189,11 @@ def cayley_tables(ctx: Context):
     if ctx._cayley is None:
         tables = {}
         count = ctx.coset_count()
-        base = [decode(ctx, code).entries for code in range(count)]
+        base = [decode(ctx, code) for code in range(count)]
         for pos in range(ctx.n_roots):
             for val in range(1, ctx.q):
                 gen = ((pos, val),)
-                col = [
-                    encode(ctx, CosetWord(tuple(_collect(ctx, gen, entries))))
-                    for entries in base
-                ]
+                col = [encode(ctx, _collect(ctx, gen, form)) for form in base]
                 tables[(pos, val)] = tuple(col)
         ctx._cayley = tables
     return ctx._cayley
@@ -221,7 +203,7 @@ class VerifyResult(NamedTuple):
     ok: bool
     mode: str
     checked: int
-    witness: Optional[Tuple[CosetWord, CosetWord]]
+    witness: Optional[Tuple[Form, Form]]
 
     def __bool__(self) -> bool:
         return self.ok
@@ -308,7 +290,7 @@ def _generator_sweep(chi) -> VerifyResult:
             return [(m, a)] + _commutator(ctx, pos, val, m, a)
 
         last = max(reach[pos] & nonzero, default=pos)
-        walk = _parent_walk(chi, generator_word(ctx, pos, val).entries[: last + 1], pos, step)
+        walk = _parent_walk(chi, generator_word(ctx, pos, val)[: last + 1], pos, step)
         low = q ** max(last - 1 - pos, 0) - 1
         suffix = _first_failure(chi, islice(walk, low), chi.table[pos][val])
         if suffix is not None:
@@ -334,7 +316,7 @@ def _pair_sweep(chi) -> VerifyResult:
     r = _last_row(chi)
     for code1 in range(count):
         w1 = decode(ctx, code1)
-        walk = _parent_walk(chi, w1.entries[: r + 1], -1, lambda m, a: [(m, a)])
+        walk = _parent_walk(chi, w1[: r + 1], -1, lambda m, a: [(m, a)])
         code2 = _first_failure(chi, islice(walk, ctx.q**r - 1), evaluate(chi, w1))
         if code2 is not None:
             checked = code1 * count + code2 + 1
@@ -350,7 +332,7 @@ def verify_homomorphism(
     chi,
     mode: str = "auto",
     samples: int = 1000,
-    seed: Optional[int] = None,
+    seed: int = 0,
 ) -> VerifyResult:
     """Check chi(w1 * w2) = chi(w1) + chi(w2) against the group model.
 
@@ -359,8 +341,9 @@ def verify_homomorphism(
     module docstring; "pairs" takes that verdict, since every pair check
     is a sum of generator checks, and walks the pairs in code order to
     the first failing one.  `table_sweep` and `table_pairs` in the tests
-    are the oracles of both.  "sample" draws seeded random pairs and
-    multiplies them cut after chi's last nonzero row r, modulo U_(r+1);
+    are the oracles of both.  "sample" draws pairs from
+    random.Random(seed), the same on every call with the same arguments,
+    and multiplies them cut after chi's last nonzero row r, modulo U_(r+1);
     "auto" picks generators when the coset count is at most 2**20 and
     falls back to sampling.  The two sweeps refuse more than 2**20
     cosets or pairs up front, before any collection.
@@ -384,15 +367,13 @@ def verify_homomorphism(
         return _pair_sweep(chi)
 
     if mode == "sample":
-        if seed is None:
-            seed = int(os.environ.get("SHALLOW_CHARS_SEED", "0"))
         rng = random.Random(seed)
         p, r = ctx.field.p, _last_row(chi)
         for k in range(samples):
             code1, code2 = rng.randrange(count), rng.randrange(count)
             # chi is zero past row r, so only the heads up to r are decoded
             h1, h2 = decode(ctx, code1, r + 1), decode(ctx, code2, r + 1)
-            lhs = evaluate(chi, multiply(ctx, h1, h2))
+            lhs = evaluate(chi, _collect(ctx, [(t, v) for t, v in enumerate(h2) if v], h1))
             rhs = (evaluate(chi, h1) + evaluate(chi, h2)) % p
             if lhs != rhs:
                 return VerifyResult(False, mode, k + 1, (decode(ctx, code1), decode(ctx, code2)))

@@ -4,7 +4,7 @@ A word is a list of tokens (position, value), each standing for
 u_position(value).  The pass below merges neighbours at one position,
 then swaps the first adjacent pair out of order: u_b(y) u_a(x) with
 a < b becomes u_a(x) u_b(y) followed by the factors of
-[u_b(y), u_a(x)] from `Context.expansion_terms(a, b)`.  Every factor
+[u_b(y), u_a(x)] from `Context.relations`.  Every factor
 lands strictly later than both, so the rewriting terminates.  It
 rebuilds the token list and rescans from the start after every swap,
 so it is slow, and it shares nothing with collection from the left but
@@ -41,8 +41,8 @@ def bubble_collect(ctx, tokens: Iterable[Token]) -> List[Token]:
         p1, v1 = toks[k]
         p2, v2 = toks[k + 1]
         corrections: List[Token] = []
-        for pos, i, j, c in ctx.expansion_terms(p2, p1):
-            val = f.mul(f.from_int(c), f.mul(f.pow(v2, i), f.pow(v1, j)))
+        for pos, i, j, c in ctx.relations.get((p2, p1), ()):
+            val = f.mul(c, f.mul(f.pow(v2, i), f.pow(v1, j)))
             if val:
                 corrections.append((pos, val))
         toks[k : k + 2] = [(p2, v2), (p1, v1)] + corrections

@@ -3,6 +3,7 @@ import pytest
 from shallow_chars.affine_roots import AffineRoot, barycenter
 from shallow_chars.characters import ShallowCharacter
 from shallow_chars.context import Context
+from shallow_chars.group_model import _collect
 from shallow_chars.root_system import build_root_system
 
 # The worked Sp4 example: nontrivial exactly on a0, a0+a1, a1+a2,
@@ -17,6 +18,16 @@ SP4_PARAMS = {
     AffineRoot((0, -1), 1): 1,
     AffineRoot((2, 1), 0): 1,
 }
+
+
+def tokens(form):
+    """The nonzero entries of a normal form, as (position, value) tokens in order."""
+    return tuple((p, v) for p, v in enumerate(form) if v)
+
+
+def multiply(ctx, w1, w2):
+    """The normal form of w1 * w2: the tokens of w2 collected onto w1."""
+    return tuple(_collect(ctx, tokens(w2), w1))
 
 
 @pytest.fixture(scope="session")

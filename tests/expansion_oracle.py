@@ -20,7 +20,7 @@ def shallow_commutator_expansion(pinning, alpha, beta, point):
     if not (is_shallow(alpha, point) and is_shallow(beta, point)):
         raise ValueError("both arguments must be shallow at the point")
     return tuple(
-        (target, term)
-        for target, term in commutator_expansion(pinning, alpha, beta)
+        (target, i, j, c)
+        for target, i, j, c in commutator_expansion(pinning, alpha, beta)
         if is_shallow(target, point)
     )

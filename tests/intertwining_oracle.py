@@ -49,7 +49,7 @@ def reference_reduction(chi, w) -> ReductionVerdict:
         if depth(image, ctx.point) <= 0:
             continue
         eta = reference_sign(ctx.pinning, w, beta.gradient)
-        if param(image) != f.mul(f.from_int(eta), param(beta)):
+        if param(image) != f.mul(eta % f.p, param(beta)):
             return ReductionVerdict(False, beta)
     return ReductionVerdict(True, None)
 

@@ -72,7 +72,9 @@ def root_element(gradient, level, x):
 def embed(ctx, word):
     """Image of a normal form: the token matrices in enumeration order."""
     out = IDENTITY
-    for pos, v in word.tokens():
+    for pos, v in enumerate(word):
+        if not v:
+            continue
         alpha = ctx.roots[pos]
         out = mat_mul(out, root_element(alpha.gradient, alpha.level, v))
     return out

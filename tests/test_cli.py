@@ -100,12 +100,16 @@ def test_verify_hom(capsys):
 
 
 def test_verify_hom_seed_env(capsys, monkeypatch):
-    monkeypatch.setenv("SHALLOW_CHARS_SEED", "17")
+    # the samples are drawn from seed 0 whatever the environment holds,
+    # so setting SHALLOW_CHARS_SEED changes no byte of either output
+    monkeypatch.delenv("SHALLOW_CHARS_SEED", raising=False)
     argv = ["verify-hom", "--type", "C2", "--params", FLIPPED, "--mode", "sample"]
-    rc1, out1 = _run(capsys, argv)
-    rc2, out2 = _run(capsys, argv)
-    assert rc1 == rc2 == 1
-    assert out1 == out2
+    for extra in ([], ["--json"]):
+        unset = _run(capsys, argv + extra)
+        assert unset[0] == 1
+        with monkeypatch.context() as m:
+            m.setenv("SHALLOW_CHARS_SEED", "17")
+            assert _run(capsys, argv + extra) == unset
 
 
 def test_check_star(capsys):
@@ -319,10 +323,11 @@ def test_bad_usage(capsys, monkeypatch, tmp_path):
     assert "the character is at the point" in capsys.readouterr().err
 
 
-# Exit code and sha256 of stdout for fixed --json invocations.  The JSON
-# output is meant to stay byte-identical across refactors; a deliberate
-# change of output updates these.  To regenerate, print
-# (rc, hashlib.sha256(out.encode()).hexdigest()) from _run for each argv.
+# Exit code and the sha256 of stdout for fixed invocations, with --json
+# and without it.  Both outputs are meant to stay byte-identical across
+# refactors; a deliberate change of output updates these.  To regenerate,
+# print (rc, hashlib.sha256(out.encode()).hexdigest()) from _run for each
+# argv, with --json appended and as it stands.
 F4_ZEROS = ",".join(["0"] * 43)  # the 43 shallow F4 roots after the simple ones
 E6_ZEROS = ",".join(["0"] * 65)
 A4_ZEROS = ",".join(["0"] * 15)  # q**20 = 2**20 cosets, the sweep limit
@@ -337,173 +342,234 @@ WIDE_SWEEP = "1,0,0,0,0,0,0,0"  # chi nonzero on a0 alone: (*) fails by a transl
 
 PINNED_OUTPUTS = [
     (["solve", "--type", "C2", "--q", "2"], 0,
-     "c5c299ecc2654ded4f4fe7f9deb3758d2b588c556881616faeed227821f7a6ca"),
+     "c5c299ecc2654ded4f4fe7f9deb3758d2b588c556881616faeed227821f7a6ca",
+     "057045d8906bc59891d4cb21328d67a3f69681af285eec3b1fbf2fc6ef50a1b9"),
     (["solve", "--type", "C2", "--q", "3"], 0,
-     "dce42885b12bcdc268d69568a9b0a26541a9cfbee6c8c7f17a6dcc6f92d00caf"),
+     "dce42885b12bcdc268d69568a9b0a26541a9cfbee6c8c7f17a6dcc6f92d00caf",
+     "c7ea7ee88c76946eb64544a480bee85f9679645cea54eb2edde096d2b835cbe4"),
     (["solve", "--type", "A2", "--q", "4"], 0,
-     "44a4fee2fe12e7c949a8d792dbaab41ddac3c0acfd4162890c5c580268d9693e"),
+     "44a4fee2fe12e7c949a8d792dbaab41ddac3c0acfd4162890c5c580268d9693e",
+     "cf8aebde03c1948395315837788a253da5d0ec98804becff65d9abed54d05c88"),
     # the forced exhaustive oracle on 5**8 = 390,625 vectors
     (["solve", "--type", "C2", "--q", "5", "--cross-check"], 0,
-     "5f34a25e2b98ea751fafd5be64400c1efce0b5d42c635b917db8eed4bbf642ca"),
+     "5f34a25e2b98ea751fafd5be64400c1efce0b5d42c635b917db8eed4bbf642ca",
+     "154636dee35acf47520869fcd17186c21496d8356f348d35931019f555df92f3"),
     # the forced oracle where all 4**10 = 2**20 vectors are valid
     (["solve", "--type", "B3", "--q", "4", "--facet", "0,1", "--cross-check"], 0,
-     "c631a57a5b1c00e2e7d4164c3e416a0c36f022f713cc4494bd60552293b43d7f"),
+     "c631a57a5b1c00e2e7d4164c3e416a0c36f022f713cc4494bd60552293b43d7f",
+     "dd2dff59db282664fe8d845204a2c0e2bdd4d95b08e012fa081bca2dea89c470"),
     (["solve", "--type", "G2", "--q", "2", "--facet", "1,2"], 0,
-     "b6c225a71701cfb8a6e2eb9e4390a92900fe9885d767e3dd2367a8baa39c0398"),
+     "b6c225a71701cfb8a6e2eb9e4390a92900fe9885d767e3dd2367a8baa39c0398",
+     "6fdef247f30b0151f084423422c567840dd77c30a70d2408e2224fca1a957d5f"),
     (["solve", "--type", "A3", "--q", "2", "--facet", "0,2"], 0,
-     "1548975decb5482af90e4bbb6e22ab0a878b7481a06ad8cc551dd80426c35612"),
+     "1548975decb5482af90e4bbb6e22ab0a878b7481a06ad8cc551dd80426c35612",
+     "26b87d63be70548df30367c81b58c6906f4de174681f10499e05740e385c7627"),
     # 53,760 relation rows over 960 columns, 84,000 nonzeros in all
-    (E8_Q16, 0, E8_Q16_DIGEST),
+    (E8_Q16, 0, E8_Q16_DIGEST,
+     "53d16103332445eb8b30c5443626c1ce82cc9e6132d7d5babe190ca97adfe011"),
     # exceptional adjoint pinnings, whose hash is in the JSON and whose
     # constants shape the basis: E7 at the barycenter, F4 at the facet {0, 4}
     (["solve", "--type", "E7", "--q", "2"], 0,
-     "675dff6ea25352df71b8a16af42830adbb40feba657c67243a219fc4b93df9bf"),
+     "675dff6ea25352df71b8a16af42830adbb40feba657c67243a219fc4b93df9bf",
+     "927c70fca033c4f35ecc38e005acd98f6defba8e5d4d2af6424eba60c9be7271"),
     (["solve", "--type", "F4", "--q", "3", "--facet", "0,4"], 0,
-     "4e7eea7f7b845cf081607812574646476ca6419e318d2c2a30690872defa808b"),
+     "4e7eea7f7b845cf081607812574646476ca6419e318d2c2a30690872defa808b",
+     "65fc9989b6ad954ea7bf4e115617eab34f24b74d488914bd34dc57c1319f48e9"),
     (["classify", "--type", "C2", "--params", EXAMPLE], 0,
-     "9597c7f39c0c88e511b9fe554cea0b146a43f3392d14c9aac7d34d98b01e4081"),
+     "9597c7f39c0c88e511b9fe554cea0b146a43f3392d14c9aac7d34d98b01e4081",
+     "d6af6d34c348bd928c76b6a45d63e90372216f59b41713251bc7696b44f5a2f6"),
     (["check-star", "--type", "C2", "--params", EXAMPLE], 1,
-     "852e036d6b624147992265083c7accadfed076c3bc58adfc97fd2ddb6182c28a"),
+     "852e036d6b624147992265083c7accadfed076c3bc58adfc97fd2ddb6182c28a",
+     "19c9c9ce4324b4be3c1c288d5501901c28da84d10ae39828d6f338a4f95d518d"),
     (["check-star", "--type", "C2", "--params", SIMPLES], 0,
-     "80999ae12142d0a4d3d0ca6c6945b5d90240522d52131690a20623d419f702bb"),
+     "80999ae12142d0a4d3d0ca6c6945b5d90240522d52131690a20623d419f702bb",
+     "38edf01612c5214883f42126fd1f67499096fd72cd9e5febde06de6cc0e29d90"),
     (["intertwine", "--type", "C2", "--params", EXAMPLE, "--radius", "12"], 0,
-     "16a919cc8ded89760a3faec3ea4fa34ba15441b206e0b591d6ea2d8e9ff9c667"),
+     "16a919cc8ded89760a3faec3ea4fa34ba15441b206e0b591d6ea2d8e9ff9c667",
+     "6bff100af92a251e6718bc2faa6d6e7e084d1d1d1212de911d7d4971d4f50519"),
     # non-C2 Weyl outputs: a bounded G2 witness with a translation, an
     # unbounded B3 sweep, and a G2 intertwiner whose word holds letter 0
     (["check-star", "--type", "G2", "--params", "0,1,0,1,0,0,0,1,1,1,1,0"], 1,
-     "d3207d8752e372d1ddefeaa93b36efda237489544c1ce518097c90a18f5b3102"),
+     "d3207d8752e372d1ddefeaa93b36efda237489544c1ce518097c90a18f5b3102",
+     "2251291c11f1cdad3aee94f3aa7dd665a7ad87ccea7e03a8619ef69b52db8ad6"),
     (["check-star", "--type", "B3", "--params", "1,0,0,0,0,0,0,0,0,0,0,1,1,0,0,1,1,0"], 1,
-     "7c926fb0b3a90e2d2776e8d8bc64f02ad1544778766c391f8222cc081c0d569e"),
+     "7c926fb0b3a90e2d2776e8d8bc64f02ad1544778766c391f8222cc081c0d569e",
+     "f2b93700020b790c3e41b61909b2366643d28f6baba96b18e46a4647d3962c58"),
     # a bounded C3 witness at a facet, and an unbounded B3 sweep with no
     # witness within its radius
     (["check-star", "--type", "C3", "--facet", "0,2",
       "--params", "0,0,1,1,0,1,0,1,1,0,1,1,0,0"], 1,
-     "6f5458e1a2ad0a28afaee6d68f6920a7ccf7f1bd167634a1faf99c127c54d34c"),
+     "6f5458e1a2ad0a28afaee6d68f6920a7ccf7f1bd167634a1faf99c127c54d34c",
+     "3d1f135aa1356f9aab56ea6512c3a7d4a8790b1d6e6dd8ac370e4082a8cd9c2a"),
     (["check-star", "--type", "B3", "--q", "2", "--facet", "1,3",
       "--params", "1,1,1,0,1,0,1,1,1,0,1,0", "--radius", "2"], 2,
-     "1328cfc45408863906a20e2a52ed560e3a2017c59f9450b2fa55e42e2de5f987"),
+     "1328cfc45408863906a20e2a52ed560e3a2017c59f9450b2fa55e42e2de5f987",
+     "83428ed97ec01d1355905ad0be423bd77b0bb7bd6f7fdb5e377c46bd87739ea7"),
     # an unbounded C2 sweep whose witness, the translation by -100,000
     # a2^vee, is the first value of a coordinate range of 200,001
     (["check-star", "--type", "C2", "--params", WIDE_SWEEP, "--radius", "100000"], 1,
-     "47e92e4285c701de4082b39e4350f44ef8ee6db0872f283a9f48a0d5a92902ef"),
+     "47e92e4285c701de4082b39e4350f44ef8ee6db0872f283a9f48a0d5a92902ef",
+     "6209459343ab22bf27a1b10ee0381abef1febfa3515961224eb64e273b8e0124"),
     (["intertwine", "--type", "G2", "--params", "1,1,0,0,0,0,0,0,0,0,0,0"], 1,
-     "8991d82b30403977fe3e567392f24b7e70313a8bbf21a5bff5dec7baab5e5535"),
+     "8991d82b30403977fe3e567392f24b7e70313a8bbf21a5bff5dec7baab5e5535",
+     "38f439111f3e0ec0eb99f9c9eae1694d10261ecec1f3f6500dedb37709531654"),
     # G2 scans at the facet {1}, where a reflection fixing the point also
     # conjugates chi compatibly, so the stabilizer has 2 elements: one
     # collapses over the whole ball, one meets a counterexample
     (["intertwine", "--type", "G2", "--q", "3", "--facet", "1", "--params", "2,2,1,0,0,0",
       "--radius", "8"], 0,
-     "32a34fd31c7517aca3b0c0e2ab74f459c97310c871cde47d45c236a92afcd616"),
+     "32a34fd31c7517aca3b0c0e2ab74f459c97310c871cde47d45c236a92afcd616",
+     "9562549436293d251cb0fbd0e4e20c39ca5f47ab6a60f0ab2e5a3a9b69f5eb85"),
     (["intertwine", "--type", "G2", "--q", "3", "--facet", "1", "--params", "2,2,0,0,0,0",
       "--radius", "8"], 1,
-     "00d8eb83bf588b0a628e120b95660bf32feaf82713c7e0e15aa5b66439935647"),
+     "00d8eb83bf588b0a628e120b95660bf32feaf82713c7e0e15aa5b66439935647",
+     "ff24f12475571607f35ec258d2df0cbf74a63c062fcf02e784a2d8c07289ed98"),
     (["verify-hom", "--type", "C2", "--params", EXAMPLE, "--mode", "generators"], 0,
-     "36119a9e4dc9c3ddb2e0a44a388ef991863c9ac8e09def031c2d795339cbd2f9"),
+     "36119a9e4dc9c3ddb2e0a44a388ef991863c9ac8e09def031c2d795339cbd2f9",
+     "6bdfcf582f0d0e5b71103dc4bb4b0357e631fe683876f54f9e404a0f277a468a"),
     # epipelagic characters, nonzero on the simple affine roots: stable and
     # unstable F4 at q=3 (the unstable one leaves a0 at zero), a stable C3
     # scan, and E6 at q=2, whose (*) walk covers W(E6) when it holds
     (["check-star", "--type", "F4", "--q", "3", "--params", "1,1,2,1,2," + F4_ZEROS], 0,
-     "80999ae12142d0a4d3d0ca6c6945b5d90240522d52131690a20623d419f702bb"),
+     "80999ae12142d0a4d3d0ca6c6945b5d90240522d52131690a20623d419f702bb",
+     "38edf01612c5214883f42126fd1f67499096fd72cd9e5febde06de6cc0e29d90"),
     (["check-star", "--type", "F4", "--q", "3", "--params", "0,1,2,1,2," + F4_ZEROS], 1,
-     "7f6c7ecd3881eface96fcb25041e585c522bdbd9d9229fd5e7e0ef85c58e2dbb"),
+     "7f6c7ecd3881eface96fcb25041e585c522bdbd9d9229fd5e7e0ef85c58e2dbb",
+     "59e6d81032ecf128c7696e1e10ebe0c6eb16fd7c71f928a257109766135b8d84"),
     (["intertwine", "--type", "C3", "--q", "3", "--params",
       "1,1,2,2,0,0,0,0,0,0,0,0,0,0,0,0,0,0", "--radius", "6"], 0,
-     "51a7ecc0d4345af41411a304167b8059bdfef31dae912d475d65a6d7c089bdc7"),
+     "51a7ecc0d4345af41411a304167b8059bdfef31dae912d475d65a6d7c089bdc7",
+     "e7a503b5af382f29f967561bc773e3466fdf88e4be9313a1cd163130009e550b"),
     # stable scans in A3 (matrix pinning) and B3 and F4 (adjoint pinnings)
     (["intertwine", "--type", "A3", "--q", "3", "--params",
       "1,2,1,1,0,0,0,0,0,0,0,0", "--radius", "6"], 0,
-     "6141125e5a1581286e73a739e3a9f0a44c05bef2e302b44aa857b77f9349f7a4"),
+     "6141125e5a1581286e73a739e3a9f0a44c05bef2e302b44aa857b77f9349f7a4",
+     "fab27a72328cb996f1d8f847c58552d9e812ea0ab0e6b869348f8cf6fe60d179"),
     (["intertwine", "--type", "B3", "--q", "3", "--params",
       "1,1,2,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0", "--radius", "6"], 0,
-     "51a7ecc0d4345af41411a304167b8059bdfef31dae912d475d65a6d7c089bdc7"),
+     "51a7ecc0d4345af41411a304167b8059bdfef31dae912d475d65a6d7c089bdc7",
+     "e7a503b5af382f29f967561bc773e3466fdf88e4be9313a1cd163130009e550b"),
     (["intertwine", "--type", "F4", "--q", "3", "--params", "1,1,2,1,2," + F4_ZEROS,
       "--radius", "6"], 0,
-     "1ad50db1109a4ac77a360ba970929af0022333c240a8884f2e4cf9b336faa149"),
+     "1ad50db1109a4ac77a360ba970929af0022333c240a8884f2e4cf9b336faa149",
+     "7fdf96ec6c9d09a80df42197d29257a5536635a315f1e74f22ec62bb6f46c650"),
     (["check-star", "--type", "E6", "--q", "2", "--params", "1,1,1,1,1,1,1," + E6_ZEROS], 0,
-     "80999ae12142d0a4d3d0ca6c6945b5d90240522d52131690a20623d419f702bb"),
+     "80999ae12142d0a4d3d0ca6c6945b5d90240522d52131690a20623d419f702bb",
+     "38edf01612c5214883f42126fd1f67499096fd72cd9e5febde06de6cc0e29d90"),
     (["check-star", "--type", "E6", "--q", "2", "--params", "0,1,1,1,1,1,1," + E6_ZEROS], 1,
-     "2d20eee93aa0c11f88f265878549cebc83dec0857a0dcdbbaad739099d60ad2f"),
+     "2d20eee93aa0c11f88f265878549cebc83dec0857a0dcdbbaad739099d60ad2f",
+     "dda0253b9fb892ce4cbac17db8e7433cf84bb81b523046af7fa1d368e7c37336"),
     # E7 and E8 epipelagic characters, which hold, and the same without
     # simple affine node 0, which fail by a pure translation (E8's lies
     # outside the default radius 4); and E6 with all 72 parameters 1,
     # whose unpruned Fourier-Motzkin chain grew without end
     (["check-star", "--type", "E7", "--params", E7_EPIPELAGIC], 0,
-     "80999ae12142d0a4d3d0ca6c6945b5d90240522d52131690a20623d419f702bb"),
+     "80999ae12142d0a4d3d0ca6c6945b5d90240522d52131690a20623d419f702bb",
+     "38edf01612c5214883f42126fd1f67499096fd72cd9e5febde06de6cc0e29d90"),
     (["check-star", "--type", "E7", "--params", E7_NODE_0], 1,
-     "14b68d41d553391a5c33e0208680672a1d1937dd94593c3367bbfcf5289d1a29"),
+     "14b68d41d553391a5c33e0208680672a1d1937dd94593c3367bbfcf5289d1a29",
+     "224f151a1cd795747fb6137613db96e292f0a8023fd5836e0dac7bb383f2bd47"),
     (["check-star", "--type", "E8", "--params", E8_EPIPELAGIC], 0,
-     "80999ae12142d0a4d3d0ca6c6945b5d90240522d52131690a20623d419f702bb"),
+     "80999ae12142d0a4d3d0ca6c6945b5d90240522d52131690a20623d419f702bb",
+     "38edf01612c5214883f42126fd1f67499096fd72cd9e5febde06de6cc0e29d90"),
     (["check-star", "--type", "E8", "--params", E8_NODE_0, "--radius", "6"], 1,
-     "23201d1d3c94adb64902a0dda5cb6037d166091f13c5406ea63d07d2e7853f22"),
+     "23201d1d3c94adb64902a0dda5cb6037d166091f13c5406ea63d07d2e7853f22",
+     "9d45a1858e1eb9a41b14e2a86a6b35483f5b7cab540b2a0f671eda34dc19fcd8"),
     (["check-star", "--type", "E6", "--params", ",".join(["1"] * 72)], 0,
-     "80999ae12142d0a4d3d0ca6c6945b5d90240522d52131690a20623d419f702bb"),
+     "80999ae12142d0a4d3d0ca6c6945b5d90240522d52131690a20623d419f702bb",
+     "38edf01612c5214883f42126fd1f67499096fd72cd9e5febde06de6cc0e29d90"),
     # bounded B3 characters at a weighted point inside the alcove (n = 11):
     # one holds, one fails at a finite witness
     (["check-star", "--type", "B3", "--point", "2/11,1/11,3/11",
       "--params", "0,0,1,1,0,1,1,0,0,1,1,1,1,1,0,1,0,0"], 0,
-     "80999ae12142d0a4d3d0ca6c6945b5d90240522d52131690a20623d419f702bb"),
+     "80999ae12142d0a4d3d0ca6c6945b5d90240522d52131690a20623d419f702bb",
+     "38edf01612c5214883f42126fd1f67499096fd72cd9e5febde06de6cc0e29d90"),
     (["check-star", "--type", "B3", "--point", "2/11,1/11,3/11",
       "--params", "0,1,1,1,1,0,0,0,0,0,0,0,1,0,0,1,0,0"], 1,
-     "245e7a3dbd9f71b14c38f616a00471767c51c41e0c8b359648b90ed66330c130"),
+     "245e7a3dbd9f71b14c38f616a00471767c51c41e0c8b359648b90ed66330c130",
+     "02e43486e2e759ad120db55fb0c01d8c38adccf34fd5e4109b147c3c3e589926"),
     # generators sweeps: invalid C2 and A2 characters whose first witness
     # lies past the first coset (A2 past the first generator block), and a
     # valid G2 character on a facet
     (["verify-hom", "--type", "C2", "--q", "3", "--params", "1,0,0,0,2,1,0,2",
       "--mode", "generators"], 1,
-     "b1ef91650ad506540094bf91ee8add717775af931fbe2f63bc249c85b6ec582e"),
+     "b1ef91650ad506540094bf91ee8add717775af931fbe2f63bc249c85b6ec582e",
+     "9b00b2d0b3c7f81f13c363a4bc5e54a4b5e403b9d6d069e9206ba13b04201faf"),
     (["verify-hom", "--type", "A2", "--q", "4", "--params", "2,0,1,0,0,3",
       "--mode", "generators"], 1,
-     "7c606ec9e2808caaef8aa54a2f390e19e70ab9a6f7dab59db7a148a63565da9f"),
+     "7c606ec9e2808caaef8aa54a2f390e19e70ab9a6f7dab59db7a148a63565da9f",
+     "0263af0a33eeee6c4c42fc75d89ad05262f9a9773fcdf6a62761231cf62b5cdc"),
     (["verify-hom", "--type", "G2", "--q", "2", "--facet", "1,2",
       "--params", "1,1,1,1,1,1,1,0,0,0", "--mode", "generators"], 0,
-     "a9d7b24814868203d4fa4c753f60dcb8b37ccdff43fbf840676ca0f1c6e65634"),
+     "a9d7b24814868203d4fa4c753f60dcb8b37ccdff43fbf840676ca0f1c6e65634",
+     "739f63265a32e31d06d52973502d745a20b6467aa72e00291eec3ef90a6bb4dd"),
     # a valid A4 character on the simple affine roots, at the size limit
     (["verify-hom", "--type", "A4", "--q", "2", "--params", "1,1,1,1,1," + A4_ZEROS,
       "--mode", "generators"], 0,
-     "3bfa43aa2d71005c6b59216da8faa2bc342d6c83cad46606532b6aafe1ba7f7c"),
+     "3bfa43aa2d71005c6b59216da8faa2bc342d6c83cad46606532b6aafe1ba7f7c",
+     "7976a2a6a2755958519873104ab665b5020619d032043803c13929f9dc9e491b"),
     # pairs sweeps: the valid Sp4 example over all 2**16 pairs, and two
     # invalid characters with two nonzero entries whose first failing
     # pair lies deep in the (code1, code2) order
     (["verify-hom", "--type", "C2", "--params", EXAMPLE, "--mode", "pairs"], 0,
-     "8280a4dfc4141646e64b955730a58b80e71d0b8087ee2250048a027b39505194"),
+     "8280a4dfc4141646e64b955730a58b80e71d0b8087ee2250048a027b39505194",
+     "baf5cc2391090fa2c614c088e50923ccbf8ef3d9928e7ea451ca0bba060e200d"),
     (["verify-hom", "--type", "G2", "--q", "2", "--facet", "1,2",
       "--params", "0,0,0,0,0,0,1,0,0,1", "--mode", "pairs"], 1,
-     "34ed31896f3a3ea3a41be4b1e51a27d55a1233ea5f74107aaad2f6efaf8d12f4"),
+     "34ed31896f3a3ea3a41be4b1e51a27d55a1233ea5f74107aaad2f6efaf8d12f4",
+     "839f409b7e626fd174246eddbdf99b48179ca9d9642d78603a3144b1fa4bea86"),
     (["verify-hom", "--type", "A2", "--q", "3", "--params", "0,0,0,0,1,0",
       "--mode", "pairs"], 1,
-     "5dff77910e9f4f4e469c2262360706c994d24de7f1f33f11c2a61c251911936e"),
+     "5dff77910e9f4f4e469c2262360706c994d24de7f1f33f11c2a61c251911936e",
+     "57fc6dd90b311560f18c7712d556804119fa6ee0c9f5f034de4c96f87bb7d552"),
     # E8 at q=16, 2**960 cosets, so auto samples: the epipelagic character
     # passes the default 1,000 samples, each product taken modulo U_9, and
     # one with a single 1 at row 9 fails at its second sample
     (["verify-hom", "--type", "E8", "--q", "16", "--params", E8_EPIPELAGIC], 0,
-     "10ae58ccd82536100a3ce01a87adc202b996f24b166b57d293fece0c7cfa3fac"),
+     "10ae58ccd82536100a3ce01a87adc202b996f24b166b57d293fece0c7cfa3fac",
+     "3ab5082f03f0d5534f13f00a302486727a7ca1fd7d79e1b4ac7ccc580cd00b32"),
     (["verify-hom", "--type", "E8", "--q", "16", "--params", E8_ROW_9], 1,
-     "3e15566ad87d4a024457be4acfda8e652dd109c624c51062f0f39a8eb01417c5"),
+     "3e15566ad87d4a024457be4acfda8e652dd109c624c51062f0f39a8eb01417c5",
+     "76405ef618314127298714d8e0fe5b7a2bc5a8728bb273719b2009e542934c5c"),
     (["reproduce-sp4", "--q", "2"], 0,
-     "23d57c9fd347342a68be1e820eb11543d8559d3b6fa5f9bd1cd3a2e1637d95d4"),
+     "23d57c9fd347342a68be1e820eb11543d8559d3b6fa5f9bd1cd3a2e1637d95d4",
+     "2f3840b9ff233e0b622d8819ac70175b85051692d4b4bb7255652e10f6bfbe52"),
     (["reproduce-sp4", "--q", "3"], 1,
-     "add8b8a5a33a9d24ba7393d96a42b9d599dde0f4da37886085ac3114ccca483e"),
+     "add8b8a5a33a9d24ba7393d96a42b9d599dde0f4da37886085ac3114ccca483e",
+     "4cafc994c5188db9cedbb5f74a6c7be58679a6d43abc41bf54764bb7c49f1005"),
     # shallow censuses: the 240 roots of the E8 barycenter, a weighted B3
     # point (n = 11), a C3 facet, the C2 facet {1,2} on the wall of A_0
     # (n - theta.x = 0) and the G2 vertex, which has no shallow roots
     (["shallow", "--type", "E8"], 0,
-     "dfe966a37825d9dd60cf950acd7e1f3730af48435d4d4b5e0e09edc80dbb8ce3"),
+     "dfe966a37825d9dd60cf950acd7e1f3730af48435d4d4b5e0e09edc80dbb8ce3",
+     "0f757cf6886ff1148752c5e95e9981f89292b25dd8483f0070e84584ab30026c"),
     (["shallow", "--type", "B3", "--point", "2/11,1/11,3/11"], 0,
-     "c725a6b6e45750a590290558a746e49bfbeb1da181965d16c9458eb7010794a0"),
+     "c725a6b6e45750a590290558a746e49bfbeb1da181965d16c9458eb7010794a0",
+     "dbf60ee0565fdd18833bbfde2f24a7e1355c8af455cae6a24a16a2ccff50457d"),
     (["shallow", "--type", "C3", "--facet", "0,2"], 0,
-     "9b1eb04347f54e0244cd41f63777181cd6e1f9869f8987830f6d542fbff42f91"),
+     "9b1eb04347f54e0244cd41f63777181cd6e1f9869f8987830f6d542fbff42f91",
+     "187fd6c6e4d798ef1134e80bdcb120c0e01ba429b9c77e70cfa9ed4e796e8fd0"),
     (["shallow", "--type", "C2", "--facet", "1,2"], 0,
-     "68b50aab246400c0c96cccad29c446e96f601efb92a585e2917540ff2d29bb13"),
+     "68b50aab246400c0c96cccad29c446e96f601efb92a585e2917540ff2d29bb13",
+     "58d9eb5fb59a412ccaff8a49b6895c0d0871dda76ee2714abaaf8a53e80f911b"),
     (["shallow", "--type", "G2", "--facet", "0"], 0,
-     "b5554e1f54e54acc18be116d7fe18722bb157ec84e393565e51cf4ca58624d02"),
+     "b5554e1f54e54acc18be116d7fe18722bb157ec84e393565e51cf4ca58624d02",
+     "201c1b77d6c97e22730d5167f158f1f74c70143bab71b75b1e7369ca2e2d1507"),
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, rc, digest", PINNED_OUTPUTS, ids=[" ".join(a) for a, _, _ in PINNED_OUTPUTS]
-)
-def test_json_output_is_pinned(capsys, argv, rc, digest):
+_PINNED_IDS = [" ".join(a) for a, *_ in PINNED_OUTPUTS]
+
+
+@pytest.mark.parametrize("argv, rc, digest, _", PINNED_OUTPUTS, ids=_PINNED_IDS)
+def test_json_output_is_pinned(capsys, argv, rc, digest, _):
     got_rc, out = _run(capsys, argv + ["--json"])
+    assert (got_rc, hashlib.sha256(out.encode()).hexdigest()) == (rc, digest)
+
+
+@pytest.mark.parametrize("argv, rc, _, digest", PINNED_OUTPUTS, ids=_PINNED_IDS)
+def test_human_output_is_pinned(capsys, argv, rc, _, digest):
+    got_rc, out = _run(capsys, argv)
     assert (got_rc, hashlib.sha256(out.encode()).hexdigest()) == (rc, digest)
 
 

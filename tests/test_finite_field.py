@@ -63,14 +63,6 @@ def test_bad_sizes_rejected():
             FiniteField(q)
     with pytest.raises(ValueError):
         FiniteField(17)  # prime, but beyond the default bound
-    assert FiniteField(17, bound=32).q == 17
-
-
-def test_from_int():
-    f = FiniteField(9)
-    for c in range(-5, 10):
-        assert f.from_int(c) == c % 3
-        assert f.from_int(c + 3) == f.from_int(c)
 
 
 @pytest.mark.parametrize("q", FIELDS)
@@ -88,7 +80,7 @@ def test_char_eval_nondegenerate(q):
 def test_char_product_trivial_examples():
     f2 = FiniteField(2)
     assert not char_product_trivial(f2, [(1, (1, 1), 1)])
-    assert char_product_trivial(f2, [(1, (1, 1), 2)])  # constant kills the term
+    assert char_product_trivial(f2, [(1, (1, 1), 0)])  # C = 0 in F_p kills the term
     assert char_product_trivial(f2, [(1, (1, 1), 1), (1, (1, 1), 1)])
     f3 = FiniteField(3)
     assert char_product_trivial(f3, [(1, (1, 1), 1), (2, (1, 1), 1)])

@@ -132,7 +132,7 @@ def test_src_holds_what_the_subcommands_run(tmp_path):
     c2 = build_root_system("C2")
     chi = ShallowCharacter(Context(c2, barycenter(c2), q=2), SP4_PARAMS)
     char.write_text(json.dumps(chi.to_json()))
-    runs = [(argv + ["--json"], rc) for argv, rc, _ in PINNED_OUTPUTS]
+    runs = [(argv + ["--json"], rc) for argv, rc, *_ in PINNED_OUTPUTS]
     runs += [(["classify", "--type", "C2", "--char", str(char), "--json"], 0),
              (["verify-hom", "--type", "C2", "--mode", "x"], 64)]
     done = subprocess.run(

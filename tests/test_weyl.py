@@ -687,7 +687,7 @@ def _random_valid(space, rng):
     f = space.context.field
     vec = (0,) * space.context.n_roots
     for chi in space.basis:
-        c = f.from_int(rng.randrange(f.p))
+        c = rng.randrange(f.p)
         vec = tuple(f.add(x, f.mul(c, v)) for x, v in zip(vec, chi.vector))
     return vec
 
