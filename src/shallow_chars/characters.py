@@ -2,10 +2,11 @@
 
 A character is a parameter vector: one element of F_q per shallow root,
 with chi(u_alpha(x)) = psi(c_alpha * x) for the fixed additive character
-psi = exp(2 pi i Tr(.) / p).  It extends to a homomorphism exactly when,
-for every non-parallel pair of shallow roots, the product of its values
-over the shallow commutator targets is trivial as a function of the two
-generator parameters.
+psi = exp(2 pi i Tr(.) / p), whose exponents are the rows `FiniteField.psi`.
+It extends to a homomorphism exactly when, for every non-parallel pair
+of shallow roots, the product of its values over the commutator factors
+in `Context.relations` is trivial as a function of the two generator
+parameters.
 
 The solver turns those product conditions into an F_p-linear system.
 Over F_q the condition for a pair is that a polynomial function in two
@@ -31,7 +32,7 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequenc
 
 from .affine_roots import AffineRoot, is_indecomposable, parse_point, point_to_json
 from .context import Context, Factor
-from .finite_field import char_product_trivial
+from .finite_field import FiniteField
 
 
 class ShallowCharacter:
@@ -51,11 +52,9 @@ class ShallowCharacter:
 
     @functools.cached_property
     def table(self) -> Tuple[Tuple[int, ...], ...]:
-        """Per-root lookup chi(u_alpha(x)), filled on first use."""
-        f = self.context.field
-        return tuple(
-            tuple(f.trace(f.mul(c, x)) for x in f.elements()) for c in self.vector
-        )
+        """Per-root lookup chi(u_alpha(x)), the field's psi rows, on first use."""
+        psi = self.context.field.psi
+        return tuple(psi[c] for c in self.vector)
 
     @classmethod
     def from_vector(cls, context: Context, vector: Sequence[int]) -> "ShallowCharacter":
@@ -149,13 +148,34 @@ class ValidationResult(NamedTuple):
         return self.ok
 
 
+def relation_holds(field: FiniteField, values: Sequence[int], factors: Iterable[Factor]) -> bool:
+    """Is prod psi(values[t] * C * x^i * y^j) over the factors 1 for all x, y in F_q?
+
+    The factors are (t, i, j, C) with C in F_p, as `Context.relations`
+    stores them, and values[t] is the parameter at target t.  Decided by
+    exhaustive loop over F_q^2: the exponents psi[values[t] * C][x^i y^j]
+    must sum to 0 mod p.
+    """
+    mul, power, p = field.mul, field.pow, field.p
+    rows = [(field.psi[mul(values[t], c)], i, j) for t, i, j, c in factors if values[t]]
+    if not rows:
+        return True
+    for x in field.elements():
+        for y in field.elements():
+            total = 0
+            for row, i, j in rows:
+                total += row[mul(power(x, i), power(y, j))]
+            if total % p:
+                return False
+    return True
+
+
 def validate(chi: ShallowCharacter) -> ValidationResult:
     """Check every pair relation; collect the pairs that fail."""
     ctx = chi.context
     bad: List[Tuple[AffineRoot, AffineRoot]] = []
-    for (p1, p2), terms in ctx.relations.items():
-        packed = [(chi.vector[pos], (i, j), c) for pos, i, j, c in terms]
-        if not char_product_trivial(ctx.field, packed):
+    for (p1, p2), factors in ctx.relations.items():
+        if not relation_holds(ctx.field, chi.vector, factors):
             bad.append((ctx.roots[p1], ctx.roots[p2]))
     return ValidationResult(not bad, tuple(bad))
 
@@ -305,8 +325,8 @@ def _valid_prefixes(ctx: Context) -> Tuple[int, Iterator[Tuple[int, ...]]]:
     """
     n, f = ctx.n_roots, ctx.field
     checks: List[List[Tuple[Factor, ...]]] = [[] for _ in range(n)]
-    for terms in ctx.relations.values():
-        checks[max(pos for pos, _, _, _ in terms)].append(terms)
+    for factors in ctx.relations.values():
+        checks[max(t for t, _, _, _ in factors)].append(factors)
     k = max((t + 1 for t in range(n) if checks[t]), default=0)
     vec = [0] * k
 
@@ -316,10 +336,7 @@ def _valid_prefixes(ctx: Context) -> Tuple[int, Iterator[Tuple[int, ...]]]:
             return
         for v in range(f.q):
             vec[t] = v
-            if all(
-                char_product_trivial(f, [(vec[pos], (i, j), c) for pos, i, j, c in terms])
-                for terms in checks[t]
-            ):
+            if all(relation_holds(f, vec, factors) for factors in checks[t]):
                 yield from extend(t + 1)
 
     return k, extend(0)

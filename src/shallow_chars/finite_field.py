@@ -1,4 +1,4 @@
-"""Small finite fields F_q and the additive-character dictionary.
+"""Small finite fields F_q and their additive characters.
 
 Elements of F_q (q = p^m) are plain ints in range(q), read as coefficient
 vectors base p: the int sum(c_e * p^e) stands for the polynomial
@@ -7,10 +7,12 @@ degree m whose non-leading coefficient vector has the smallest integer
 encoding; it is reported by ``modulus_coeffs`` for reproducibility.
 
 Additive characters of (F_q, +) are indexed by field elements c through
-the trace pairing: chi_c(x) has exponent Tr(c*x) in Z/p, relative to the
-fixed primitive character of (F_p, +) sending 1 to exp(2*pi*i/p).  This
-makes the character group literally an F_q-line and reduces all product
-identities to F_p-linear statements in the c's.
+the trace pairing: psi_c(x) has exponent Tr(c*x) in Z/p, relative to the
+fixed primitive character of (F_p, +) sending 1 to exp(2*pi*i/p).  Each
+field tabulates these exponents once, as psi[c][x]; the row psi[c] is
+zero only for c = 0, as the trace form is nondegenerate.  This makes the
+character group literally an F_q-line and reduces all product identities
+to F_p-linear statements in the c's.
 
 Fields are capped at q <= Q_BOUND = 16: every check in this library is
 an exhaustive O(q^2) loop and the interesting cases are q = 2 and 3.
@@ -55,8 +57,8 @@ def _from_coeffs(coeffs: Sequence[int], p: int) -> int:
 class FiniteField:
     """F_q with table-based exact arithmetic, q a prime power <= Q_BOUND.
 
-    Addition, negation, multiplication and the trace are looked up in
-    tables filled once at construction.
+    Addition, negation, multiplication and the additive characters are
+    looked up in tables filled once at construction.
     """
 
     def __init__(self, q: int):
@@ -74,7 +76,9 @@ class FiniteField:
             for da in digits
         ]
         self._neg_table = [_from_coeffs([-c for c in d], self.p) for d in digits]
-        self._trace_table = [self._sum_of_conjugates(a) for a in range(q)]
+        trace = [self._sum_of_conjugates(a) for a in range(q)]
+        # psi[c][x] = Tr(c*x), in range(p)
+        self.psi = tuple(tuple(trace[cx] for cx in row) for row in self._mul_table)
 
     # ------------------------------------------------------------------
     # construction internals
@@ -158,10 +162,6 @@ class FiniteField:
     def frobenius(self, a: Element) -> Element:
         return self.pow(a, self.p)
 
-    def trace(self, a: Element) -> int:
-        """Trace to F_p, returned as an int in range(p)."""
-        return self._trace_table[a]
-
     def coeffs(self, a: Element) -> Tuple[int, ...]:
         return tuple(_to_coeffs(a, self.p, self.m))
 
@@ -186,33 +186,3 @@ def _poly_mod(a: Sequence[int], f: Sequence[int], p: int) -> List[int]:
     while r and r[-1] == 0:
         r.pop()
     return r
-
-
-# ----------------------------------------------------------------------
-# additive characters
-
-def char_product_trivial(
-    field: FiniteField,
-    terms: Sequence[Tuple[Element, Tuple[int, int], int]],
-) -> bool:
-    """Does prod_k chi_{c_k}(C_k x^{i_k} y^{j_k}) == 1 for all x, y in F_q?
-
-    Each term is (c, (i, j), C) with C an element of F_p, as the constants
-    of `Context.relations` are stored.  Decided by exhaustive loop over F_q^2.
-    """
-    reduced = []
-    for c, (i, j), C in terms:
-        cc = field.mul(c, C)
-        if cc:
-            reduced.append((cc, i, j))
-    if not reduced:
-        return True
-    for x in field.elements():
-        for y in field.elements():
-            total = 0
-            for cc, i, j in reduced:
-                mono = field.mul(field.pow(x, i), field.pow(y, j))
-                total = (total + field.trace(field.mul(cc, mono))) % field.p
-            if total:
-                return False
-    return True

@@ -259,7 +259,7 @@ def _parent_walk(
 
 def _last_row(chi) -> int:
     """The last position at which chi is nonzero, -1 for the trivial character."""
-    return max((t for t, row in enumerate(chi.table) if any(row)), default=-1)
+    return max((t for t, c in enumerate(chi.vector) if c), default=-1)
 
 
 def _first_failure(chi, walk, shift: int) -> Optional[int]:
@@ -283,7 +283,7 @@ def _generator_sweep(chi) -> VerifyResult:
     """
     ctx = chi.context
     q, n, count = ctx.q, ctx.n_roots, ctx.coset_count()
-    reach, nonzero = _reach(ctx), {t for t, row in enumerate(chi.table) if any(row)}
+    reach, nonzero = _reach(ctx), {t for t, c in enumerate(chi.vector) if c}
     blocks = [(pos, val) for pos in range(n) for val in range(1, q)]
     for k, (pos, val) in enumerate(blocks):
         def step(m: int, a: int) -> List[Token]:

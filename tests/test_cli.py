@@ -358,6 +358,11 @@ PINNED_OUTPUTS = [
     (["solve", "--type", "B3", "--q", "4", "--facet", "0,1", "--cross-check"], 0,
      "c631a57a5b1c00e2e7d4164c3e416a0c36f022f713cc4494bd60552293b43d7f",
      "dd2dff59db282664fe8d845204a2c0e2bdd4d95b08e012fa081bca2dea89c470"),
+    # the forced oracle over a non-prime field, where it checks most:
+    # 153,728 relation checks in the search for its 64 prefixes
+    (["solve", "--type", "G2", "--q", "4", "--facet", "1,2", "--cross-check"], 0,
+     "a1090b10dfec02aca5161828cc45774ebba91beba926b0d46d718945bbc1d9a1",
+     "5c75f64bb65072c43c614d043d23d618976846548cbdd5b8049c42ae883e3dfa"),
     (["solve", "--type", "G2", "--q", "2", "--facet", "1,2"], 0,
      "b6c225a71701cfb8a6e2eb9e4390a92900fe9885d767e3dd2367a8baa39c0398",
      "6fdef247f30b0151f084423422c567840dd77c30a70d2408e2224fca1a957d5f"),

@@ -1,8 +1,9 @@
 import pytest
 
-from shallow_chars.finite_field import FiniteField, char_product_trivial
+from shallow_chars.characters import relation_holds
+from shallow_chars.finite_field import FiniteField
 
-FIELDS = [2, 3, 4, 5, 8, 9, 16]
+FIELDS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]  # every prime power q <= 16
 
 
 @pytest.mark.parametrize("q", FIELDS)
@@ -33,14 +34,14 @@ def test_frobenius_and_trace(q):
         for _ in range(f.m):
             x = f.frobenius(x)
         assert x == a  # Frobenius has order m
-        assert f.trace(a) in range(f.p)
-        assert f.trace(f.frobenius(a)) == f.trace(a)
+        assert f.psi[1][a] in range(f.p)
+        assert f.psi[1][f.frobenius(a)] == f.psi[1][a]
         for b in f.elements():
             assert f.frobenius(f.add(a, b)) == f.add(f.frobenius(a), f.frobenius(b))
-            assert (f.trace(f.add(a, b)) - f.trace(a) - f.trace(b)) % f.p == 0
+            assert (f.psi[1][f.add(a, b)] - f.psi[1][a] - f.psi[1][b]) % f.p == 0
     if f.m == 1:
-        assert all(f.trace(a) == a for a in f.elements())
-    assert any(f.trace(a) != 0 for a in f.elements())  # trace is onto F_p
+        assert all(f.psi[1][a] == a for a in f.elements())
+    assert any(f.psi[1][a] != 0 for a in f.elements())  # trace is onto F_p
 
 
 def test_modulus_choices():
@@ -54,7 +55,7 @@ def test_modulus_choices():
 
 def test_f4_trace_table():
     f = FiniteField(4)
-    assert {a: f.trace(a) for a in f.elements()} == {0: 0, 1: 0, 2: 1, 3: 1}
+    assert {a: f.psi[1][a] for a in f.elements()} == {0: 0, 1: 0, 2: 1, 3: 1}
 
 
 def test_bad_sizes_rejected():
@@ -67,25 +68,26 @@ def test_bad_sizes_rejected():
 
 @pytest.mark.parametrize("q", FIELDS)
 def test_char_eval_nondegenerate(q):
+    """psi[c][x] = Tr(c x) = psi[1][c x]; the row of c is zero only for c = 0,
+    which lets the group model read a character's nonzero rows off its vector."""
     f = FiniteField(q)
+    assert len(f.psi) == q and all(len(row) == q for row in f.psi)
     for c in f.elements():
-        # chi_c(x) = exp(2 pi i Tr(c x) / p)
-        hits = [x for x in f.elements() if f.trace(f.mul(c, x)) != 0]
-        if c == 0:
-            assert hits == []
-        else:
-            assert hits
+        assert f.psi[c] == tuple(f.psi[1][f.mul(c, x)] for x in f.elements())
+        assert any(f.psi[c]) == (c != 0)
 
 
-def test_char_product_trivial_examples():
+def test_relation_holds_examples():
+    # factors (t, i, j, C) read the parameter at t, as Context.relations stores them
     f2 = FiniteField(2)
-    assert not char_product_trivial(f2, [(1, (1, 1), 1)])
-    assert char_product_trivial(f2, [(1, (1, 1), 0)])  # C = 0 in F_p kills the term
-    assert char_product_trivial(f2, [(1, (1, 1), 1), (1, (1, 1), 1)])
+    assert not relation_holds(f2, (1,), [(0, 1, 1, 1)])
+    assert relation_holds(f2, (1,), [(0, 1, 1, 0)])  # C = 0 in F_p kills the factor
+    assert relation_holds(f2, (0,), [(0, 1, 1, 1)])  # so does a zero parameter
+    assert relation_holds(f2, (1,), [(0, 1, 1, 1), (0, 1, 1, 1)])
     f3 = FiniteField(3)
-    assert char_product_trivial(f3, [(1, (1, 1), 1), (2, (1, 1), 1)])
-    assert not char_product_trivial(f3, [(1, (1, 1), 1), (1, (1, 2), 1)])
+    assert relation_holds(f3, (1, 2), [(0, 1, 1, 1), (1, 1, 1, 1)])
+    assert not relation_holds(f3, (1,), [(0, 1, 1, 1), (0, 1, 2, 1)])
     # Frobenius pairing: Tr(c x) + Tr(c^2 x^2) vanishes identically on F_4
     f4 = FiniteField(4)
-    assert char_product_trivial(f4, [(2, (1, 0), 1), (3, (2, 0), 1)])
-    assert not char_product_trivial(f4, [(2, (1, 0), 1), (2, (2, 0), 1)])
+    assert relation_holds(f4, (2, 3), [(0, 1, 0, 1), (1, 2, 0, 1)])
+    assert not relation_holds(f4, (2,), [(0, 1, 0, 1), (0, 2, 0, 1)])

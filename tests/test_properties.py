@@ -1,7 +1,8 @@
 """Seeded property tests: the integer shallow census against the rational
-one, the relation rows against the group model, both sweeps against the
-Cayley tables, the linear solver against the exhaustive oracle, and its
-sparse elimination against the dense RREF.
+one, the relation check against the term-by-term character product, the
+relation rows against the group model, both sweeps against the Cayley
+tables, the linear solver against the exhaustive oracle, and its sparse
+elimination against the dense RREF.
 
 hypothesis is a test-only dependency; `derandomize` makes every run draw
 the same examples.
@@ -23,19 +24,22 @@ from shallow_chars.affine_roots import (
     barycenter, facet_of, facet_point, in_closed_alcove, scale_point, shallow_roots,
 )
 from shallow_chars.characters import (
-    ShallowCharacter, _nullspace, relation_rows, solve_space, validate,
+    ShallowCharacter, _nullspace, relation_holds, relation_rows, solve_space, validate,
 )
 from shallow_chars.chevalley import Pinning
 from shallow_chars.context import Context
+from shallow_chars.finite_field import FiniteField
 from shallow_chars.group_model import verify_homomorphism
 from shallow_chars.root_system import build_root_system
 
 import census_oracle
+from character_oracle import char_product_trivial
 from span_oracle import dense, nullspace
 from test_group_model import table_pairs, table_sweep
 
 SMALL_TYPES = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2")
 FIELDS = (2, 3, 4, 5, 8, 9)
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)  # every field FiniteField accepts
 MAX_COSETS = 2**14
 MAX_PAIR_COSETS = 2**8  # the table oracle takes every pair of a valid character
 MAX_TABLE_COSETS = 2**10  # the Cayley tables take N * (q - 1) * q^N collections
@@ -117,6 +121,33 @@ def test_census_matches_oracle_on_exceptional_types(cartan_type):
         ]
     for point in points:
         assert_census_matches_oracle(rs, point)
+
+
+@st.composite
+def relations(draw):
+    """A field, a parameter vector and factors (t, i, j, C) on it, with
+    exponents 1-3 and C in F_p^x.  Vectors of one to four entries, with
+    zeros among them, repeat targets; a drawn flag appends each factor's
+    negative, which makes the relation hold."""
+    f = FiniteField(draw(st.sampled_from(PRIME_POWERS)))
+    n = draw(st.integers(1, 4))
+    values = draw(st.lists(st.integers(0, f.q - 1), min_size=n, max_size=n))
+    exponents = st.integers(1, 3)
+    factors = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), exponents, exponents, st.integers(1, f.p - 1)),
+        min_size=1, max_size=6,
+    ))
+    if draw(st.booleans()):
+        factors += [(t, i, j, f.p - c) for t, i, j, c in factors]
+    return f, tuple(values), factors
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(relations())
+def test_relation_holds_matches_character_product(case):
+    f, values, factors = case
+    packed = [(values[t], (i, j), c) for t, i, j, c in factors]
+    assert relation_holds(f, values, factors) == char_product_trivial(f, packed)
 
 
 @st.composite
